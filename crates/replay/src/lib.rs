@@ -185,6 +185,10 @@ fn snapshot_period_ns(every_s: f64) -> u64 {
 /// binaries: identical quoting, float rendering (`{:.6}`, matching
 /// `row_f64`), and `none` for an absent p99 — so downstream tooling
 /// consumes replay output and experiment output interchangeably.
+///
+/// The `p99_response_s` column carries whichever definition produced the
+/// report: nearest-rank for timed replay, linearly interpolated for
+/// DES-backed runs (see [`SimReport::p99_response_s`]).
 pub fn report_table(report: &SimReport) -> CsvTable {
     let mut table = CsvTable::new([
         "policy",
@@ -299,6 +303,27 @@ mod tests {
         assert!(report.throughput_rps > 0.0);
         assert!(snaps > 0, "snapshots should fire over a 200 s log");
         assert_eq!(report.policy, "l2s");
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_dropped_not_fatal() {
+        // Regression: the stream read lines as `String`s, so one
+        // non-UTF-8 line surfaced as `Err(InvalidData)` and ended the
+        // replay mid-log.
+        let log = b"h - - [01/Jan/2000:10:00:00 +0000] \"GET /a HTTP/1.0\" 200 1024\n\
+                    h - - [01/Jan/2000:10:00:01 +0000] \"GET /\xff\xfe HTTP/1.0\" 200 1024\n\
+                    h - - [01/Jan/2000:10:00:02 +0000] \"GET /b HTTP/1.0\" 200 1024\n";
+        let mut stream = ClfStream::new(&log[..]);
+        let report = replay_stream(
+            &ReplayConfig::new(PolicyKind::L2s, 2),
+            &mut stream,
+            &mut VirtualClock::new(),
+            |_| {},
+        )
+        .expect("a bad line must not end the replay");
+        assert_eq!(report.completed, 2, "/a and /b are both replayed");
+        assert_eq!(stream.stats().dropped, 1);
+        assert_eq!(stream.distinct_files(), 2);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use l2s::{Placement, PolicyDriver, PolicyKind};
 use l2s_cluster::{build_nodes, CachePolicy, NodeCosts, NodeHardware};
 use l2s_sim::{NodeReport, SimConfig, SimReport};
+use l2s_util::stats::RunningQuantile;
 use l2s_util::{cast, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -42,6 +43,8 @@ pub struct ReplayConfig {
     pub max_requests: Option<usize>,
     /// Record individual response times (needed for the p99 column;
     /// costs O(completed) memory, like the engine's `response_samples`).
+    /// The replay p99 is nearest-rank, kept exactly as samples arrive so
+    /// a snapshot reads it in O(1).
     pub response_samples: bool,
 }
 
@@ -88,7 +91,7 @@ pub struct ReplayEngine {
     forwarded: u64,
     control_msgs: u64,
     response_sum_s: f64,
-    samples_s: Vec<f64>,
+    p99: RunningQuantile,
     now: SimTime,
 }
 
@@ -110,7 +113,7 @@ impl ReplayEngine {
             forwarded: 0,
             control_msgs: 0,
             response_sum_s: 0.0,
-            samples_s: Vec::new(),
+            p99: RunningQuantile::new(0.99),
             now: SimTime::ZERO,
         }
     }
@@ -176,7 +179,7 @@ impl ReplayEngine {
         let response_s = done.saturating_since(at).as_secs_f64();
         self.response_sum_s += response_s;
         if self.cfg.response_samples {
-            self.samples_s.push(response_s);
+            self.p99.push(response_s);
         }
         self.inflight.push(Reverse((done, self.seq, node, file)));
         self.seq += 1;
@@ -289,7 +292,6 @@ impl ReplayEngine {
                 cast::exact_f64(num) / cast::exact_f64(den)
             }
         };
-        let p99 = percentile_99(&self.samples_s);
         SimReport {
             policy: self.cfg.policy.name(),
             nodes: self.cfg.nodes,
@@ -318,7 +320,7 @@ impl ReplayEngine {
             } else {
                 0.0
             },
-            p99_response_s: p99,
+            p99_response_s: self.p99.value(),
             segment_means_s: [0.0; 3],
             failed: self.failed,
             retried: 0,
@@ -330,18 +332,6 @@ impl ReplayEngine {
             per_node,
         }
     }
-}
-
-/// Nearest-rank 99th percentile; `None` when no samples were recorded.
-fn percentile_99(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank =
-        cast::floor_index((cast::len_f64(sorted.len()) * 0.99).ceil()).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
 }
 
 #[cfg(test)]
@@ -399,13 +389,5 @@ mod tests {
         let r = e.finish();
         assert_eq!(r.failed, 1, "node 0's request died with it");
         assert_eq!(r.completed, 1);
-    }
-
-    #[test]
-    fn percentile_requires_samples() {
-        assert_eq!(percentile_99(&[]), None);
-        assert_eq!(percentile_99(&[0.5]), Some(0.5));
-        let many: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile_99(&many), Some(99.0));
     }
 }

@@ -63,6 +63,13 @@ pub struct SimReport {
     /// recorded no individual samples — either `response_samples` was
     /// off (lean scaling sweeps) or no request completed at all — so an
     /// absent percentile can never masquerade as a 0.0 s one.
+    ///
+    /// Two definitions fill this field. The DES interpolates linearly
+    /// between the sorted samples at position `0.99·(n−1)`
+    /// ([`l2s_util::stats::quantile`]); timed replay (`l2s-replay`)
+    /// reports the nearest-rank sample `clamp(⌈0.99·n⌉, 1, n)`
+    /// ([`l2s_util::stats::RunningQuantile`]). They can differ by up to
+    /// one gap between adjacent samples.
     pub p99_response_s: Option<f64>,
     /// Mean time per lifecycle segment in seconds: `[ingress, handoff,
     /// service]` — client arrival through distribution decision, decision

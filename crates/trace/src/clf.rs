@@ -14,7 +14,6 @@
 
 use crate::{FileId, FileSet, Trace};
 use l2s_util::cast;
-use std::collections::BTreeMap;
 use std::io::{self, BufRead};
 
 /// Interns URL paths as dense [`FileId`]s in first-seen order.
@@ -23,12 +22,22 @@ use std::io::{self, BufRead};
 /// paths) become the dense `u32` indices the rest of the workspace is
 /// built on: ids are handed out consecutively from 0, so downstream
 /// per-file state can be a flat `Vec` indexed by [`FileId::index`].
-/// The map is ordered (`BTreeMap`) only because interning happens at
-/// parse time, far off the simulator's hot path, and the determinism
-/// lint bans hash containers in this crate wholesale.
+///
+/// Interning runs once per kept line of a live replay, so it is on that
+/// path's hot loop. Every path lives in one arena string; an
+/// open-addressing slot table (FNV-1a, linear probing, at most half
+/// full) maps a path to its id. Ids depend only on first-seen order,
+/// never on hash values, so the table's layout cannot leak into
+/// results — and the determinism lint's ban on hash containers in this
+/// crate holds. A log crafted so that many paths collide degrades
+/// lookups toward a linear scan; it cannot change an id.
 #[derive(Clone, Debug, Default)]
 pub struct FileInterner {
-    ids: BTreeMap<String, FileId>,
+    arena: String,
+    /// `ends[i]` is the arena offset one past path `i`.
+    ends: Vec<usize>,
+    /// `0` marks an empty slot; otherwise the slot holds `id + 1`.
+    slots: Vec<u32>,
 }
 
 impl FileInterner {
@@ -39,38 +48,95 @@ impl FileInterner {
 
     /// Returns `path`'s id, assigning the next dense index on first sight.
     pub fn intern(&mut self, path: &str) -> FileId {
-        if let Some(&id) = self.ids.get(path) {
-            return id;
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
         }
-        let id = FileId::from_raw(cast::index_u32(self.ids.len()));
-        self.ids.insert(path.to_string(), id);
-        id
+        let slot = self.probe(path);
+        if self.slots[slot] != 0 {
+            return FileId::from_raw(self.slots[slot] - 1);
+        }
+        let id = cast::index_u32(self.ends.len());
+        self.arena.push_str(path);
+        self.ends.push(self.arena.len());
+        self.slots[slot] = id + 1;
+        FileId::from_raw(id)
     }
 
     /// The id previously assigned to `path`, if any.
     pub fn get(&self, path: &str) -> Option<FileId> {
-        self.ids.get(path).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        match self.slots[self.probe(path)] {
+            0 => None,
+            raw => Some(FileId::from_raw(raw - 1)),
+        }
     }
 
     /// Number of distinct paths interned.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.ends.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.ends.is_empty()
     }
 
     /// The interned paths in dense-id order (index `i` is the path of
     /// `FileId(i)`).
     pub fn into_paths(self) -> Vec<String> {
-        let mut paths = vec![String::new(); self.ids.len()];
-        for (path, id) in self.ids {
-            paths[id.index()] = path;
-        }
-        paths
+        (0..self.len()).map(|i| self.path(i).to_string()).collect()
     }
+
+    /// Resident bytes of the arena and both tables.
+    fn heap_bytes(&self) -> usize {
+        self.arena.capacity()
+            + self.ends.capacity() * std::mem::size_of::<usize>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// The path of dense id `i`.
+    fn path(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.arena[start..self.ends[i]]
+    }
+
+    /// The slot holding `path`, or the empty slot where it belongs. The
+    /// table is never full, so the probe always stops.
+    fn probe(&self, path: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = home_slot(path, mask);
+        loop {
+            match self.slots[slot] {
+                0 => return slot,
+                raw if self.path(cast::wide_usize(raw - 1)) == path => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the slot table (minimum 16 slots) and re-files every id.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots = vec![0; len];
+        for i in 0..self.ends.len() {
+            let mut slot = home_slot(self.path(i), len - 1);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = cast::index_u32(i) + 1;
+        }
+    }
+}
+
+/// The first slot probed for `path` in a table of `mask + 1` slots: its
+/// 64-bit FNV-1a hash, masked.
+fn home_slot(path: &str, mask: usize) -> usize {
+    let h = path.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    cast::index_usize(h & cast::len_u64(mask))
 }
 
 /// One parsed access-log line.
@@ -89,6 +155,30 @@ pub struct LogEntry {
     pub timestamp_s: Option<i64>,
 }
 
+/// The fields of one access-log line, borrowed from it. The date field
+/// is kept as its raw bracket body so callers decide whether (and how
+/// often) to parse it.
+#[derive(Clone, Copy)]
+struct LogFields<'a> {
+    path: &'a str,
+    method: &'a str,
+    status: u16,
+    bytes: Option<u64>,
+    date: Option<&'a str>,
+}
+
+impl LogFields<'_> {
+    /// The Section 5.1 keep-filter shared by [`parse_log`] and
+    /// [`ClfStream`]: successful `GET`s with a reported, positive size.
+    /// Returns the transfer size in bytes for kept entries.
+    fn kept_bytes(&self) -> Option<u64> {
+        if self.method != "GET" || self.status != 200 {
+            return None;
+        }
+        self.bytes.filter(|&b| b > 0)
+    }
+}
+
 /// Parses one Common Log Format line:
 ///
 /// ```text
@@ -105,6 +195,19 @@ pub struct LogEntry {
 /// follow it, which also keeps Combined Log Format (trailing quoted
 /// referrer/user-agent fields) parsing correctly.
 pub fn parse_line(line: &str) -> Option<LogEntry> {
+    let f = parse_fields(line)?;
+    Some(LogEntry {
+        path: f.path.to_string(),
+        method: f.method.to_string(),
+        status: f.status,
+        bytes: f.bytes,
+        timestamp_s: f.date.and_then(parse_clf_timestamp),
+    })
+}
+
+/// The one CLF line parser behind [`parse_line`], [`parse_log`] and
+/// [`ClfStream`]: the same fields, borrowed from `line`.
+fn parse_fields(line: &str) -> Option<LogFields<'_>> {
     let line = line.trim();
     if line.is_empty() {
         return None;
@@ -112,8 +215,8 @@ pub fn parse_line(line: &str) -> Option<LogEntry> {
     let (quote_start, quote_end) = request_span(line)?;
     let request = &line[quote_start + 1..quote_end];
     let mut req_parts = request.split_whitespace();
-    let method = req_parts.next()?.to_string();
-    let path = req_parts.next()?.to_string();
+    let method = req_parts.next()?;
+    let path = req_parts.next()?;
 
     let tail = line[quote_end + 1..].trim();
     let mut tail_parts = tail.split_whitespace();
@@ -124,17 +227,16 @@ pub fn parse_line(line: &str) -> Option<LogEntry> {
     };
     // The date field is the bracketed span nearest the request quote
     // (ident/authuser are client-supplied and may contain stray '[').
-    let timestamp_s = line[..quote_start].rfind('[').and_then(|i| {
+    let date = line[..quote_start].rfind('[').and_then(|i| {
         let rest = &line[i + 1..quote_start];
-        let end = rest.find(']')?;
-        parse_clf_timestamp(&rest[..end])
+        rest.find(']').map(|end| &rest[..end])
     });
-    Some(LogEntry {
+    Some(LogFields {
         path,
         method,
         status,
         bytes,
-        timestamp_s,
+        date,
     })
 }
 
@@ -246,35 +348,31 @@ pub fn parse_log(name: &str, text: &str) -> Trace {
     let mut requests: Vec<FileId> = Vec::new();
 
     for line in text.lines() {
-        let Some(entry) = parse_line(line) else {
+        let Some((path, bytes)) = parse_fields(line).and_then(|f| Some((f.path, f.kept_bytes()?)))
+        else {
             continue;
         };
-        let Some(bytes) = kept_bytes(&entry) else {
-            continue;
-        };
-        let kb = cast::exact_f64(bytes) / 1024.0;
-        let id = interner.intern(&entry.path);
-        if id.index() == sizes_kb.len() {
-            sizes_kb.push(kb);
-        } else {
-            sizes_kb[id.index()] = sizes_kb[id.index()].max(kb);
-        }
-        requests.push(id);
+        requests.push(intern_sized(&mut interner, &mut sizes_kb, path, bytes));
     }
     Trace::new(name, FileSet::new(sizes_kb), requests)
 }
 
-/// The Section 5.1 keep-filter shared by [`parse_log`] and
-/// [`ClfStream`]: successful `GET`s with a reported, positive size.
-/// Returns the transfer size in bytes for kept entries.
-fn kept_bytes(entry: &LogEntry) -> Option<u64> {
-    if entry.method != "GET" || entry.status != 200 {
-        return None;
+/// Interns `path` and folds a `bytes`-long transfer into its size: a new
+/// file's size is appended, a known file keeps the largest size ever
+/// reported (logs record partial transfers as smaller byte counts).
+fn intern_sized(
+    interner: &mut FileInterner,
+    sizes_kb: &mut Vec<f64>,
+    path: &str,
+    bytes: u64,
+) -> FileId {
+    let kb = cast::exact_f64(bytes) / 1024.0;
+    let id = interner.intern(path);
+    match sizes_kb.get_mut(id.index()) {
+        Some(size) => *size = size.max(kb),
+        None => sizes_kb.push(kb),
     }
-    match entry.bytes {
-        Some(b) if b > 0 => Some(b),
-        _ => None,
-    }
+    id
 }
 
 /// Ingestion counters for a [`ClfStream`].
@@ -318,17 +416,45 @@ pub struct ClfRecord {
 /// the resident footprint for tests to pin). Timestamps are parsed from
 /// the CLF date field, rebased to the first kept entry, and clamped
 /// monotone; a truncated final line (log mid-write) is dropped and
-/// flagged rather than half-parsed.
+/// flagged rather than half-parsed, and so is a line that is not valid
+/// UTF-8.
+///
+/// The per-line path allocates nothing: lines are read as bytes into one
+/// reused buffer, parsed into fields borrowed from it, the date field is
+/// parsed only when it differs from the previous kept line's, and the
+/// path is interned into an arena.
 #[derive(Debug)]
 pub struct ClfStream<R> {
     reader: R,
     interner: FileInterner,
     sizes_kb: Vec<f64>,
-    path_bytes: usize,
-    line: String,
+    line: Vec<u8>,
+    date: DateMemo,
     base_ts_s: Option<i64>,
     last_at_s: f64,
     stats: ClfStreamStats,
+}
+
+/// The last date field parsed and its result. Consecutive log lines
+/// mostly share one date field (it has one-second resolution), and
+/// [`parse_clf_timestamp`] is pure, so reusing the result is exact —
+/// `None` results included. The empty initial body is consistent too:
+/// it parses to `None`.
+#[derive(Debug, Default)]
+struct DateMemo {
+    body: String,
+    timestamp_s: Option<i64>,
+}
+
+impl DateMemo {
+    fn timestamp_s(&mut self, body: &str) -> Option<i64> {
+        if self.body != body {
+            self.body.clear();
+            self.body.push_str(body);
+            self.timestamp_s = parse_clf_timestamp(body);
+        }
+        self.timestamp_s
+    }
 }
 
 impl<R: BufRead> ClfStream<R> {
@@ -338,8 +464,8 @@ impl<R: BufRead> ClfStream<R> {
             reader,
             interner: FileInterner::new(),
             sizes_kb: Vec::new(),
-            path_bytes: 0,
-            line: String::new(),
+            line: Vec::new(),
+            date: DateMemo::default(),
             base_ts_s: None,
             last_at_s: 0.0,
             stats: ClfStreamStats::default(),
@@ -352,11 +478,10 @@ impl<R: BufRead> ClfStream<R> {
     pub fn next_record(&mut self) -> io::Result<Option<ClfRecord>> {
         loop {
             self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
-            if n == 0 {
+            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
                 return Ok(None);
             }
-            if !self.line.ends_with('\n') {
+            if self.line.last() != Some(&b'\n') {
                 // Final line with no terminator: the writer is mid-line
                 // (or the file was cut). Parsing the fragment would
                 // fabricate a request from half a record.
@@ -364,14 +489,17 @@ impl<R: BufRead> ClfStream<R> {
                 return Ok(None);
             }
             self.stats.lines += 1;
-            let Some(file) = parse_line(&self.line).and_then(|e| {
-                let b = kept_bytes(&e)?;
-                self.note_arrival(e.timestamp_s);
-                Some(self.intern(&e.path, cast::exact_f64(b) / 1024.0))
-            }) else {
+            let kept = std::str::from_utf8(&self.line)
+                .ok()
+                .and_then(parse_fields)
+                .and_then(|f| Some((f, f.kept_bytes()?)));
+            let Some((fields, bytes)) = kept else {
                 self.stats.dropped += 1;
                 continue;
             };
+            let timestamp_s = fields.date.and_then(|d| self.date.timestamp_s(d));
+            let file = intern_sized(&mut self.interner, &mut self.sizes_kb, fields.path, bytes);
+            self.note_arrival(timestamp_s);
             self.stats.kept += 1;
             return Ok(Some(ClfRecord {
                 file,
@@ -401,19 +529,6 @@ impl<R: BufRead> ClfStream<R> {
         }
     }
 
-    /// Interns `path`, growing or max-merging the size table, and
-    /// returns its dense id.
-    fn intern(&mut self, path: &str, kb: f64) -> FileId {
-        let id = self.interner.intern(path);
-        if id.index() == self.sizes_kb.len() {
-            self.sizes_kb.push(kb);
-            self.path_bytes += path.len();
-        } else {
-            self.sizes_kb[id.index()] = self.sizes_kb[id.index()].max(kb);
-        }
-        id
-    }
-
     /// Largest size seen per file in KB, indexed by dense file id.
     pub fn sizes_kb(&self) -> &[f64] {
         &self.sizes_kb
@@ -429,15 +544,15 @@ impl<R: BufRead> ClfStream<R> {
         self.stats
     }
 
-    /// Approximate resident state in bytes: the line buffer plus the
-    /// per-distinct-file tables. Deliberately excludes the reader so
-    /// tests can assert the *stream's* footprint stays O(distinct
-    /// files) on logs far larger than it.
+    /// Approximate resident state in bytes: the line and date buffers
+    /// plus the per-distinct-file tables. Deliberately excludes the
+    /// reader so tests can assert the *stream's* footprint stays
+    /// O(distinct files) on logs far larger than it.
     pub fn state_bytes(&self) -> usize {
         self.line.capacity()
+            + self.date.body.capacity()
             + self.sizes_kb.capacity() * std::mem::size_of::<f64>()
-            + self.path_bytes
-            + self.interner.len() * std::mem::size_of::<(usize, FileId)>()
+            + self.interner.heap_bytes()
     }
 }
 

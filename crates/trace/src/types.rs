@@ -7,12 +7,12 @@ use std::fmt;
 /// [`FileSet`].
 ///
 /// Ids are *interned*: every producer of traces (the synthetic generator,
-/// the CLF parser via [`crate::clf::FileInterner`]) hands out consecutive
-/// indices starting at 0, so any per-file state elsewhere in the workspace
-/// can live in a flat `Vec` indexed by [`FileId::index`] instead of an
-/// ordered map. Iterating such a `Vec` visits files in dense-index order,
-/// which keeps results deterministic *by construction* — no ordered map
-/// needed.
+/// and [`crate::clf::parse_log`] and [`crate::ClfStream`] via
+/// [`crate::FileInterner`]) hands out consecutive indices starting at 0
+/// in first-seen order, so any per-file state elsewhere in the workspace
+/// can live in a flat `Vec` indexed by [`FileId::index`] instead of a
+/// map. Iterating such a `Vec` visits files in dense-index order, which
+/// keeps results deterministic *by construction*.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct FileId(u32);
 

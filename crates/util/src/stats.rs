@@ -1,6 +1,8 @@
 //! Summary statistics for simulation measurements.
 
 use crate::cast;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Numerically stable online mean/variance accumulator (Welford's method),
@@ -148,6 +150,93 @@ pub fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
     let hi = cast::floor_index(pos.ceil());
     let frac = pos - cast::len_f64(lo);
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+}
+
+/// `x`'s bits remapped so that unsigned integer order is
+/// [`f64::total_cmp`] order: negatives have every bit flipped, the rest
+/// get the sign bit set. The map is a bijection, so no bit of a sample
+/// is lost.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_order_key`].
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// The exact running nearest-rank `q`-quantile of a sample stream: after
+/// `n` pushes, [`RunningQuantile::value`] is the `rank`-th smallest sample
+/// under [`f64::total_cmp`], with `rank = clamp(ceil(q·n), 1, n)`.
+///
+/// This is the same value as sorting every sample so far and indexing
+/// the rank — bit for bit, since `total_cmp` equality implies identical
+/// bits — at O(log n) per push and O(1) per read. Samples are kept as
+/// integer keys in `total_cmp` order: a max-heap holds the `rank`
+/// smallest and a min-heap the rest; each push rebalances to the new
+/// rank, so the answer is the max-heap's top.
+///
+/// Note the definition differs from [`quantile`], which interpolates
+/// linearly between neighbors: the two agree only where the rank lands
+/// on a knot.
+#[derive(Clone, Debug)]
+pub struct RunningQuantile {
+    q: f64,
+    low: BinaryHeap<u64>,
+    high: BinaryHeap<Reverse<u64>>,
+}
+
+impl RunningQuantile {
+    /// An empty accumulator for the `q`-quantile (`0 ≤ q ≤ 1`).
+    pub fn new(q: f64) -> Self {
+        RunningQuantile {
+            q,
+            low: BinaryHeap::new(),
+            high: BinaryHeap::new(),
+        }
+    }
+
+    /// Adds one sample.
+    pub fn push(&mut self, x: f64) {
+        let x = total_order_key(x);
+        if self.low.peek().is_some_and(|&top| x > top) {
+            self.high.push(Reverse(x));
+        } else {
+            self.low.push(x);
+        }
+        let n = self.len();
+        let rank = cast::floor_index((cast::len_f64(n) * self.q).ceil()).clamp(1, n);
+        while self.low.len() > rank {
+            if let Some(top) = self.low.pop() {
+                self.high.push(Reverse(top));
+            }
+        }
+        while self.low.len() < rank {
+            if let Some(Reverse(bottom)) = self.high.pop() {
+                self.low.push(bottom);
+            }
+        }
+    }
+
+    /// Number of samples pushed.
+    pub fn len(&self) -> usize {
+        self.low.len() + self.high.len()
+    }
+
+    /// True when no sample has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The nearest-rank quantile of the samples so far; `None` when empty.
+    pub fn value(&self) -> Option<f64> {
+        self.low.peek().copied().map(from_total_order_key)
+    }
 }
 
 /// A fixed-width histogram over `[lo, hi)` with out-of-range counters.
@@ -329,6 +418,23 @@ mod tests {
         assert_eq!(quantile(&v, 1.0), Some(4.0));
         assert_eq!(quantile(&v, 0.5), Some(2.5));
         assert_eq!(quantile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn running_quantile_is_nearest_rank() {
+        let mut p99 = RunningQuantile::new(0.99);
+        assert!(p99.is_empty());
+        assert_eq!(p99.value(), None);
+        p99.push(0.5);
+        assert_eq!(p99.value(), Some(0.5));
+        let mut p99 = RunningQuantile::new(0.99);
+        for x in (1..=100).rev() {
+            p99.push(f64::from(x));
+        }
+        assert_eq!(p99.len(), 100);
+        assert_eq!(p99.value(), Some(99.0));
+        p99.push(100.5);
+        assert_eq!(p99.value(), Some(100.0), "rank steps to 100 at n = 101");
     }
 
     #[test]

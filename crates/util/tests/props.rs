@@ -1,10 +1,79 @@
 //! Property-based tests for the util substrate.
 
-use l2s_util::stats::quantile;
+use l2s_util::stats::{quantile, RunningQuantile};
 use l2s_util::{DetRng, OnlineStats, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// The sort-based oracle for [`RunningQuantile`]: sort every sample by
+/// `total_cmp` and take the 1-based rank `clamp(ceil(q·n), 1, n)`.
+fn nearest_rank_by_sorting(samples: &[f64], q: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
+    Some(sorted[rank - 1])
+}
+
+/// Samples that stress a total-order heap: signed zeros, subnormals,
+/// infinities, NaNs of both signs, and a small pool of values that
+/// repeat, mixed with arbitrary finite floats.
+fn awkward_f64() -> impl Strategy<Value = f64> {
+    (0u8..12, any::<f64>(), 0u32..4).prop_map(|(kind, x, pick)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::MIN_POSITIVE / f64::from(2u32 << pick),
+        3 => -f64::MIN_POSITIVE / f64::from(2u32 << pick),
+        4 => f64::INFINITY,
+        5 => f64::NAN,
+        6 => -f64::NAN,
+        7 | 8 => [0.25, 1.0, 1.5, 1e-3][pick as usize],
+        _ => x,
+    })
+}
+
 proptest! {
+    /// The streaming nearest-rank quantile equals sorting after every
+    /// single push, bit for bit, over lengths that cross the rank steps
+    /// at multiples of 100.
+    #[test]
+    fn running_p99_matches_sorting_after_every_push(
+        samples in prop::collection::vec(awkward_f64(), 0..450),
+    ) {
+        let mut p99 = RunningQuantile::new(0.99);
+        prop_assert_eq!(p99.value(), None);
+        for (i, &x) in samples.iter().enumerate() {
+            p99.push(x);
+            let want = nearest_rank_by_sorting(&samples[..=i], 0.99);
+            prop_assert_eq!(
+                p99.value().map(f64::to_bits),
+                want.map(f64::to_bits),
+                "after push {} of {}", i + 1, samples.len()
+            );
+        }
+        prop_assert_eq!(p99.len(), samples.len());
+    }
+
+    /// Other quantiles, including the extremes, agree with sorting too.
+    #[test]
+    fn running_quantile_matches_sorting_for_any_q(
+        samples in prop::collection::vec(awkward_f64(), 1..120),
+        q in 0.0f64..1.0,
+    ) {
+        for q in [0.0, q, 0.5, 1.0] {
+            let mut running = RunningQuantile::new(q);
+            for (i, &x) in samples.iter().enumerate() {
+                running.push(x);
+                prop_assert_eq!(
+                    running.value().map(f64::to_bits),
+                    nearest_rank_by_sorting(&samples[..=i], q).map(f64::to_bits),
+                    "q = {}", q
+                );
+            }
+        }
+    }
+
     /// Time arithmetic round-trips through nanoseconds exactly.
     #[test]
     fn time_nanos_round_trip(ns in 0u64..u64::MAX / 2) {
