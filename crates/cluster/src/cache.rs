@@ -1,10 +1,9 @@
 //! A byte-capacity LRU cache of whole files.
 
+use crate::directory::Directory;
 use crate::FileId;
 use l2s_util::{cast, invariant};
-
-/// Sentinel in the dense file->slot index for "not resident".
-const NO_SLOT: u32 = u32::MAX;
+use std::collections::BinaryHeap;
 
 /// Stamp marking a slot as free. Live stamps come from a counter that
 /// starts at 1, so the sentinel never collides.
@@ -61,16 +60,18 @@ impl CacheStats {
 /// Recency is tracked by *stamps*, not a linked list: every hit writes
 /// one monotone counter value into the slot it touched, and the LRU
 /// victim is the live slot with the smallest stamp. Slots live in a pool
-/// located through a *dense* file->slot index (`Vec<u32>` keyed by the
-/// interned [`FileId`] — file ids are consecutive small integers, so the
-/// index is a flat array rather than a map).
+/// located through a [`Directory`] — an open-addressing table of slot
+/// ids sized to the resident files, so a node's bookkeeping follows what
+/// it caches rather than the file population (a dense id-indexed array
+/// per node grew with nodes × files, and with the largest id inserted).
 ///
 /// A doubly-linked recency list makes a hit splice ~4 random cache
 /// lines; at hundreds of nodes the per-node lists sum to tens of MB and
 /// that splice traffic dominates the simulator's hot path. The stamp
 /// scheme makes a hit exactly one random write. Eviction finds victims
 /// with a batched harvest: a sequential scan keeps the
-/// [`HARVEST_BATCH`] oldest stamps, and victims pop in stamp order,
+/// [`HARVEST_BATCH`] oldest stamps in a bounded max-heap, and victims
+/// pop in stamp order,
 /// each validated against its slot (a candidate touched since the scan
 /// has a newer stamp and is discarded). Because stamps are unique and
 /// every assignment exceeds all earlier ones, a validated candidate is
@@ -82,16 +83,14 @@ pub struct LruCache {
     used_kb: f64,
     slots: Vec<Slot>,
     free: Vec<usize>,
-    /// `index[file.index()]` is the slot holding `file`, or [`NO_SLOT`].
-    /// Grows on demand to the highest file id seen.
-    index: Vec<u32>,
-    /// Resident-file count (the index holds no len of its own).
-    live: usize,
+    /// Resident file -> slot holding it.
+    dir: Directory,
     /// Monotone recency counter; the last stamp handed out.
     clock: u64,
-    /// Pending victim candidates `(stamp, slot)`, sorted descending so
-    /// `pop()` yields the oldest first. Entries are validated against
-    /// the slot's current stamp when popped.
+    /// Pending victim candidates `(stamp, slot)`, at most
+    /// [`HARVEST_BATCH`], sorted descending so `pop()` yields the oldest
+    /// first. Entries are validated against the slot's current stamp
+    /// when popped.
     harvest: Vec<(u64, u32)>,
     /// Victims of the latest `insert`, reused across calls so eviction
     /// never allocates.
@@ -111,8 +110,7 @@ impl LruCache {
             used_kb: 0.0,
             slots: Vec::new(),
             free: Vec::new(),
-            index: Vec::new(),
-            live: 0,
+            dir: Directory::default(),
             clock: 0,
             harvest: Vec::new(),
             evicted: Vec::new(),
@@ -130,10 +128,7 @@ impl LruCache {
     /// Slot of `file`, or `None` when not resident.
     #[inline]
     fn slot_of(&self, file: FileId) -> Option<usize> {
-        match self.index.get(file.index()) {
-            Some(&s) if s != NO_SLOT => Some(cast::wide_usize(s)),
-            _ => None,
-        }
+        self.dir.get(file).map(cast::wide_usize)
     }
 
     /// Configured capacity in KB.
@@ -148,12 +143,12 @@ impl LruCache {
 
     /// Number of resident files.
     pub fn len(&self) -> usize {
-        self.live
+        self.dir.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.dir.len() == 0
     }
 
     /// Cumulative statistics.
@@ -207,12 +202,12 @@ impl LruCache {
         }
         while self.used_kb + kb > self.capacity_kb {
             invariant!(
-                self.live > 0,
+                !self.is_empty(),
                 "cache accounting out of sync: {used} KB used of {cap} KB but no LRU victim",
                 used = self.used_kb,
                 cap = self.capacity_kb
             );
-            if self.live == 0 {
+            if self.is_empty() {
                 break; // guard against float drift, like the clamp below
             }
             let lru = self.pop_lru();
@@ -222,11 +217,7 @@ impl LruCache {
             self.evicted.push(victim);
         }
         let slot = self.alloc(file, kb);
-        if self.index.len() <= file.index() {
-            self.index.resize(file.index() + 1, NO_SLOT);
-        }
-        self.index[file.index()] = cast::index_u32(slot);
-        self.live += 1;
+        self.dir.insert(file, cast::index_u32(slot));
         self.used_kb += kb;
         self.stats.insertions += 1;
         invariant!(
@@ -244,8 +235,7 @@ impl LruCache {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
-        self.index.fill(NO_SLOT);
-        self.live = 0;
+        self.dir.clear();
         self.harvest.clear();
         self.used_kb = 0.0;
         self.evicted.clear();
@@ -296,7 +286,7 @@ impl LruCache {
     /// scan carries a different stamp (stamps never repeat) and is
     /// discarded. Every slot left out of a scan was strictly newer than
     /// the whole batch and only gets newer, so a validated candidate is
-    /// the true minimum. Caller guarantees `live > 0`.
+    /// the true minimum. Caller guarantees the cache is non-empty.
     fn pop_lru(&mut self) -> usize {
         loop {
             match self.harvest.pop() {
@@ -313,26 +303,34 @@ impl LruCache {
 
     /// Scans the slot pool sequentially and keeps the
     /// [`HARVEST_BATCH`] oldest live slots, sorted so `pop()` yields
-    /// stamp-ascending (LRU-first) order.
+    /// stamp-ascending (LRU-first) order. The selection is a max-heap
+    /// bounded to the batch: its top is the newest candidate kept, and
+    /// an older slot replaces it. Stamps are unique, so the batch is
+    /// exactly the oldest slots whatever the scan order.
     fn refill_harvest(&mut self) {
-        self.harvest.clear();
-        self.harvest.extend(
-            self.slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.stamp != FREE_STAMP)
-                .map(|(i, s)| (s.stamp, cast::index_u32(i))),
-        );
-        let len = self.harvest.len();
-        if len > HARVEST_BATCH {
-            self.harvest.select_nth_unstable(HARVEST_BATCH - 1);
-            self.harvest.truncate(HARVEST_BATCH);
+        // Only called once the last batch is drained: this reuses its
+        // (empty) buffer.
+        let mut batch = BinaryHeap::from(std::mem::take(&mut self.harvest));
+        for (i, s) in self.slots.iter().enumerate() {
+            if s.stamp == FREE_STAMP {
+                continue;
+            }
+            let candidate = (s.stamp, cast::index_u32(i));
+            if batch.len() < HARVEST_BATCH {
+                batch.push(candidate);
+            } else if let Some(mut newest) = batch.peek_mut() {
+                if candidate < *newest {
+                    *newest = candidate;
+                }
+            }
         }
-        self.harvest.sort_unstable_by(|a, b| b.cmp(a));
+        self.harvest = batch.into_sorted_vec();
+        self.harvest.reverse();
     }
 
     fn remove_slot(&mut self, slot: usize) {
         let file = self.slots[slot].file;
+        self.dir.remove(file);
         self.slots[slot].stamp = FREE_STAMP;
         self.used_kb -= self.slots[slot].kb;
         invariant!(
@@ -343,8 +341,6 @@ impl LruCache {
         if self.used_kb < 0.0 {
             self.used_kb = 0.0; // guard against float drift
         }
-        self.index[file.index()] = NO_SLOT;
-        self.live -= 1;
         self.free.push(slot);
     }
 }
@@ -482,6 +478,46 @@ mod tests {
         // Only 3 files fit; the slot pool must not grow unboundedly.
         assert_eq!(c.len(), 3);
         assert!(c.slots.len() <= 4, "slots = {}", c.slots.len());
+    }
+
+    /// Heap bytes the cache's bookkeeping holds.
+    fn heap_bytes(c: &LruCache) -> usize {
+        use std::mem::size_of;
+        c.slots.capacity() * size_of::<Slot>()
+            + c.free.capacity() * size_of::<usize>()
+            + c.dir.heap_bytes()
+            + c.harvest.capacity() * size_of::<(u64, u32)>()
+            + c.evicted.capacity() * size_of::<FileId>()
+    }
+
+    /// Ids near `u32::MAX` once sized a dense index up to the id (about
+    /// 16 GB per cache); a 1 MB cache holding such files stays KB-sized.
+    #[test]
+    fn high_file_ids_keep_the_cache_small() {
+        let mut c = LruCache::new(1_024.0);
+        for i in 0..2_000u32 {
+            c.insert(u32::MAX - i, 8.0);
+            c.touch(u32::MAX - i / 2);
+        }
+        assert_eq!(c.len(), 128);
+        assert!(c.contains(u32::MAX - 1_999));
+        assert!(heap_bytes(&c) <= 16 * 1_024, "{} bytes", heap_bytes(&c));
+    }
+
+    /// The harvest buffer holds one batch, however many files are
+    /// resident.
+    #[test]
+    fn harvest_stays_one_batch() {
+        let mut c = LruCache::new(10_000.0);
+        for i in 0..20_000u32 {
+            c.insert(i, 1.0);
+        }
+        assert_eq!(c.len(), 10_000);
+        assert!(
+            c.harvest.capacity() <= HARVEST_BATCH,
+            "{}",
+            c.harvest.capacity()
+        );
     }
 
     #[test]

@@ -11,18 +11,21 @@
 //!
 //! # Structure
 //!
-//! Per-file state lives in a dense `Vec` indexed by the interned
-//! [`FileId`]; the eviction order lives in a binary min-heap of
-//! `(priority bits, FileId)` keys with **lazy invalidation**: refreshing
+//! Per-file state lives in a packed pool of resident files, located
+//! through the same resident [`Directory`] as the LRU's (so it is sized
+//! to what is cached, not to the file population); the eviction order
+//! lives in a binary min-heap of `(priority bits, FileId)` keys with
+//! **lazy invalidation**: refreshing
 //! a priority pushes a new key and leaves the old one in the heap to be
 //! skipped when popped (a key is live iff its file is resident *and* the
 //! bits match the file's current priority). Every live entry's current
 //! key is always in the heap, so when eviction pops keys in ascending
 //! order and discards the stale ones, the first live key to surface is
 //! the true minimum over all live keys. The heap is compacted (rebuilt
-//! from the dense table in file order, deterministically) when stale
-//! keys outnumber live ones.
+//! from the pool) when stale keys outnumber live ones; keys are unique
+//! per resident file, so the rebuild order cannot change what pops.
 
+use crate::directory::Directory;
 use crate::{CacheStats, FileId};
 use l2s_util::{cast, invariant};
 use std::cmp::Reverse;
@@ -33,11 +36,10 @@ use std::collections::BinaryHeap;
 /// identically to their values.
 type PriKey = (u64, FileId);
 
-/// Dense per-file state. `resident == false` slots keep their last
-/// values but are ignored everywhere.
-#[derive(Clone, Copy, Debug, Default)]
+/// One resident file.
+#[derive(Clone, Copy, Debug)]
 struct GdsEntry {
-    resident: bool,
+    file: FileId,
     kb: f64,
     pri: f64,
 }
@@ -48,10 +50,10 @@ pub struct GdsCache {
     capacity_kb: f64,
     used_kb: f64,
     aging: f64,
-    /// `entries[file.index()]` — grows on demand to the highest id seen.
+    /// Resident files, packed in no particular order.
     entries: Vec<GdsEntry>,
-    /// Resident-file count.
-    live: usize,
+    /// Resident file -> its index in `entries`.
+    dir: Directory,
     /// Min-heap of possibly-stale priority keys (see module docs).
     heap: BinaryHeap<Reverse<PriKey>>,
     /// Victims of the latest `insert`, reused so eviction never allocates.
@@ -71,7 +73,7 @@ impl GdsCache {
             used_kb: 0.0,
             aging: 0.0,
             entries: Vec::new(),
-            live: 0,
+            dir: Directory::default(),
             heap: BinaryHeap::new(),
             evicted: Vec::new(),
             stats: CacheStats::default(),
@@ -86,45 +88,50 @@ impl GdsCache {
         (pri.to_bits(), file)
     }
 
+    /// Index of `file` in `entries`, or `None` when not resident.
     #[inline]
-    fn entry(&self, file: FileId) -> Option<&GdsEntry> {
-        self.entries.get(file.index()).filter(|e| e.resident)
+    fn slot_of(&self, file: FileId) -> Option<usize> {
+        self.dir.get(file).map(cast::wide_usize)
     }
 
-    fn ensure_slot(&mut self, file: FileId) -> &mut GdsEntry {
-        if self.entries.len() <= file.index() {
-            self.entries.resize(file.index() + 1, GdsEntry::default());
-        }
-        &mut self.entries[file.index()]
-    }
-
-    /// Re-keys `file` to its current-aging priority and records the new
-    /// key (the heap keeps the old key as a stale duplicate).
-    fn refresh(&mut self, file: FileId, kb: f64) {
-        let pri = self.priority(kb);
-        let e = self.ensure_slot(file);
-        e.resident = true;
-        e.kb = kb;
+    /// Re-keys entry `slot` to its current-aging priority and records
+    /// the new key (the heap keeps the old key as a stale duplicate).
+    fn refresh(&mut self, slot: usize) {
+        let pri = self.priority(self.entries[slot].kb);
+        let e = &mut self.entries[slot];
         e.pri = pri;
-        self.heap.push(Reverse(Self::key(pri, file)));
+        self.heap.push(Reverse(Self::key(pri, e.file)));
         self.maybe_compact();
     }
 
-    /// Rebuilds the heap from the dense table once stale keys dominate.
-    /// Iteration is in dense file order, so the rebuild (and therefore
-    /// every subsequent pop) is deterministic.
+    /// Makes `file` resident at its current-aging priority.
+    fn add(&mut self, file: FileId, kb: f64) {
+        let slot = self.entries.len();
+        self.entries.push(GdsEntry { file, kb, pri: 0.0 });
+        self.dir.insert(file, cast::index_u32(slot));
+        self.refresh(slot);
+    }
+
+    /// Drops entry `slot`, moving the pool's last entry into its place.
+    fn remove_at(&mut self, slot: usize) {
+        self.dir.remove(self.entries[slot].file);
+        self.entries.swap_remove(slot);
+        if let Some(moved) = self.entries.get(slot) {
+            self.dir.retarget(moved.file, cast::index_u32(slot));
+        }
+    }
+
+    /// Rebuilds the heap from the pool once stale keys dominate. Every
+    /// resident file contributes its one current key, and keys are
+    /// unique, so the rebuilt heap pops exactly what the old one would
+    /// have after discarding its stale keys.
     fn maybe_compact(&mut self) {
-        if self.heap.len() <= 2 * self.live + 64 {
+        if self.heap.len() <= 2 * self.entries.len() + 64 {
             return;
         }
         self.heap.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.resident {
-                self.heap.push(Reverse(Self::key(
-                    e.pri,
-                    FileId::from_raw(cast::index_u32(i)),
-                )));
-            }
+        for e in &self.entries {
+            self.heap.push(Reverse(Self::key(e.pri, e.file)));
         }
     }
 
@@ -140,12 +147,12 @@ impl GdsCache {
 
     /// Number of resident files.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.entries.is_empty()
     }
 
     /// Cumulative statistics.
@@ -165,18 +172,16 @@ impl GdsCache {
 
     /// Whether `file` is resident, without touching priority or stats.
     pub fn contains(&self, file: impl Into<FileId>) -> bool {
-        self.entry(file.into()).is_some()
+        self.slot_of(file.into()).is_some()
     }
 
     /// Looks up `file`: on a hit, refreshes its priority and returns
     /// `true`. Updates statistics.
     pub fn touch(&mut self, file: impl Into<FileId>) -> bool {
-        let file = file.into();
-        match self.entry(file) {
-            Some(e) => {
-                let kb = e.kb;
+        match self.slot_of(file.into()) {
+            Some(slot) => {
                 self.stats.hits += 1;
-                self.refresh(file, kb);
+                self.refresh(slot);
                 true
             }
             None => {
@@ -187,15 +192,12 @@ impl GdsCache {
     }
 
     /// Pops heap keys until the minimum *live* one surfaces, and returns
-    /// its file. `None` when no live key remains.
-    fn pop_min_live(&mut self) -> Option<FileId> {
+    /// its entry's index. `None` when no live key remains.
+    fn pop_min_live(&mut self) -> Option<usize> {
         while let Some(Reverse((bits, file))) = self.heap.pop() {
-            let is_current = self
-                .entries
-                .get(file.index())
-                .is_some_and(|e| e.resident && e.pri.to_bits() == bits);
-            if is_current {
-                return Some(file);
+            match self.slot_of(file) {
+                Some(slot) if self.entries[slot].pri.to_bits() == bits => return Some(slot),
+                _ => {}
             }
         }
         None
@@ -206,11 +208,9 @@ impl GdsCache {
     /// like a fresh cache. Statistics are kept: they describe the
     /// measurement window, not the cache contents.
     pub fn clear(&mut self) {
-        for e in &mut self.entries {
-            e.resident = false;
-        }
+        self.entries.clear();
+        self.dir.clear();
         self.heap.clear();
-        self.live = 0;
         self.used_kb = 0.0;
         self.aging = 0.0;
         self.evicted.clear();
@@ -223,17 +223,17 @@ impl GdsCache {
         let file = file.into();
         l2s_util::invariant!(kb > 0.0 && kb.is_finite(), "file size must be positive");
         self.evicted.clear();
-        if let Some(e) = self.entry(file) {
-            if (e.kb - kb).abs() < 1e-12 {
+        if let Some(slot) = self.slot_of(file) {
+            let old_kb = self.entries[slot].kb;
+            if (old_kb - kb).abs() < 1e-12 {
                 // Plain refresh.
-                self.refresh(file, kb);
+                self.refresh(slot);
                 return &self.evicted;
             }
             // Size changed: drop the stale residency and insert fresh
             // below, so growth goes through the eviction loop.
-            self.used_kb -= e.kb;
-            self.entries[file.index()].resident = false;
-            self.live -= 1;
+            self.used_kb -= old_kb;
+            self.remove_at(slot);
         }
         if kb > self.capacity_kb {
             return &self.evicted;
@@ -247,16 +247,14 @@ impl GdsCache {
                 );
                 break;
             };
-            let e = &mut self.entries[victim.index()];
-            e.resident = false;
+            let e = self.entries[victim];
             self.used_kb -= e.kb;
             self.aging = self.aging.max(e.pri);
-            self.live -= 1;
+            self.remove_at(victim);
             self.stats.evictions += 1;
-            self.evicted.push(victim);
+            self.evicted.push(e.file);
         }
-        self.refresh(file, kb);
-        self.live += 1;
+        self.add(file, kb);
         self.used_kb += kb;
         self.stats.insertions += 1;
         invariant!(
@@ -357,6 +355,25 @@ mod tests {
         assert_eq!(c.stats(), before, "stats describe the window");
         assert!(c.insert(1, 20.0).is_empty());
         assert!(c.touch(1));
+    }
+
+    /// Ids near `u32::MAX` once sized the dense per-file table up to the
+    /// id (about 16 GB per cache); a 1 MB cache holding such files stays
+    /// KB-sized.
+    #[test]
+    fn high_file_ids_keep_the_cache_small() {
+        use std::mem::size_of;
+        let mut c = GdsCache::new(1_024.0);
+        for i in 0..2_000u32 {
+            c.insert(u32::MAX - i, 8.0);
+            c.touch(u32::MAX - i / 2);
+        }
+        assert_eq!(c.len(), 128);
+        let bytes = c.entries.capacity() * size_of::<GdsEntry>()
+            + c.dir.heap_bytes()
+            + c.heap.capacity() * size_of::<Reverse<PriKey>>()
+            + c.evicted.capacity() * size_of::<FileId>();
+        assert!(bytes <= 16 * 1_024, "{bytes} bytes");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 mod cache;
 mod costs;
+mod directory;
 mod filecache;
 mod gds;
 mod hetero;

@@ -14,6 +14,19 @@ struct Entry<E> {
     event: E,
 }
 
+/// Null link in the calendar's intrusive lists.
+const NIL: u32 = u32::MAX;
+
+/// One calendar slab slot. A pending entry is threaded onto its
+/// bucket's list through `next`; a free slot is threaded onto the free
+/// list instead and holds no event (`event` is `None` exactly then).
+struct Slot<E> {
+    time: SimTime,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
 /// log2 of the calendar bucket width in nanoseconds: 2^18 ns = 262 µs.
 /// A power of two turns time-to-bucket mapping into a shift. The width
 /// sets the near/far split — events within the current epoch go to the
@@ -38,10 +51,11 @@ const BUCKET_SHIFT: u32 = 18;
 /// disk backlogs under large admission windows ever wrap. Wrapped
 /// entries land on buckets still holding earlier laps and take the
 /// sweep's entry-by-entry epoch-filter path. Raising the bucket count
-/// instead of the width was measured and *lost* — 8x the count means
-/// 768 KB of bucket headers (vs 96 KB, L2-resident), and the extra
-/// misses on the headers cost more than the wrap filtering saved at
-/// every cluster size.
+/// instead of the width was measured and *lost* when each bucket was a
+/// 24-byte vector header — 8x the count meant 768 KB of headers (vs
+/// 96 KB, L2-resident), and the extra misses on the headers cost more
+/// than the wrap filtering saved at every cluster size. A bucket is now
+/// a 4-byte list head (16 KB in all).
 const BUCKET_COUNT: usize = 4096;
 
 /// Words in the occupancy bitmap: one bit per bucket.
@@ -81,16 +95,22 @@ fn epoch(t: SimTime) -> u64 {
 ///   window), so an insert shifts a couple hundred bytes. Cheap deep
 ///   lanes also let the buckets be wide ([`BUCKET_SHIFT`]), halving
 ///   the random calendar traffic the heap's depth bound forced.
-/// * `buckets` — a calendar of [`BUCKET_COUNT`] unsorted vectors for
-///   events at or beyond the horizon. Insertion is O(1): push onto
-///   bucket `epoch(time) % BUCKET_COUNT`. When the near lane drains, the
-///   sweep advances to the next epoch holding events, extracts exactly
-///   that epoch's entries (wrapped future-epoch entries stay put) into a
-///   reusable scratch buffer and sorts them into the near lanes. A
-///   two-level occupancy bitmap (one bit per bucket plus a summary word
-///   per 64 buckets) lets the sweep jump straight to the next non-empty
-///   bucket, so runs whose inter-event gaps span many bucket widths
-///   (disk-bound, small clusters) never walk empty epochs one by one.
+/// * the *calendar* — [`BUCKET_COUNT`] unsorted buckets for events at or
+///   beyond the horizon. A bucket is an intrusive singly-linked list
+///   threaded through one slab of slots (`heads[b]` is its first slot),
+///   and a free list recycles the slots sweeps release, so the calendar
+///   holds O(peak pending) bytes however bursty its history: a bucket
+///   owns no buffer of its own that could stay at the size of the
+///   largest epoch it ever held. Insertion is O(1): take a slot and
+///   link it at the head of bucket `epoch(time) % BUCKET_COUNT`. When
+///   the near lane drains, the sweep advances to the next epoch holding
+///   events, unlinks exactly that epoch's entries (wrapped future-epoch
+///   entries stay linked) into a scratch buffer and sorts them into the
+///   near lanes. A two-level occupancy bitmap (one bit per bucket plus a
+///   summary word per 64 buckets) lets the sweep jump straight to the
+///   next non-empty bucket, so runs whose inter-event gaps span many
+///   bucket widths (disk-bound, small clusters) never walk empty epochs
+///   one by one.
 ///
 /// Both stages order by the same total key `(time, seq)`, and `seq`
 /// never repeats, so the pop sequence is the fully sorted event order —
@@ -101,16 +121,23 @@ pub struct EventQueue<E> {
     near_key: Vec<(SimTime, u64)>,
     /// Payload lane, index-matched to `near_key`.
     near_ev: Vec<E>,
-    /// Calendar buckets, unsorted; entry `e` lives at
-    /// `epoch(e.time) & (BUCKET_COUNT - 1)`.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Occupancy bitmap: bit `b` of word `b / 64` is set iff
-    /// `buckets[b]` is non-empty.
+    /// Calendar slots: pending entries on their bucket lists, released
+    /// ones on the free list. Its length is the peak number of entries
+    /// ever bucketed at once.
+    slab: Vec<Slot<E>>,
+    /// First slot of each bucket's list, or [`NIL`]; entry `e` lives on
+    /// list `epoch(e.time) & (BUCKET_COUNT - 1)`, in no particular order.
+    heads: Box<[u32; BUCKET_COUNT]>,
+    /// First slot of the free list, or [`NIL`].
+    free: u32,
+    /// Occupancy bitmap: bit `b` of word `b / 64` is set iff bucket `b`
+    /// is non-empty.
     occupied: Box<[u64; OCC_WORDS]>,
     /// Summary level: bit `w` of word `w / 64` is set iff
     /// `occupied[w] != 0`.
     summary: [u64; SUM_WORDS],
-    /// Reusable sweep staging buffer (capacity stays warm across sweeps).
+    /// Sweep staging buffer, reused across sweeps; its capacity is the
+    /// largest single epoch swept, which never exceeds peak pending.
     scratch: Vec<Entry<E>>,
     /// Total entries across all buckets.
     bucketed: usize,
@@ -169,7 +196,9 @@ impl<E> EventQueue<E> {
         EventQueue {
             near_key: Vec::with_capacity(capacity),
             near_ev: Vec::with_capacity(capacity),
-            buckets: (0..BUCKET_COUNT).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            heads: Box::new([NIL; BUCKET_COUNT]),
+            free: NIL,
             occupied: Box::new([0; OCC_WORDS]),
             summary: [0; SUM_WORDS],
             scratch: Vec::new(),
@@ -213,11 +242,24 @@ impl<E> EventQueue<E> {
         } else {
             self.stats.far_pushes += 1;
             let b = cast::index_usize(epoch(at) & (cast::len_u64(BUCKET_COUNT) - 1));
-            self.buckets[b].push(Entry {
+            let slot = Slot {
                 time: at,
                 seq,
-                event,
-            });
+                next: self.heads[b],
+                event: Some(event),
+            };
+            self.heads[b] = match self.free {
+                NIL => {
+                    self.slab.push(slot);
+                    cast::index_u32(self.slab.len() - 1)
+                }
+                i => {
+                    let s = &mut self.slab[cast::wide_usize(i)];
+                    self.free = s.next;
+                    *s = slot;
+                    i
+                }
+            };
             self.occupied[b >> 6] |= 1 << (b & 63);
             self.summary[b >> 12] |= 1 << ((b >> 6) & 63);
             self.bucketed += 1;
@@ -299,24 +341,39 @@ impl<E> EventQueue<E> {
             self.cur_epoch += 1 + cast::len_u64(skipped);
             scanned += 1 + skipped;
             self.stats.scanned += cast::len_u64(1 + skipped);
-            let bucket = &mut self.buckets[b];
-            // Extract current-epoch entries into the scratch buffer;
-            // wrapped future-epoch entries stay for a later lap. The
-            // common case — every entry current — swaps the whole
-            // vector, keeping both buffers' capacity warm.
-            if bucket.iter().all(|e| epoch(e.time) == self.cur_epoch) {
-                std::mem::swap(bucket, &mut self.scratch);
-                self.mark_empty(b);
-            } else {
-                let mut i = 0;
-                while i < bucket.len() {
-                    if epoch(bucket[i].time) == self.cur_epoch {
-                        self.scratch.push(bucket.swap_remove(i));
-                    } else {
-                        i += 1;
+            // Unlink current-epoch entries into the scratch buffer and
+            // free their slots; wrapped future-epoch entries stay linked
+            // for a later lap.
+            let mut prev = NIL;
+            let mut i = self.heads[b];
+            while i != NIL {
+                let s = &mut self.slab[cast::wide_usize(i)];
+                let next = s.next;
+                if epoch(s.time) == self.cur_epoch {
+                    let Some(event) = s.event.take() else {
+                        invariant::invariant_failed(format_args!(
+                            "calendar list reached a free slot"
+                        ))
+                    };
+                    self.scratch.push(Entry {
+                        time: s.time,
+                        seq: s.seq,
+                        event,
+                    });
+                    s.next = self.free;
+                    self.free = i;
+                    match prev {
+                        NIL => self.heads[b] = next,
+                        p => self.slab[cast::wide_usize(p)].next = next,
                     }
+                } else {
+                    self.stats.deferred += 1;
+                    prev = i;
                 }
-                self.stats.deferred += cast::len_u64(bucket.len());
+                i = next;
+            }
+            if self.heads[b] == NIL {
+                self.mark_empty(b);
             }
             if !self.scratch.is_empty() {
                 self.stats.sweeps += 1;
@@ -340,8 +397,7 @@ impl<E> EventQueue<E> {
                 // pending epoch instead of lapping epoch by epoch. The
                 // minimum always exists (`bucketed > 0` on entry).
                 self.stats.full_laps += 1;
-                let min_epoch = self.buckets.iter().flatten().map(|e| epoch(e.time)).min();
-                if let Some(min_epoch) = min_epoch {
+                if let Some(min_epoch) = self.pending_times().map(epoch).min() {
                     self.cur_epoch = min_epoch - 1;
                 }
                 scanned = 0;
@@ -377,7 +433,15 @@ impl<E> EventQueue<E> {
         if let Some(&(time, _)) = self.near_key.last() {
             return Some(time);
         }
-        self.buckets.iter().flatten().map(|e| e.time).min()
+        self.pending_times().min()
+    }
+
+    /// Timestamps of every bucketed entry, in slab order.
+    fn pending_times(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.slab
+            .iter()
+            .filter(|s| s.event.is_some())
+            .map(|s| s.time)
     }
 
     /// Operation counters since construction.
@@ -531,6 +595,43 @@ mod tests {
         assert_eq!(q.pop(), Some((t(span + 9), "mid")));
         assert_eq!(q.pop(), Some((t(3 * span + 7), "far")));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Heap bytes the calendar holds: its slab plus the sweep buffer.
+    fn calendar_bytes<E>(q: &EventQueue<E>) -> usize {
+        q.slab.capacity() * std::mem::size_of::<Slot<E>>()
+            + q.scratch.capacity() * std::mem::size_of::<Entry<E>>()
+    }
+
+    /// A long hold run whose delays are whole multiples of seven bucket
+    /// widths (so pending entries bunch into a few hundred epochs) and
+    /// spread past the calendar span (so some wrap): every bucket in
+    /// turn holds a burst of entries, yet the calendar's memory stays a
+    /// small multiple of the peak number pending, not of the bucket
+    /// count times the largest burst.
+    #[test]
+    fn calendar_memory_follows_peak_pending() {
+        let width = 1u64 << BUCKET_SHIFT;
+        let mut rng = l2s_util::DetRng::new(23);
+        let mut q = EventQueue::new();
+        for i in 0..4_096u64 {
+            q.schedule(t(width), i);
+        }
+        let mut peak = q.len();
+        for _ in 0..400_000 {
+            let (now, id) = q.pop().unwrap();
+            let delay = (1 + rng.below(1_024)) * 7 * width;
+            q.schedule(t(now.as_nanos() + delay), id);
+            peak = peak.max(q.len());
+        }
+        let stats = q.stats();
+        assert!(stats.deferred > 0, "the run must wrap the calendar");
+        let bound = 4 * peak * std::mem::size_of::<Slot<u64>>();
+        let bytes = calendar_bytes(&q);
+        assert!(
+            bytes <= bound,
+            "calendar holds {bytes} B for {peak} pending (bound {bound} B)"
+        );
     }
 
     #[test]

@@ -353,6 +353,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "capacity must hold at least one job")]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     fn zero_capacity_rejected() {
         let _ = FifoResource::with_capacity(0);
     }

@@ -11,9 +11,10 @@
 //!
 //! Why one aligned record rather than three parallel lanes: with a few
 //! thousand requests in flight the arena no longer stays resident in
-//! L2 (the per-node cache directories alone are tens of megabytes, and
-//! a request's events are separated by thousands of other events), so
-//! *every* arena access is a last-level-cache round trip. Lanes would
+//! L2 (at 1024 nodes the per-node cache directories and slot pools
+//! still total megabytes, and a request's events are separated by
+//! thousands of other events), so *every* arena access is a
+//! last-level-cache round trip. Lanes would
 //! turn an event that reads route and writes a stamp into two such
 //! trips; the packed record makes any combination of views exactly
 //! one. The alignment guarantees the record never straddles lines.

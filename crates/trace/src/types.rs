@@ -261,12 +261,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "file sizes must be positive")]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     fn zero_size_rejected() {
         FileSet::new(vec![1.0, 0.0]);
     }
 
     #[test]
     #[should_panic(expected = "request references unknown file")]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     fn out_of_range_request_rejected() {
         Trace::new("bad", FileSet::new(vec![1.0]), vec![1]);
     }

@@ -172,6 +172,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "CSV row width")]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     fn width_mismatch_panics() {
         let mut t = CsvTable::new(["a", "b"]);
         t.row(["only-one"]);
