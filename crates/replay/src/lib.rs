@@ -9,8 +9,12 @@
 //!
 //! Two execution modes share one configuration:
 //!
-//! * **Timed replay** ([`replay_stream`] / [`replay_trace_timed`]): a
-//!   single-threaded loop over the [`PolicyDriver`] API. Virtual time
+//! * **Timed replay** ([`replay_stream`] / [`replay_trace_timed`]): one
+//!   loop over the [`PolicyDriver`] API. For a CLF stream, a reader
+//!   thread parses the log alongside it and hands over each kept
+//!   request through a bounded channel; the loop, its clock and its
+//!   snapshots stay on the caller's thread, and every result equals
+//!   parsing and replaying one request at a time. Virtual time
 //!   comes from the log's own timestamps (or a Poisson arrival process
 //!   for synthetic traces); an injectable [`Clock`] paces the loop —
 //!   [`WallClock`] sleeps until each arrival is due, [`VirtualClock`]
@@ -44,6 +48,8 @@ use l2s_util::csv::CsvTable;
 use l2s_util::{cast, DetRng, SimTime};
 use std::io::{self, BufRead};
 use std::path::Path;
+use std::sync::mpsc;
+use std::thread;
 
 /// Infinite-speed replay of a complete trace: runs the DES engine with
 /// a placement observer attached and returns every placement it made in
@@ -84,48 +90,96 @@ pub fn placement_checksum(placements: &[PlacementRecord]) -> u64 {
     h
 }
 
-/// Timed replay of a CLF stream: pulls requests from `stream` one line
-/// at a time, waits on `clock` until each arrival's log timestamp is
-/// due, and feeds them through a [`ReplayEngine`]. `on_snapshot` fires
-/// every `cfg.snapshot_every_s` virtual seconds with the metrics so
-/// far. Returns the final report once the stream ends.
+/// Records the reader thread may parse ahead of the replay loop (24
+/// bytes each, 96 KB in all). A live reader blocked on input holds
+/// none back: each record is sent as soon as it is parsed.
+const READ_AHEAD: usize = 4096;
+
+/// Timed replay of a CLF stream: waits on `clock` until each kept
+/// request's log timestamp is due and feeds it through a
+/// [`ReplayEngine`]. `on_snapshot` fires every `cfg.snapshot_every_s`
+/// virtual seconds with the metrics so far. Returns the final report
+/// once the stream ends, or the stream's first I/O error after
+/// replaying every record read before it.
 ///
-/// Resident state is the stream's (O(distinct files)) plus the
-/// engine's (O(nodes + in-flight)); the log itself is never held.
-pub fn replay_stream<R: BufRead>(
+/// Parsing runs on a scoped reader thread that sends each kept record
+/// through a bounded channel, so reading the log overlaps with the
+/// policy and hardware model on the calling thread; `clock` and
+/// `on_snapshot` stay on the calling thread. Results are those of
+/// parsing and replaying one record at a time:
+///
+/// * the reader stops one record past `cfg.max_requests`, the record
+///   on which the replay loop notices the cap, so `stream.stats()`
+///   counts the same lines;
+/// * the replay loop rebuilds the size table from the records (each
+///   carries its file's running maximum, and ids are dense in
+///   first-seen order), so the policy's size hints equal
+///   `stream.sizes_kb()` as of each record;
+/// * a panic on the reader thread is re-raised on the caller's.
+///
+/// Resident state is the stream's (O(distinct files)), the engine's
+/// (O(nodes + in-flight)) and the channel's 4096 records; the log
+/// itself is never held.
+pub fn replay_stream<R: BufRead + Send>(
     cfg: &ReplayConfig,
     stream: &mut ClfStream<R>,
     clock: &mut dyn Clock,
     mut on_snapshot: impl FnMut(&SimReport),
 ) -> io::Result<SimReport> {
-    let mut engine = ReplayEngine::new(cfg.clone());
-    let snap_ns = snapshot_period_ns(cfg.snapshot_every_s);
-    let mut next_snap_ns = snap_ns;
-    let mut hinted = 0usize;
-    while let Some(rec) = stream.next_record()? {
-        if cfg
-            .max_requests
-            .is_some_and(|cap| engine.injected() >= cast::len_u64(cap))
-        {
-            break;
+    let limit = cfg
+        .max_requests
+        .map_or(usize::MAX, |cap| cap.saturating_add(1));
+    thread::scope(|scope| {
+        let (tx, rx) = mpsc::sync_channel(READ_AHEAD);
+        let reader = scope.spawn(move || -> io::Result<()> {
+            for _ in 0..limit {
+                let Some(rec) = stream.next_record()? else {
+                    break;
+                };
+                if tx.send(rec).is_err() {
+                    // The replay loop is gone: it panicked.
+                    break;
+                }
+            }
+            Ok(())
+        });
+        let mut engine = ReplayEngine::new(cfg.clone());
+        let snap_ns = snapshot_period_ns(cfg.snapshot_every_s);
+        let mut next_snap_ns = snap_ns;
+        let mut sizes_kb: Vec<f64> = Vec::new();
+        let mut hinted = 0usize;
+        for rec in rx {
+            if cfg
+                .max_requests
+                .is_some_and(|cap| engine.injected() >= cast::len_u64(cap))
+            {
+                break;
+            }
+            match sizes_kb.get_mut(rec.file.index()) {
+                Some(size) => *size = rec.size_kb,
+                None => sizes_kb.push(rec.size_kb),
+            }
+            // Re-hint the file population when it has doubled: size-aware
+            // policies (SITA) rebuild their bands from the hint, so doubling
+            // amortizes the rebuilds to O(F log F) over the whole run.
+            if hinted == 0 || sizes_kb.len() >= hinted * 2 {
+                engine.hint_sizes(&sizes_kb);
+                hinted = sizes_kb.len();
+            }
+            let at = SimTime::from_secs_f64(rec.at_s);
+            clock.wait_until_ns(at.as_nanos());
+            while snap_ns > 0 && at.as_nanos() >= next_snap_ns {
+                engine.drain_due(SimTime::from_nanos(next_snap_ns));
+                on_snapshot(&engine.report());
+                next_snap_ns += snap_ns;
+            }
+            engine.offer(at, cast::index_u32(rec.file.index()), rec.size_kb);
         }
-        // Re-hint the file population when it has doubled: size-aware
-        // policies (SITA) rebuild their bands from the hint, so doubling
-        // amortizes the rebuilds to O(F log F) over the whole run.
-        if hinted == 0 || stream.distinct_files() >= hinted * 2 {
-            engine.hint_sizes(stream.sizes_kb());
-            hinted = stream.distinct_files();
+        match reader.join() {
+            Ok(read) => read.map(|()| engine.finish()),
+            Err(panic) => std::panic::resume_unwind(panic),
         }
-        let at = SimTime::from_secs_f64(rec.at_s);
-        clock.wait_until_ns(at.as_nanos());
-        while snap_ns > 0 && at.as_nanos() >= next_snap_ns {
-            engine.drain_due(SimTime::from_nanos(next_snap_ns));
-            on_snapshot(&engine.report());
-            next_snap_ns += snap_ns;
-        }
-        engine.offer(at, cast::index_u32(rec.file.index()), rec.size_kb);
-    }
-    Ok(engine.finish())
+    })
 }
 
 /// Timed replay of an in-memory trace (synthetic traces carry no

@@ -285,21 +285,30 @@ fn parse_zone(zone: &str) -> Option<i64> {
 /// Parses a CLF date field body (`dd/Mon/yyyy:hh:mm:ss ±zzzz`, without
 /// the brackets) into seconds since the Unix epoch. Returns `None` for
 /// anything that does not match.
+///
+/// The year must be the four digits CLF specifies and the time fields
+/// non-negative, so every result lies within years 0000–9999 and the
+/// arithmetic cannot overflow, whatever the log holds.
 fn parse_clf_timestamp(s: &str) -> Option<i64> {
     let (date_time, zone) = s.trim().split_once(' ')?;
     let mut dmy = date_time.splitn(3, '/');
     let day: u32 = dmy.next()?.parse().ok()?;
     let month = month_number(dmy.next()?)?;
     let mut hms = dmy.next()?.split(':');
-    let year: i64 = hms.next()?.parse().ok()?;
-    let hh: i64 = hms.next()?.parse().ok()?;
-    let mm: i64 = hms.next()?.parse().ok()?;
-    let ss: i64 = hms.next()?.parse().ok()?;
+    let year = hms.next()?;
+    if year.len() != 4 || !year.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let year: i64 = year.parse().ok()?;
+    let hh: u32 = hms.next()?.parse().ok()?;
+    let mm: u32 = hms.next()?.parse().ok()?;
+    let ss: u32 = hms.next()?.parse().ok()?;
     if hms.next().is_some() || !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
         return None;
     }
     let offset = parse_zone(zone)?;
-    Some(days_from_civil(year, month, day) * 86_400 + hh * 3600 + mm * 60 + ss - offset)
+    let seconds = i64::from(hh * 3600 + mm * 60 + ss);
+    Some(days_from_civil(year, month, day) * 86_400 + seconds - offset)
 }
 
 /// HTTP methods recognized when anchoring the request field's opening
@@ -517,7 +526,9 @@ impl<R: BufRead> ClfStream<R> {
                 self.last_at_s = 0.0;
             }
             (Some(ts), Some(base)) => {
-                let at_s = f64::from(cast::small_i32(ts.abs_diff(base)));
+                // Exact: timestamps span at most years 0000-9999, far
+                // inside the 2^53 s an f64 holds exactly.
+                let at_s = cast::exact_f64(ts.abs_diff(base));
                 let at_s = if ts < base { -at_s } else { at_s };
                 if at_s < self.last_at_s {
                     self.stats.out_of_order += 1;
@@ -710,6 +721,65 @@ h - - [d] "GET /big.iso HTTP/1.0" 200 2048
     }
 
     #[test]
+    fn unrepresentable_dates_parse_to_none() {
+        // Regression: the year was parsed as any i64 and multiplied
+        // unchecked, so this line panicked with "attempt to multiply with
+        // overflow" in debug builds and wrapped to -7755433628903219936
+        // in release.
+        for date in [
+            "01/Jan/99999999999999999:10:00:00 +0000",
+            "01/Jan/10000:10:00:00 +0000",
+            "01/Jan/-999:10:00:00 +0000",
+            "01/Jan/+200:10:00:00 +0000",
+            "01/Jan/2000:-9999999999999999:00:00 +0000",
+            "01/Jan/2000:10:-9999999999999999:00 +0000",
+            "01/Jan/2000:10:00:-9999999999999999 +0000",
+        ] {
+            let line = format!("h - - [{date}] \"GET /x HTTP/1.0\" 200 5");
+            let e = parse_line(&line).expect("the request itself is well formed");
+            assert_eq!(e.timestamp_s, None, "{date}");
+        }
+        // The widest four-digit years still parse.
+        let e = parse_line(r#"h - - [31/Dec/9999:23:59:59 +0000] "GET /x HTTP/1.0" 200 5"#);
+        assert_eq!(e.unwrap().timestamp_s, Some(253_402_300_799));
+        let e = parse_line(r#"h - - [01/Jan/0000:00:00:00 +0000] "GET /x HTTP/1.0" 200 5"#);
+        assert_eq!(e.unwrap().timestamp_s, Some(-62_167_219_200));
+    }
+
+    #[test]
+    fn stream_counts_an_overflowing_year_as_missing_timestamp() {
+        let log = "h - - [01/Jan/2000:10:00:00 +0000] \"GET /a HTTP/1.0\" 200 5\n\
+                   h - - [01/Jan/99999999999999999:10:00:00 +0000] \"GET /b HTTP/1.0\" 200 5\n\
+                   h - - [01/Jan/2000:10:00:03 +0000] \"GET /c HTTP/1.0\" 200 5\n";
+        let mut s = ClfStream::new(log.as_bytes());
+        let mut at = Vec::new();
+        while let Some(r) = s.next_record().unwrap() {
+            at.push(r.at_s);
+        }
+        assert_eq!(at, vec![0.0, 0.0, 3.0]);
+        assert_eq!(s.stats().missing_timestamp, 1);
+        assert_eq!(s.stats().out_of_order, 0);
+    }
+
+    #[test]
+    fn arrivals_more_than_68_years_apart_do_not_wrap() {
+        // Regression: the offset from the first kept line was narrowed to
+        // i32, so a gap past 2^31 s panicked in debug builds and wrapped
+        // negative in release, where the century jump below was clamped
+        // as out of order (at_s = [0, 0, 5]).
+        let log = "h - - [01/Jan/2000:00:00:00 +0000] \"GET /a HTTP/1.0\" 200 5\n\
+                   h - - [01/Jan/2100:00:00:00 +0000] \"GET /b HTTP/1.0\" 200 5\n\
+                   h - - [01/Jan/2000:00:00:05 +0000] \"GET /c HTTP/1.0\" 200 5\n";
+        let mut s = ClfStream::new(log.as_bytes());
+        let mut at = Vec::new();
+        while let Some(r) = s.next_record().unwrap() {
+            at.push(r.at_s);
+        }
+        assert_eq!(at, vec![0.0, 3_155_760_000.0, 3_155_760_000.0]);
+        assert_eq!(s.stats().out_of_order, 1);
+    }
+
+    #[test]
     fn days_from_civil_matches_known_epochs() {
         assert_eq!(days_from_civil(1970, 1, 1), 0);
         assert_eq!(days_from_civil(2000, 3, 1), 11_017);
@@ -771,6 +841,39 @@ h - - [d] "GET /big.iso HTTP/1.0" 200 2048
         // entries resume from the true clock.
         assert_eq!(at, vec![0.0, 0.0, 4.0]);
         assert_eq!(s.stats().out_of_order, 1);
+    }
+
+    #[test]
+    fn stream_accounts_for_megabyte_lines() {
+        const MIB: usize = 1 << 20;
+        let line = |second: u32, rest: &str| {
+            format!("h - - [01/Jan/2000:10:00:{second:02} +0000] {rest}\n")
+        };
+        let long_path = format!("/{}", "p".repeat(MIB));
+        let lines = [
+            line(0, "\"GET /a HTTP/1.0\" 200 5"),
+            line(1, &format!("\"GET {long_path} HTTP/1.0\" 200 5")),
+            line(2, &format!("{} 200 5", "\"".repeat(MIB))),
+            line(3, &format!("\"GET /s HTTP/1.0\"{}200 5", " ".repeat(MIB))),
+            line(4, "\"GET /a HTTP/1.0\" 200 5"),
+        ];
+        let log = lines.concat();
+        let mut s = ClfStream::new(log.as_bytes());
+        let mut got = Vec::new();
+        while let Some(r) = s.next_record().unwrap() {
+            got.push((r.file.index(), r.at_s));
+        }
+        // The quote run hides the request field; every other line parses,
+        // and the normal line after them is still file 0 at 4 s.
+        assert_eq!(got, vec![(0, 0.0), (1, 1.0), (2, 3.0), (0, 4.0)]);
+        let st = s.stats();
+        assert_eq!((st.lines, st.kept, st.dropped), (5, 4, 1));
+        assert!(!st.truncated_tail);
+        for (i, l) in lines.iter().enumerate() {
+            let kept = parse_line(l).is_some_and(|e| e.bytes == Some(5));
+            assert_eq!(kept, i != 2, "line {i} disagrees with parse_line");
+        }
+        assert_eq!(parse_line(&lines[1]).unwrap().path, long_path);
     }
 
     #[test]

@@ -205,7 +205,7 @@ fn print_final(r: &SimReport) {
 }
 
 /// Runs a timed replay over any CLF byte source.
-fn run_stream<R: BufRead>(
+fn run_stream<R: BufRead + Send>(
     opts: &Opts,
     reader: R,
     clock: &mut dyn Clock,
@@ -243,8 +243,10 @@ fn run(opts: &Opts) -> Result<(), String> {
                 Box::new(WallClock::new(opts.speed))
             };
             if path == "-" {
-                let stdin = std::io::stdin();
-                run_stream(opts, stdin.lock(), clock.as_mut())?
+                // `Stdin` rather than its lock: the replay reads the log on
+                // a thread of its own, and `StdinLock` cannot be sent there.
+                let stdin = std::io::BufReader::new(std::io::stdin());
+                run_stream(opts, stdin, clock.as_mut())?
             } else {
                 let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
                 run_stream(opts, std::io::BufReader::new(file), clock.as_mut())?
