@@ -1,8 +1,12 @@
-//! Regenerates every paper table/figure in one process, sharing the
-//! memoized traces across experiments (`run_experiments.sh` invokes
-//! this). Quick mode by default; `L2S_BENCH_FULL=1` for full fidelity.
+//! Regenerates the paper's tables and figures in one process, sharing
+//! the memoized traces across experiments (`run_experiments.sh` invokes
+//! this). `--only <name>` (repeatable) runs just the named experiments.
 //!
-//! On success the suite's wall-clock accounting is written to
+//! The run context comes from the environment, read here and nowhere
+//! else (see `RunCtx::from_vars`): `L2S_WORKERS`, `L2S_BENCH_CAP`,
+//! `L2S_BENCH_FULL=1` for full fidelity, and `L2S_RESULTS_DIR`.
+//!
+//! A full run (no `--only`) writes its wall-clock accounting to
 //! `BENCH_suite.json` (override the path with `L2S_SUITE_JSON`):
 //! worker/core counts, total and per-experiment wall-clock, and the
 //! speedup against the recorded 1-worker baseline. A run with
@@ -11,20 +15,31 @@
 //! measurement *about* the suite — every figure's content is
 //! byte-identical for any worker count.
 
+use l2s_bench::{experiments, RunCtx, SuiteTiming};
 use std::fmt::Write as _;
 
 fn main() {
-    let timing = match l2s_bench::run_all_figures_timed() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+fn run() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let full_suite = args.is_empty();
+    let selected = experiments::select(args)?;
+    let ctx = RunCtx::from_vars(|key| std::env::var_os(key));
+    let timing = l2s_bench::run_all_figures_timed(&ctx, &selected)?;
+    if full_suite {
+        write_suite_json(&ctx, &timing)?;
+    }
+    Ok(())
+}
+
+/// Prints the suite summary and writes `BENCH_suite.json`.
+fn write_suite_json(ctx: &RunCtx, timing: &SuiteTiming) -> Result<(), String> {
+    let cores = l2s_util::pool::available_workers();
     let path: std::path::PathBuf = std::env::var_os("L2S_SUITE_JSON")
         .map(Into::into)
         .unwrap_or_else(|| "BENCH_suite.json".into());
@@ -32,7 +47,7 @@ fn main() {
     // A 1-worker run defines the sequential baseline; a parallel run
     // compares against the last recorded one (itself, if none exists yet
     // — speedup then reads 1.0 rather than inventing a baseline).
-    let baseline_wall_s = if timing.workers == 1 {
+    let baseline_wall_s = if ctx.workers == 1 {
         timing.wall_s
     } else {
         old.as_deref()
@@ -45,16 +60,12 @@ fn main() {
          {speedup:.2}x vs the 1-worker baseline of {baseline_wall_s:.2}s",
         timing.per_experiment.len(),
         timing.wall_s,
-        timing.workers,
+        ctx.workers,
     );
 
-    let workload = if l2s_bench::full_fidelity() {
-        "full fidelity (Table 2 request counts)".to_string()
-    } else {
-        format!(
-            "quick mode ({} requests/cell cap)",
-            l2s_bench::request_cap().unwrap_or(0)
-        )
+    let workload = match ctx.cap {
+        None => "full fidelity (Table 2 request counts)".to_string(),
+        Some(cap) => format!("quick mode ({cap} requests/cell cap)"),
     };
     let mut json = String::new();
     json.push_str("{\n");
@@ -64,7 +75,7 @@ fn main() {
         "  \"workload\": \"all_figures suite: {} experiments, {workload}\",",
         timing.per_experiment.len()
     );
-    let _ = writeln!(json, "  \"workers\": {},", timing.workers);
+    let _ = writeln!(json, "  \"workers\": {},", ctx.workers);
     let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"wall_s_total\": {:.3},", timing.wall_s);
     let _ = writeln!(json, "  \"baseline_wall_s_1worker\": {baseline_wall_s:.3},");
@@ -82,11 +93,7 @@ fn main() {
         });
     }
     json.push_str("  ]\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    std::fs::write(&path, json).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
 }

@@ -82,12 +82,6 @@ fn json_path() -> std::path::PathBuf {
 }
 
 fn main() {
-    // Wall-clock per cell is only meaningful without co-scheduled sibling
-    // simulations, so pin the parallel executor to one worker no matter
-    // what the caller's environment says (the measurement loop below is
-    // already sequential, but library paths like `paper_trace` must not
-    // fan out either).
-    std::env::set_var("L2S_WORKERS", "1");
     let check_mode = std::env::args().any(|a| a == "--check");
     let spec = TraceSpec::calgary();
     println!(

@@ -192,9 +192,6 @@ fn smoke(spec: &TraceSpec) {
 }
 
 fn main() {
-    // Wall-clock per cell is only meaningful sequentially; see
-    // perf_baseline for the same pinning.
-    std::env::set_var("L2S_WORKERS", "1");
     let smoke_mode = std::env::args().any(|a| a == "--smoke");
     let base = TraceSpec::calgary();
     let requests = requests_per_cell(if smoke_mode {

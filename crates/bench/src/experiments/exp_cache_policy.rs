@@ -4,15 +4,15 @@
 //! experiment swaps the per-node policy and reports the effect per
 //! server organization.
 
-use crate::{paper_config, paper_trace, run_cells_parallel};
+use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_cluster::CachePolicy;
 use l2s_sim::simulate;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let mut table = CsvTable::new(["trace", "policy", "cache", "throughput_rps", "miss_rate"]);
     let nodes = 8;
 
@@ -33,10 +33,10 @@ pub fn run() -> Result<(), String> {
                 })
         })
         .collect();
-    let reports = run_cells_parallel(cells.len(), |i| {
+    let reports = run_cells_parallel(ctx, cells.len(), |i| {
         let (si, kind, cache) = cells[i];
         let trace = paper_trace(&specs[si]);
-        let mut cfg = paper_config(nodes);
+        let mut cfg = paper_config(ctx, nodes);
         cfg.cache_policy = cache;
         simulate(&cfg, kind, &trace)
     });
@@ -72,7 +72,7 @@ pub fn run() -> Result<(), String> {
         ]);
     }
 
-    let path = results_dir().join("exp_cache_policy.csv");
+    let path = ctx.out.join("exp_cache_policy.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

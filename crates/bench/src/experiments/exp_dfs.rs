@@ -9,14 +9,14 @@
 //! requested, not its disk home), while the traditional server — paying
 //! the DFS on every one of its many misses — loses noticeably.
 
-use crate::{paper_config, paper_trace, run_cells_parallel};
+use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_sim::simulate;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::rutgers();
     let trace = paper_trace(&spec);
     let mut table = CsvTable::new(["policy", "nodes", "dfs", "throughput_rps", "miss_rate"]);
@@ -36,9 +36,9 @@ pub fn run() -> Result<(), String> {
             })
         })
         .collect();
-    let reports = run_cells_parallel(cells.len(), |i| {
+    let reports = run_cells_parallel(ctx, cells.len(), |i| {
         let (nodes, kind, remote) = cells[i];
-        let mut cfg = paper_config(nodes);
+        let mut cfg = paper_config(ctx, nodes);
         cfg.dfs_remote = remote;
         simulate(&cfg, kind, &trace)
     });
@@ -73,7 +73,7 @@ pub fn run() -> Result<(), String> {
         }
     }
 
-    let path = results_dir().join("exp_dfs.csv");
+    let path = ctx.out.join("exp_dfs.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

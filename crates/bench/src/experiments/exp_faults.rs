@@ -14,11 +14,11 @@
 //! so their degraded and recovered phases show the cost of re-learning
 //! locality, while the traditional server only loses raw capacity.
 
-use crate::{paper_config, paper_trace, run_cells_parallel, PAPER_POLICIES};
+use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx, PAPER_POLICIES};
 use l2s::PolicyKind;
 use l2s_sim::{simulate, FaultPlan, SimReport};
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Cluster size for the fault study (Table 2's mid-size point).
 const NODES: usize = 8;
@@ -46,7 +46,7 @@ fn plan_for(min_elapsed_s: f64) -> FaultPlan {
 }
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let specs = TraceSpec::paper_presets();
     let policies = PAPER_POLICIES;
 
@@ -60,10 +60,10 @@ pub fn run() -> Result<(), String> {
         .flat_map(|s| policies.iter().map(move |&p| (s, p)))
         .chain((0..specs.len()).flat_map(|s| EXTRA_POLICIES.iter().map(move |&p| (s, p))))
         .collect();
-    let healthy: Vec<SimReport> = run_cells_parallel(cells.len(), |i| {
+    let healthy: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, kind) = cells[i];
         let trace = paper_trace(&specs[s]);
-        simulate(&paper_config(NODES), kind, &trace)
+        simulate(&paper_config(ctx, NODES), kind, &trace)
     });
 
     // Per-trace fault plans from the healthy elapsed times of the paper
@@ -83,10 +83,10 @@ pub fn run() -> Result<(), String> {
         .collect::<Result<_, _>>()?;
 
     // Stage 2: the same matrix under faults.
-    let faulted: Vec<SimReport> = run_cells_parallel(cells.len(), |i| {
+    let faulted: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, kind) = cells[i];
         let trace = paper_trace(&specs[s]);
-        let mut cfg = paper_config(NODES);
+        let mut cfg = paper_config(ctx, NODES);
         cfg.faults = plans[s].clone();
         simulate(&cfg, kind, &trace)
     });
@@ -151,7 +151,7 @@ pub fn run() -> Result<(), String> {
         ]);
     }
 
-    let path = results_dir().join("exp_faults.csv");
+    let path = ctx.out.join("exp_faults.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

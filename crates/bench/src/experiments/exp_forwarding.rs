@@ -3,18 +3,20 @@
 //! L2S forwarding at least ~15 % fewer requests up to 4 nodes and ~8–25 %
 //! fewer at 16 nodes depending on the trace.
 
-use crate::{paper_config, paper_trace, sweep, PAPER_NODE_COUNTS};
+use crate::{paper_config, paper_trace, sweep, RunCtx, PAPER_NODE_COUNTS};
 use l2s::PolicyKind;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let policies = [PolicyKind::L2s, PolicyKind::Lard];
     let mut table = CsvTable::new(["trace", "nodes", "policy", "forwarded_fraction"]);
     for spec in TraceSpec::paper_presets() {
         let trace = paper_trace(&spec);
-        let cells = sweep(&trace, &PAPER_NODE_COUNTS, &policies, paper_config);
+        let cells = sweep(ctx, &trace, &PAPER_NODE_COUNTS, &policies, |n| {
+            paper_config(ctx, n)
+        });
         println!("\n{} trace — forwarded requests (%):", spec.name);
         println!(
             "{:>6} {:>10} {:>10} {:>12}",
@@ -45,7 +47,7 @@ pub fn run() -> Result<(), String> {
             }
         }
     }
-    let path = results_dir().join("exp_forwarding.csv");
+    let path = ctx.out.join("exp_forwarding.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -17,14 +17,14 @@
 //! and when the bottleneck station is the disk (as it is at the
 //! paper's parameters) it stays exactly flat.
 
-use crate::{paper_config, paper_trace, run_cells_parallel};
+use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_cluster::HeteroSpec;
 use l2s_model::{ModelParams, QueueModel, ServerKind};
 use l2s_sim::{simulate, SimReport};
 use l2s_trace::{TraceSpec, TraceStats};
 use l2s_util::cast;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Cluster size of the surface (Table 2's mid-size point, matching X6).
 const NODES: usize = 8;
@@ -71,7 +71,7 @@ fn model_bound(stats: &TraceStats, spec: &HeteroSpec, cache_kb: f64) -> Result<f
 }
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let specs = TraceSpec::paper_presets();
     let mixes = mixes();
 
@@ -80,10 +80,10 @@ pub fn run() -> Result<(), String> {
             (0..mixes.len()).flat_map(move |m| DISPATCHERS.iter().map(move |&p| (s, m, p)))
         })
         .collect();
-    let reports: Vec<SimReport> = run_cells_parallel(cells.len(), |i| {
+    let reports: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, m, kind) = cells[i];
         let trace = paper_trace(&specs[s]);
-        let mut cfg = paper_config(NODES);
+        let mut cfg = paper_config(ctx, NODES);
         cfg.hetero = Some(mixes[m].1.clone());
         simulate(&cfg, kind, &trace)
     });
@@ -98,7 +98,7 @@ pub fn run() -> Result<(), String> {
         "imbalance",
         "model_bound_rps",
     ]);
-    let cache_kb = paper_config(1).cache_kb;
+    let cache_kb = paper_config(ctx, 1).cache_kb;
     for s in 0..specs.len() {
         let trace = paper_trace(&specs[s]);
         let stats = TraceStats::compute(&trace);
@@ -159,7 +159,7 @@ pub fn run() -> Result<(), String> {
         }
     }
 
-    let path = results_dir().join("exp_hetero.csv");
+    let path = ctx.out.join("exp_hetero.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

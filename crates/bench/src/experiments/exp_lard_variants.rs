@@ -15,13 +15,13 @@
 //! node, still has a central point of failure, and pays a two-way
 //! message per request — L2S should match or beat it.
 
-use crate::{paper_config, paper_trace, sweep, PAPER_NODE_COUNTS};
+use crate::{paper_config, paper_trace, sweep, RunCtx, PAPER_NODE_COUNTS};
 use l2s::PolicyKind;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let policies = [
         PolicyKind::Lard,
         PolicyKind::LardBasic,
@@ -31,7 +31,9 @@ pub fn run() -> Result<(), String> {
     let mut table = CsvTable::new(["trace", "nodes", "policy", "throughput_rps", "miss_rate"]);
     for spec in [TraceSpec::calgary(), TraceSpec::clarknet()] {
         let trace = paper_trace(&spec);
-        let cells = sweep(&trace, &PAPER_NODE_COUNTS, &policies, paper_config);
+        let cells = sweep(ctx, &trace, &PAPER_NODE_COUNTS, &policies, |n| {
+            paper_config(ctx, n)
+        });
         println!("\n{} trace — throughput (requests/s):", spec.name);
         println!(
             "{:>6} {:>10} {:>11} {:>16} {:>10}",
@@ -62,7 +64,7 @@ pub fn run() -> Result<(), String> {
             }
         }
     }
-    let path = results_dir().join("exp_lard_variants.csv");
+    let path = ctx.out.join("exp_lard_variants.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

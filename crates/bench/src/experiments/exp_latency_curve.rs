@@ -16,15 +16,15 @@
 //! and the collapse locks in. With admission control (the closed loop)
 //! the same configuration sustains more than twice the load.
 
-use crate::{paper_trace, run_cells_parallel};
+use crate::{paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_model::{Derived, ModelParams, QueueModel};
 use l2s_sim::{simulate, ArrivalMode, SimConfig};
 use l2s_trace::{TraceSpec, TraceStats};
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::calgary();
     let trace = paper_trace(&spec);
     let stats = TraceStats::compute(&trace);
@@ -35,7 +35,7 @@ pub fn run() -> Result<(), String> {
     // two independent simulations, run in parallel.
     let mut closed = SimConfig::paper_default(nodes);
     closed.max_requests = Some(100_000);
-    let calibration = run_cells_parallel(2, |i| {
+    let calibration = run_cells_parallel(ctx, 2, |i| {
         let kind = [PolicyKind::Traditional, PolicyKind::L2s][i];
         simulate(&closed, kind, &trace)
     });
@@ -67,7 +67,7 @@ pub fn run() -> Result<(), String> {
 
     let mut table = CsvTable::new(["server", "load_fraction", "rate_rps", "sim_ms", "model_ms"]);
     let part1_loads = [0.2, 0.4, 0.6, 0.8, 0.9];
-    let part1 = run_cells_parallel(part1_loads.len(), |i| {
+    let part1 = run_cells_parallel(ctx, part1_loads.len(), |i| {
         let mut cfg = SimConfig::paper_default(nodes);
         cfg.arrivals = ArrivalMode::Poisson {
             rate_rps: bound * part1_loads[i],
@@ -103,7 +103,7 @@ pub fn run() -> Result<(), String> {
         "load", "rate (r/s)", "thr (r/s)", "mean resp", "miss"
     );
     let part2_loads = [0.2, 0.4, 0.6, 0.8];
-    let part2 = run_cells_parallel(part2_loads.len(), |i| {
+    let part2 = run_cells_parallel(ctx, part2_loads.len(), |i| {
         let mut cfg = SimConfig::paper_default(nodes);
         cfg.arrivals = ArrivalMode::Poisson {
             rate_rps: l2s_closed.throughput_rps * part2_loads[i],
@@ -130,7 +130,7 @@ pub fn run() -> Result<(), String> {
         ]);
     }
 
-    let path = results_dir().join("exp_latency_curve.csv");
+    let path = ctx.out.join("exp_latency_curve.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

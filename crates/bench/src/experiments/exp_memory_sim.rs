@@ -4,13 +4,13 @@
 //! are already low), and never lifts LARD past its front-end ceiling —
 //! so traditional can overtake LARD at large memories and cluster sizes.
 
-use crate::{paper_config, paper_trace, sweep, PAPER_POLICIES};
+use crate::{paper_config, paper_trace, sweep, RunCtx, PAPER_POLICIES};
 use l2s::PolicyKind;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let node_counts = [4usize, 8, 16];
     let caches_mb = [32.0, 64.0, 128.0];
     let mut table = CsvTable::new(["trace", "cache_mb", "nodes", "policy", "throughput_rps"]);
@@ -18,8 +18,8 @@ pub fn run() -> Result<(), String> {
     for spec in [TraceSpec::calgary(), TraceSpec::rutgers()] {
         let trace = paper_trace(&spec);
         for &cache_mb in &caches_mb {
-            let cells = sweep(&trace, &node_counts, &PAPER_POLICIES, |n| {
-                let mut cfg = paper_config(n);
+            let cells = sweep(ctx, &trace, &node_counts, &PAPER_POLICIES, |n| {
+                let mut cfg = paper_config(ctx, n);
                 cfg.cache_kb = cache_mb * 1024.0;
                 cfg
             });
@@ -62,7 +62,7 @@ pub fn run() -> Result<(), String> {
         }
     }
 
-    let path = results_dir().join("exp_memory_sim.csv");
+    let path = ctx.out.join("exp_memory_sim.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -2,11 +2,12 @@
 //! per-node memory grows from 128 MB to 512 MB (paper: from ~7x to
 //! ~6.5x).
 
+use crate::RunCtx;
 use l2s_model::{default_axes, memory_sweep, ModelParams};
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let (hits, sizes) = default_axes(25, 16);
     let base = ModelParams::default();
     let mb = 1024.0;
@@ -20,7 +21,7 @@ pub fn run() -> Result<(), String> {
         table.row_f64([kb / mb, gain]);
         println!("{:>7.0} MB {gain:>21.2}x", kb / mb);
     }
-    let path = results_dir().join("exp_memory_sweep.csv");
+    let path = ctx.out.join("exp_memory_sweep.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -4,17 +4,19 @@
 //! ahead) at 16 nodes as its wasted front-end cache becomes a smaller
 //! fraction of the total.
 
-use crate::{paper_config, paper_trace, sweep, PAPER_NODE_COUNTS, PAPER_POLICIES};
+use crate::{paper_config, paper_trace, sweep, RunCtx, PAPER_NODE_COUNTS, PAPER_POLICIES};
 use l2s::PolicyKind;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let mut table = CsvTable::new(["trace", "nodes", "policy", "miss_rate"]);
     for spec in TraceSpec::paper_presets() {
         let trace = paper_trace(&spec);
-        let cells = sweep(&trace, &PAPER_NODE_COUNTS, &PAPER_POLICIES, paper_config);
+        let cells = sweep(ctx, &trace, &PAPER_NODE_COUNTS, &PAPER_POLICIES, |n| {
+            paper_config(ctx, n)
+        });
         println!("\n{} trace — cache miss rate (%):", spec.name);
         println!(
             "{:>6} {:>10} {:>10} {:>12}",
@@ -53,7 +55,7 @@ pub fn run() -> Result<(), String> {
             }
         }
     }
-    let path = results_dir().join("exp_miss_rates.csv");
+    let path = ctx.out.join("exp_miss_rates.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -11,14 +11,14 @@
 //! per-request bottleneck — while the already-decentralized L2S is
 //! essentially insensitive.
 
-use crate::{paper_config, paper_trace, run_cells_parallel};
+use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_sim::simulate;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::clarknet();
     let trace = paper_trace(&spec);
     let nodes = 16;
@@ -37,9 +37,9 @@ pub fn run() -> Result<(), String> {
         .into_iter()
         .flat_map(|kind| means.into_iter().map(move |mean| (kind, mean)))
         .collect();
-    let reports = run_cells_parallel(cells.len(), |i| {
+    let reports = run_cells_parallel(ctx, cells.len(), |i| {
         let (kind, mean) = cells[i];
-        let mut cfg = paper_config(nodes);
+        let mut cfg = paper_config(ctx, nodes);
         cfg.persistent_mean = mean;
         simulate(&cfg, kind, &trace)
     });
@@ -71,7 +71,7 @@ pub fn run() -> Result<(), String> {
         ]);
     }
 
-    let path = results_dir().join("exp_persistent.csv");
+    let path = ctx.out.join("exp_persistent.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -10,13 +10,13 @@
 //! CSV pins each stream's FNV checksum so cross-run and cross-worker
 //! drift shows up as a diff in version control.
 
-use crate::{paper_trace, request_cap, run_cells_parallel, trace_seed};
+use crate::{paper_trace, run_cells_parallel, trace_seed, RunCtx};
 use l2s::PolicyKind;
 use l2s_replay::{placement_checksum, replay_trace_fast};
 use l2s_sim::{simulate_observed, PlacementRecord, SimConfig};
 use l2s_trace::TraceSpec;
 use l2s_util::cast;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 const NODES: usize = 8;
 
@@ -33,11 +33,11 @@ struct Cell {
     checksum: u64,
 }
 
-fn run_cell(spec: &TraceSpec, kind: PolicyKind) -> Result<Cell, String> {
+fn run_cell(ctx: &RunCtx, spec: &TraceSpec, kind: PolicyKind) -> Result<Cell, String> {
     let trace = paper_trace(spec);
     let config = SimConfig {
         seed: trace_seed(spec),
-        max_requests: request_cap(),
+        max_requests: ctx.cap,
         ..SimConfig::paper_default(NODES)
     };
 
@@ -82,7 +82,7 @@ fn run_cell(spec: &TraceSpec, kind: PolicyKind) -> Result<Cell, String> {
 }
 
 /// Runs the experiment; errors are parity violations or I/O failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let specs = TraceSpec::paper_presets();
     let cells: Vec<(usize, PolicyKind)> = (0..specs.len())
         .flat_map(|s| POLICIES.iter().map(move |&p| (s, p)))
@@ -94,9 +94,9 @@ pub fn run() -> Result<(), String> {
         "trace", "policy", "requests", "placements", "checksum"
     );
 
-    let results = run_cells_parallel(cells.len(), |i| {
+    let results = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, kind) = cells[i];
-        run_cell(&specs[s], kind)
+        run_cell(ctx, &specs[s], kind)
     });
 
     let mut table = CsvTable::new([
@@ -125,7 +125,7 @@ pub fn run() -> Result<(), String> {
         ]);
     }
 
-    let path = results_dir().join("exp_replay.csv");
+    let path = ctx.out.join("exp_replay.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -2,12 +2,12 @@
 //! paper settles on 15 %) cuts the forwarded fraction `Q` sharply while
 //! giving up little aggregate cache capacity.
 
-use crate::run_cells_parallel;
+use crate::{run_cells_parallel, RunCtx};
 use l2s_model::{Derived, ModelParams, QueueModel, ServerKind};
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let replications = [0.0, 0.05, 0.10, 0.15, 0.25, 0.50, 1.0];
     let hlos = [0.3, 0.6, 0.8];
     let mut table = CsvTable::new([
@@ -25,7 +25,7 @@ pub fn run() -> Result<(), String> {
         .into_iter()
         .flat_map(|hlo| replications.into_iter().map(move |r| (hlo, r)))
         .collect();
-    let results: Vec<Result<(Derived, f64), String>> = run_cells_parallel(cells.len(), |i| {
+    let results: Vec<Result<(Derived, f64), String>> = run_cells_parallel(ctx, cells.len(), |i| {
         let (hlo, r) = cells[i];
         let params = ModelParams {
             replication: r,
@@ -61,7 +61,7 @@ pub fn run() -> Result<(), String> {
         );
     }
 
-    let path = results_dir().join("exp_replication.csv");
+    let path = ctx.out.join("exp_replication.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

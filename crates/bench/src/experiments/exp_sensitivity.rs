@@ -5,22 +5,22 @@
 //! called out in DESIGN.md. The paper's finding: L2S is "only slightly
 //! affected by reasonable parameters" in all four dimensions.
 
-use crate::{paper_config, paper_trace, request_cap, run_cells_parallel};
+use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_sim::{simulate, SimConfig};
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 fn l2s_rps(cfg: &SimConfig, trace: &l2s_trace::Trace) -> f64 {
     simulate(cfg, PolicyKind::L2s, trace).throughput_rps
 }
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::calgary();
     let trace = paper_trace(&spec);
     let nodes = 16;
-    let base_cfg = paper_config(nodes);
+    let base_cfg = paper_config(ctx, nodes);
 
     // Enumerate every knob cell up front; config construction stays
     // sequential because the network scalings can fail. The baseline and
@@ -68,7 +68,7 @@ pub fn run() -> Result<(), String> {
     }
 
     // Cell 0 is the unmodified baseline; cells 1.. are the knobs.
-    let throughputs = run_cells_parallel(cells.len() + 1, |i| {
+    let throughputs = run_cells_parallel(ctx, cells.len() + 1, |i| {
         let cfg = if i == 0 { &base_cfg } else { &cells[i - 1].2 };
         l2s_rps(cfg, &trace)
     });
@@ -76,7 +76,7 @@ pub fn run() -> Result<(), String> {
     println!(
         "L2S sensitivity on the {} trace, {nodes} nodes (baseline {base:.0} r/s{}):\n",
         spec.name,
-        if request_cap().is_some() {
+        if ctx.cap.is_some() {
             ", quick mode"
         } else {
             ""
@@ -102,7 +102,7 @@ pub fn run() -> Result<(), String> {
         ]);
     }
 
-    let path = results_dir().join("exp_sensitivity.csv");
+    let path = ctx.out.join("exp_sensitivity.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

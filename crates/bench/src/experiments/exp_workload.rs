@@ -22,7 +22,7 @@
 //! survives non-stationarity (Yildiz et al.'s "Dispatching Odyssey"
 //! observation that rankings flip exactly here).
 
-use crate::{paper_config, paper_trace, request_cap, run_cells_parallel};
+use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_cluster::{CachePolicy, FileCache};
 use l2s_model::{lru_miss_rate, NonStatLruSpec};
@@ -32,7 +32,7 @@ use l2s_sim::{
 };
 use l2s_trace::TraceSpec;
 use l2s_util::cast;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Cluster size for Part B (Table 2's mid-size point, matching X6/X8).
 const NODES: usize = 8;
@@ -169,8 +169,8 @@ fn replay_miss_rate(spec: &TraceSpec, modulation: &WorkloadMod, cache_kb: f64) -
 
 /// Part A: validate measured LRU miss rates against the analytic
 /// estimate on every scenario; rows go to `table`, errors abort.
-fn validate_model(table: &mut CsvTable) -> Result<(), String> {
-    let n = request_cap().unwrap_or(200_000).min(200_000);
+fn validate_model(ctx: &RunCtx, table: &mut CsvTable) -> Result<(), String> {
+    let n = ctx.cap.unwrap_or(200_000).min(200_000);
     let nf = cast::len_f64(n);
     // Pure IRM: the temporal re-reference layer redraws from recent
     // requests, which the per-file Poisson assumption cannot see.
@@ -289,7 +289,7 @@ fn render_p99(p99: Option<f64>) -> String {
 }
 
 /// Runs the experiment; errors are validation or I/O failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let mut model_table = CsvTable::new([
         "scenario",
         "requests",
@@ -299,8 +299,8 @@ pub fn run() -> Result<(), String> {
         "abs_err",
         "tolerance",
     ]);
-    validate_model(&mut model_table)?;
-    let model_path = results_dir().join("exp_workload_model.csv");
+    validate_model(ctx, &mut model_table)?;
+    let model_path = ctx.out.join("exp_workload_model.csv");
     model_table
         .write_to(&model_path)
         .map_err(|e| format!("write {}: {e}", model_path.display()))?;
@@ -308,19 +308,15 @@ pub fn run() -> Result<(), String> {
     // Part B: the dispatcher zoo under drift and flash crowds.
     let spec = TraceSpec::clarknet();
     let trace = paper_trace(&spec);
-    let n = cast::len_f64(
-        request_cap()
-            .map(|c| c.min(trace.len()))
-            .unwrap_or(trace.len()),
-    );
+    let n = cast::len_f64(ctx.cap.map(|c| c.min(trace.len())).unwrap_or(trace.len()));
     let scenarios = degradation_scenarios(n, cast::index_u32(trace.files().len()));
 
     let cells: Vec<(usize, PolicyKind)> = (0..scenarios.len())
         .flat_map(|s| DISPATCHERS.iter().map(move |&p| (s, p)))
         .collect();
-    let reports: Vec<SimReport> = run_cells_parallel(cells.len(), |i| {
+    let reports: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, kind) = cells[i];
-        let mut cfg = paper_config(NODES);
+        let mut cfg = paper_config(ctx, NODES);
         cfg.workload_mod = scenarios[s].1.clone();
         simulate(&cfg, kind, &trace)
     });
@@ -407,7 +403,7 @@ pub fn run() -> Result<(), String> {
         }
     }
 
-    let path = results_dir().join("exp_workload.csv");
+    let path = ctx.out.join("exp_workload.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -1,12 +1,13 @@
 //! Figure 3: model throughput of a locality-oblivious server over the
 //! (hit rate, average file size) plane, 16 nodes, 128 MB memories.
 
+use crate::RunCtx;
 use l2s_model::{default_axes, throughput_surface, ModelParams, ServerKind};
 use l2s_util::ascii::heat_map;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let (hits, sizes) = default_axes(25, 16);
     let base = ModelParams::default();
     let surface = throughput_surface(&base, ServerKind::LocalityOblivious, &hits, &sizes);
@@ -22,7 +23,7 @@ pub fn run() -> Result<(), String> {
             ]);
         }
     }
-    let path = results_dir().join("fig03_oblivious_surface.csv");
+    let path = ctx.out.join("fig03_oblivious_surface.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

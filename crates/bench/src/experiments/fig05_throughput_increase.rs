@@ -2,12 +2,13 @@
 //! of the Figure 4 surface to the Figure 3 surface, plus its side view
 //! (per-hit-rate maximum over file sizes).
 
+use crate::RunCtx;
 use l2s_model::{default_axes, throughput_increase_surface, ModelParams};
 use l2s_util::ascii::{heat_map, line_chart, Series};
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let (hits, sizes) = default_axes(25, 16);
     let base = ModelParams::default();
     let ratio = throughput_increase_surface(&base, &hits, &sizes);
@@ -23,7 +24,7 @@ pub fn run() -> Result<(), String> {
             ]);
         }
     }
-    let path = results_dir().join("fig05_throughput_increase.csv");
+    let path = ctx.out.join("fig05_throughput_increase.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;
@@ -49,7 +50,7 @@ pub fn run() -> Result<(), String> {
     for &(h, m) in &side {
         side_table.row_f64([h, m]);
     }
-    let side_path = results_dir().join("fig06_increase_side_view.csv");
+    let side_path = ctx.out.join("fig06_increase_side_view.csv");
     side_table
         .write_to(&side_path)
         .map_err(|e| format!("write {}: {e}", side_path.display()))?;

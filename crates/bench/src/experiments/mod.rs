@@ -1,11 +1,13 @@
-//! The experiment bodies behind every figure/table binary.
+//! Every experiment of the suite, each one
+//! `run(&RunCtx) -> Result<(), String>`.
 //!
-//! Each submodule owns one experiment as a `run() -> Result<(), String>`
-//! function; the `src/bin/` wrappers call them through
-//! [`crate::run_experiment`], and the `all_figures` binary runs the
-//! whole suite in-process via [`ALL`] so the memoized traces of
-//! [`crate::paper_trace`] are generated once per spec instead of once
-//! per process.
+//! Each submodule owns one experiment; Figures 7–10 share
+//! [`crate::run_paper_figure`]. The `all_figures` binary runs them from
+//! [`ALL`] in one process, so the memoized traces of
+//! [`crate::paper_trace`] are generated once per spec, and
+//! `all_figures --only <name>` picks a subset ([`select`]).
+
+use crate::RunCtx;
 
 pub mod exp_cache_policy;
 pub mod exp_dfs;
@@ -29,29 +31,31 @@ pub mod fig05_throughput_increase;
 pub mod table2_traces;
 
 /// Figure 7: throughput vs cluster size for the Calgary trace.
-pub fn fig07_calgary() -> Result<(), String> {
-    crate::run_paper_figure("fig07_calgary", &l2s_trace::TraceSpec::calgary())
+pub fn fig07_calgary(ctx: &RunCtx) -> Result<(), String> {
+    crate::run_paper_figure(ctx, "fig07_calgary", &l2s_trace::TraceSpec::calgary())
 }
 
 /// Figure 8: throughput vs cluster size for the Clarknet trace.
-pub fn fig08_clarknet() -> Result<(), String> {
-    crate::run_paper_figure("fig08_clarknet", &l2s_trace::TraceSpec::clarknet())
+pub fn fig08_clarknet(ctx: &RunCtx) -> Result<(), String> {
+    crate::run_paper_figure(ctx, "fig08_clarknet", &l2s_trace::TraceSpec::clarknet())
 }
 
 /// Figure 9: throughput vs cluster size for the NASA trace.
-pub fn fig09_nasa() -> Result<(), String> {
-    crate::run_paper_figure("fig09_nasa", &l2s_trace::TraceSpec::nasa())
+pub fn fig09_nasa(ctx: &RunCtx) -> Result<(), String> {
+    crate::run_paper_figure(ctx, "fig09_nasa", &l2s_trace::TraceSpec::nasa())
 }
 
 /// Figure 10: throughput vs cluster size for the Rutgers trace.
-pub fn fig10_rutgers() -> Result<(), String> {
-    crate::run_paper_figure("fig10_rutgers", &l2s_trace::TraceSpec::rutgers())
+pub fn fig10_rutgers(ctx: &RunCtx) -> Result<(), String> {
+    crate::run_paper_figure(ctx, "fig10_rutgers", &l2s_trace::TraceSpec::rutgers())
 }
 
-/// Every experiment, in the order the historical `run_experiments.sh`
-/// ran them: model studies first, then the four headline figures, then
-/// the simulator-level studies.
-pub const ALL: &[(&str, fn() -> Result<(), String>)] = &[
+/// One experiment: its name (the stem of its CSV) and its body.
+pub type Experiment = (&'static str, fn(&RunCtx) -> Result<(), String>);
+
+/// Every experiment, in suite order: model studies first, then the four
+/// headline figures, then the simulator-level studies.
+pub const ALL: &[Experiment] = &[
     ("fig03_oblivious_surface", fig03_oblivious_surface::run),
     ("fig04_conscious_surface", fig04_conscious_surface::run),
     ("fig05_throughput_increase", fig05_throughput_increase::run),
@@ -77,3 +81,92 @@ pub const ALL: &[(&str, fn() -> Result<(), String>)] = &[
     ("exp_workload", exp_workload::run),
     ("exp_replay", exp_replay::run),
 ];
+
+/// Picks the experiments to run from `all_figures`' arguments: every
+/// experiment without arguments, else those named by one or more
+/// `--only <name>`, once each and in [`ALL`] order. An unknown name, a
+/// `--only` without a value, or any other argument is an `Err` that
+/// lists the valid names.
+pub fn select(args: impl IntoIterator<Item = String>) -> Result<Vec<Experiment>, String> {
+    let valid = || {
+        let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+        format!("valid names: {}", names.join(", "))
+    };
+    let mut wanted = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg != "--only" {
+            return Err(format!(
+                "unknown argument {arg:?}; usage: all_figures [--only <name>]..."
+            ));
+        }
+        let name = args
+            .next()
+            .ok_or_else(|| format!("--only needs an experiment name; {}", valid()))?;
+        if !ALL.iter().any(|(known, _)| *known == name) {
+            return Err(format!("unknown experiment {name:?}; {}", valid()));
+        }
+        wanted.push(name);
+    }
+    Ok(ALL
+        .iter()
+        .filter(|(name, _)| wanted.is_empty() || wanted.iter().any(|w| w == name))
+        .copied()
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        select(args.iter().map(|a| a.to_string())).map(|s| s.iter().map(|(n, _)| *n).collect())
+    }
+
+    #[test]
+    fn names_in_all_are_unique() {
+        for (i, (name, _)) in ALL.iter().enumerate() {
+            assert!(
+                ALL[i + 1..].iter().all(|(other, _)| other != name),
+                "{name} is listed twice"
+            );
+        }
+    }
+
+    #[test]
+    fn no_arguments_select_every_experiment() {
+        let all: Vec<&str> = ALL.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names(&[]).unwrap(), all);
+    }
+
+    #[test]
+    fn selected_experiments_run_once_in_all_order() {
+        let picked = names(&[
+            "--only",
+            "exp_replay",
+            "--only",
+            "fig03_oblivious_surface",
+            "--only",
+            "exp_replay",
+        ])
+        .unwrap();
+        assert_eq!(picked, ["fig03_oblivious_surface", "exp_replay"]);
+    }
+
+    #[test]
+    fn unknown_names_list_the_valid_ones() {
+        let err = names(&["--only", "fig99"]).unwrap_err();
+        assert!(err.contains("fig99"), "{err}");
+        for (name, _) in ALL {
+            assert!(err.contains(name), "{err} should list {name}");
+        }
+    }
+
+    #[test]
+    fn only_without_a_value_is_an_error() {
+        let err = names(&["--only", "table2_traces", "--only"]).unwrap_err();
+        assert!(err.contains("--only needs"), "{err}");
+        assert!(err.contains("table2_traces"), "{err}");
+        assert!(names(&["table2_traces"]).is_err());
+    }
+}

@@ -1,12 +1,12 @@
 //! Table 2: characteristics of the four WWW traces — the paper's values
 //! next to what the synthetic generator actually produces.
 
-use crate::{paper_trace, run_cells_parallel, trace_seed};
+use crate::{paper_trace, run_cells_parallel, trace_seed, RunCtx};
 use l2s_trace::{TraceSpec, TraceStats};
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let mut table = CsvTable::new([
         "trace",
         "num_files",
@@ -39,7 +39,7 @@ pub fn run() -> Result<(), String> {
     // concurrently, and index-ordering keeps the table rows in preset
     // order.
     let specs = TraceSpec::paper_presets();
-    let all_stats = run_cells_parallel(specs.len(), |i| {
+    let all_stats = run_cells_parallel(ctx, specs.len(), |i| {
         TraceStats::compute(&paper_trace(&specs[i]))
     });
     for (spec, stats) in specs.iter().zip(&all_stats) {
@@ -71,7 +71,7 @@ pub fn run() -> Result<(), String> {
         let _ = trace_seed(spec);
     }
 
-    let path = results_dir().join("table2_traces.csv");
+    let path = ctx.out.join("table2_traces.csv");
     table
         .write_to(&path)
         .map_err(|e| format!("write {}: {e}", path.display()))?;

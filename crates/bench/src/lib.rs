@@ -1,35 +1,38 @@
-//! Experiment harness shared by the figure/table binaries.
+//! Experiment harness behind the `all_figures` binary.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index); the actual experiment
-//! bodies live in [`experiments`], so the `all_figures` binary can run
-//! every experiment in one process — sharing memoized traces — while
-//! the per-figure binaries stay available for selective reruns. This
-//! library holds the common machinery: the deterministic parallel cell
-//! executor ([`run_cells_parallel`]), the analytic "model" line of
-//! Figures 7–10, scale control, and output helpers.
+//! Every table and figure of the paper, and every extension study, is
+//! one experiment in [`experiments::ALL`] (see DESIGN.md's experiment
+//! index). `all_figures` runs the whole suite in one process, sharing
+//! the memoized traces, or only the experiments named by `--only`. This
+//! library holds the common machinery: the run context ([`RunCtx`]), the
+//! deterministic parallel cell executor ([`run_cells_parallel`]), the
+//! analytic "model" line of Figures 7–10, and output helpers.
+//!
+//! # Run context
+//!
+//! An experiment reads nothing from the process environment. The binary
+//! builds one [`RunCtx`] at its entry point — worker count, request cap
+//! and output directory — and passes it down; [`RunCtx::from_vars`]
+//! documents the variables it is built from.
 //!
 //! # Parallel execution
 //!
 //! Every experiment decomposes into independent *cells* — one
 //! simulation (or model evaluation) per `(trace, policy, nodes, knob)`
 //! combination. [`run_cells_parallel`] fans cells across
-//! `min(workers, cells)` scoped threads and collects results **by cell
-//! index, never by completion order**, so every CSV and chart is
+//! `min(ctx.workers, cells)` scoped threads and collects results **by
+//! cell index, never by completion order**, so every CSV and chart is
 //! byte-identical to a sequential run regardless of worker count or
-//! scheduling. `L2S_WORKERS` overrides the worker count (default: all
-//! hardware threads); `L2S_WORKERS=1` forces the sequential inline
-//! path, which the perf baseline uses for comparable measurements.
+//! scheduling. One worker runs the cells inline on the calling thread.
 //!
 //! # Scale control
 //!
 //! By default the harness runs a *quick* configuration (full file
 //! populations, request streams capped at 150 000) so every figure
-//! regenerates in seconds. Set `L2S_BENCH_FULL=1` to simulate the
+//! regenerates in seconds. A context with `cap: None` simulates the
 //! complete Table 2 request counts (up to 3.1 M requests per run), which
-//! reproduces the paper at full fidelity, or `L2S_BENCH_CAP=<n>` to
-//! shrink the per-run request cap further (test suites use this).
-//! `L2S_RESULTS_DIR` redirects CSV output (default `results/`).
+//! reproduces the paper at full fidelity; a smaller cap shrinks every run
+//! further (the determinism test uses this).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,8 +45,9 @@ use l2s_sim::{simulate, SimConfig, SimReport};
 use l2s_trace::{Trace, TraceSpec, TraceStats};
 use l2s_util::ascii::{line_chart, Series};
 use l2s_util::cast;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -54,56 +58,62 @@ pub const PAPER_NODE_COUNTS: [usize; 6] = [1, 2, 4, 8, 12, 16];
 pub const PAPER_POLICIES: [PolicyKind; 3] =
     [PolicyKind::L2s, PolicyKind::Lard, PolicyKind::Traditional];
 
-/// Whether full-fidelity mode was requested via `L2S_BENCH_FULL=1`.
-pub fn full_fidelity() -> bool {
-    std::env::var("L2S_BENCH_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// Per-run request cap of the quick configuration.
+const QUICK_CAP: usize = 150_000;
+
+/// How one run of the harness is carried out: built once at the
+/// binary's entry point and passed to every experiment. None of these
+/// values changes what a cell computes except `cap`, which is part of
+/// each cell's configuration.
+#[derive(Clone, Debug)]
+pub struct RunCtx {
+    /// Worker threads of the parallel cell executor (at least 1).
+    pub workers: usize,
+    /// Request cap of every simulation run; `None` simulates the full
+    /// Table 2 request counts.
+    pub cap: Option<usize>,
+    /// Directory every CSV is written to.
+    pub out: PathBuf,
 }
 
-/// Request cap for simulation runs (`None` in full-fidelity mode).
-///
-/// `L2S_BENCH_CAP=<n>` overrides the quick-mode default of 150 000 —
-/// the in-tree determinism tests use a small cap so they finish in
-/// seconds. `L2S_BENCH_FULL=1` wins over the cap.
-pub fn request_cap() -> Option<usize> {
-    if full_fidelity() {
-        return None;
+impl RunCtx {
+    /// Builds the context from variables looked up by name:
+    ///
+    /// * `L2S_WORKERS=<n>` — worker count, capped at the core count;
+    ///   default all cores.
+    /// * `L2S_BENCH_CAP=<n>` — request cap; default 150 000.
+    /// * `L2S_BENCH_FULL=1` — no cap (full fidelity); wins over
+    ///   `L2S_BENCH_CAP`.
+    /// * `L2S_RESULTS_DIR=<dir>` — output directory; default `results`.
+    ///
+    /// Zero or unparsable numbers are ignored. `all_figures` looks the
+    /// names up in the process environment; tests pass a fake lookup.
+    pub fn from_vars(lookup: impl Fn(&str) -> Option<OsString>) -> RunCtx {
+        let positive = |key: &str| {
+            lookup(key)
+                .and_then(|v| v.to_str()?.trim().parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+        };
+        let cores = l2s_util::pool::available_workers();
+        let full = lookup("L2S_BENCH_FULL").is_some_and(|v| v == "1");
+        RunCtx {
+            workers: positive("L2S_WORKERS").map_or(cores, |n| n.min(cores)),
+            cap: (!full).then(|| positive("L2S_BENCH_CAP").unwrap_or(QUICK_CAP)),
+            out: lookup("L2S_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
+        }
     }
-    let cap = std::env::var("L2S_BENCH_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(150_000);
-    Some(cap)
 }
 
-/// Worker count for parallel cell execution: `$L2S_WORKERS`, defaulting
-/// to all hardware threads. See [`l2s_util::pool::workers_from_env`].
-pub fn workers_from_env() -> usize {
-    l2s_util::pool::workers_from_env()
-}
-
-/// Runs `cells` independent jobs across [`workers_from_env`] threads and
+/// Runs `cells` independent jobs across `ctx.workers` threads and
 /// returns their results ordered by cell index — the determinism
 /// contract every experiment relies on: output order depends only on how
 /// the experiment *enumerates* its cells, never on completion order.
-pub fn run_cells_parallel<T, F>(cells: usize, run: F) -> Vec<T>
+pub fn run_cells_parallel<T, F>(ctx: &RunCtx, cells: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_cells_with_workers(workers_from_env(), cells, run)
-}
-
-/// [`run_cells_parallel`] with an explicit worker count (clamped to
-/// `[1, cells]`; 1 runs inline on the calling thread).
-pub fn run_cells_with_workers<T, F>(workers: usize, cells: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    l2s_util::pool::run_indexed(workers, cells, run)
+    l2s_util::pool::run_indexed(ctx.workers, cells, run)
 }
 
 /// Deterministic per-trace generation seed.
@@ -175,6 +185,7 @@ pub struct SweepCell {
 /// `configure` customizes the base [`SimConfig`] per cluster size (cache
 /// size overrides, sensitivity knobs, ...).
 pub fn sweep<F>(
+    ctx: &RunCtx,
     trace: &Trace,
     node_counts: &[usize],
     policies: &[PolicyKind],
@@ -189,7 +200,7 @@ where
         .collect();
     // Index-ordered collection: cell i is always jobs[i]'s result, so the
     // output is identical for every worker count.
-    let mut cells = run_cells_parallel(jobs.len(), |i| {
+    let mut cells = run_cells_parallel(ctx, jobs.len(), |i| {
         let (n, policy) = jobs[i];
         let config = configure(n);
         let report = simulate(&config, policy, trace);
@@ -208,10 +219,10 @@ where
 }
 
 /// The default per-figure configuration: Section 5.1 parameters with the
-/// harness request cap applied.
-pub fn paper_config(nodes: usize) -> SimConfig {
+/// run's request cap applied.
+pub fn paper_config(ctx: &RunCtx, nodes: usize) -> SimConfig {
     SimConfig {
-        max_requests: request_cap(),
+        max_requests: ctx.cap,
         ..SimConfig::paper_default(nodes)
     }
 }
@@ -246,23 +257,11 @@ pub fn model_line(
         .collect()
 }
 
-/// [`write_throughput_figure_to`] with the default results directory
-/// (`$L2S_RESULTS_DIR`, else `results/`).
-pub fn write_throughput_figure(
-    fig: &str,
-    spec: &TraceSpec,
-    cells: &[SweepCell],
-    model: &[(usize, f64)],
-) -> std::io::Result<(PathBuf, String)> {
-    write_throughput_figure_to(&results_dir(), fig, spec, cells, model)
-}
-
 /// Renders and writes one Figures 7–10 style experiment: simulated
 /// throughput for the three servers plus the model bound, as CSV and an
 /// ASCII chart under `dir`. Returns the path written and the chart
-/// text. Taking the directory explicitly keeps tests and embedders free
-/// of process-global environment mutation.
-pub fn write_throughput_figure_to(
+/// text.
+pub fn write_throughput_figure(
     dir: &Path,
     fig: &str,
     spec: &TraceSpec,
@@ -312,13 +311,13 @@ pub fn write_throughput_figure_to(
 
 /// Runs one complete Figures 7–10 experiment (sweep + model line +
 /// outputs) and prints the chart plus the paper's headline comparisons.
-pub fn run_paper_figure(fig: &str, spec: &TraceSpec) -> Result<(), String> {
+pub fn run_paper_figure(ctx: &RunCtx, fig: &str, spec: &TraceSpec) -> Result<(), String> {
     println!(
         "== {fig}: {} trace ({} files, {} requests{}) ==",
         spec.name,
         spec.num_files,
         spec.num_requests,
-        if full_fidelity() {
+        if ctx.cap.is_none() {
             ", full fidelity"
         } else {
             ", quick mode (L2S_BENCH_FULL=1 for full)"
@@ -333,9 +332,11 @@ pub fn run_paper_figure(fig: &str, spec: &TraceSpec) -> Result<(), String> {
         stats.alpha,
         stats.working_set_kb / 1024.0
     );
-    let cells = sweep(&trace, &PAPER_NODE_COUNTS, &PAPER_POLICIES, paper_config);
-    let model = model_line(&stats, &PAPER_NODE_COUNTS, paper_config(1).cache_kb)?;
-    let (path, chart) = write_throughput_figure(fig, spec, &cells, &model)
+    let cells = sweep(ctx, &trace, &PAPER_NODE_COUNTS, &PAPER_POLICIES, |n| {
+        paper_config(ctx, n)
+    });
+    let model = model_line(&stats, &PAPER_NODE_COUNTS, paper_config(ctx, 1).cache_kb)?;
+    let (path, chart) = write_throughput_figure(&ctx.out, fig, spec, &cells, &model)
         .map_err(|e| format!("write {fig} outputs: {e}"))?;
     println!("{chart}");
 
@@ -384,53 +385,37 @@ pub fn extract_json_num(json: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-/// Binary entry-point shim: runs an experiment and turns an `Err` into
-/// a nonzero exit with the message on stderr. Keeps the `src/bin/`
-/// wrappers one line each.
-pub fn run_experiment(run: fn() -> Result<(), String>) {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Runs every experiment in [`experiments::ALL`] in this process, in
-/// the same order as the historical `run_experiments.sh`, sharing the
-/// memoized traces. Stops at the first failure, naming the experiment.
-pub fn run_all_figures() -> Result<(), String> {
-    run_all_figures_timed().map(|_| ())
-}
-
-/// Wall-clock accounting for one full figure-suite run, recorded by
+/// Wall-clock accounting for one figure-suite run, recorded by
 /// [`run_all_figures_timed`] and written to `BENCH_suite.json` by the
 /// `all_figures` binary. Wall-clock here is measurement *about* the
 /// suite, not input *to* it — every simulated quantity still comes from
 /// the event queue, so timing cannot perturb any figure.
 #[derive(Clone, Debug)]
 pub struct SuiteTiming {
-    /// Worker threads the parallel executor used.
-    pub workers: usize,
     /// Total suite wall-clock in seconds.
     pub wall_s: f64,
     /// `(experiment name, wall-clock seconds)` in execution order.
     pub per_experiment: Vec<(String, f64)>,
 }
 
-/// [`run_all_figures`] with per-experiment wall-clock timing.
-pub fn run_all_figures_timed() -> Result<SuiteTiming, String> {
-    let workers = workers_from_env();
-    let total = experiments::ALL.len();
+/// Runs `selected` experiments (see [`experiments::select`]) in this
+/// process, in order, sharing the memoized traces, and times each one.
+/// Stops at the first failure, naming the experiment.
+pub fn run_all_figures_timed(
+    ctx: &RunCtx,
+    selected: &[experiments::Experiment],
+) -> Result<SuiteTiming, String> {
+    let total = selected.len();
     let suite_start = std::time::Instant::now();
     let mut per_experiment = Vec::with_capacity(total);
-    for (i, (name, run)) in experiments::ALL.iter().enumerate() {
+    for (i, (name, run)) in selected.iter().enumerate() {
         println!("=== [{}/{total}] {name} ===", i + 1);
         let start = std::time::Instant::now();
-        run().map_err(|e| format!("{name}: {e}"))?;
+        run(ctx).map_err(|e| format!("{name}: {e}"))?;
         per_experiment.push((name.to_string(), start.elapsed().as_secs_f64()));
         println!();
     }
     Ok(SuiteTiming {
-        workers,
         wall_s: suite_start.elapsed().as_secs_f64(),
         per_experiment,
     })
@@ -439,6 +424,70 @@ pub fn run_all_figures_timed() -> Result<SuiteTiming, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A context for tests that call library functions directly.
+    fn ctx(workers: usize) -> RunCtx {
+        RunCtx {
+            workers,
+            cap: Some(2_000),
+            out: std::env::temp_dir(),
+        }
+    }
+
+    /// `RunCtx::from_vars` over a fixed set of variables.
+    fn from(vars: &[(&str, &str)]) -> RunCtx {
+        RunCtx::from_vars(|key| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| OsString::from(v))
+        })
+    }
+
+    #[test]
+    fn run_ctx_defaults_to_quick_mode_on_every_core() {
+        let ctx = from(&[]);
+        assert_eq!(ctx.workers, l2s_util::pool::available_workers());
+        assert_eq!(ctx.cap, Some(QUICK_CAP));
+        assert_eq!(ctx.out, PathBuf::from("results"));
+        let ctx = from(&[
+            ("L2S_WORKERS", "1"),
+            ("L2S_BENCH_CAP", " 2000 "),
+            ("L2S_RESULTS_DIR", "results-ci"),
+        ]);
+        assert_eq!(ctx.workers, 1);
+        assert_eq!(ctx.cap, Some(2_000));
+        assert_eq!(ctx.out, PathBuf::from("results-ci"));
+    }
+
+    #[test]
+    fn full_fidelity_wins_over_the_cap() {
+        let full = from(&[("L2S_BENCH_FULL", "1"), ("L2S_BENCH_CAP", "2000")]);
+        assert_eq!(full.cap, None);
+        // Only the exact value 1 asks for full fidelity.
+        for value in ["0", "yes", "", " 1"] {
+            let ctx = from(&[("L2S_BENCH_FULL", value), ("L2S_BENCH_CAP", "2000")]);
+            assert_eq!(ctx.cap, Some(2_000), "L2S_BENCH_FULL={value:?}");
+        }
+    }
+
+    #[test]
+    fn zero_or_garbage_numbers_fall_back_to_the_defaults() {
+        let cores = l2s_util::pool::available_workers();
+        for bad in ["0", "-3", "many", "", "1.5"] {
+            let ctx = from(&[("L2S_WORKERS", bad), ("L2S_BENCH_CAP", bad)]);
+            assert_eq!(ctx.workers, cores, "L2S_WORKERS={bad:?}");
+            assert_eq!(ctx.cap, Some(QUICK_CAP), "L2S_BENCH_CAP={bad:?}");
+        }
+    }
+
+    #[test]
+    fn workers_never_exceed_the_core_count() {
+        let cores = l2s_util::pool::available_workers();
+        for asked in [cores, cores + 1, 1_000_000] {
+            let ctx = from(&[("L2S_WORKERS", &asked.to_string())]);
+            assert_eq!(ctx.workers, cores, "L2S_WORKERS={asked}");
+        }
+    }
 
     #[test]
     fn seeds_are_stable_and_distinct() {
@@ -456,6 +505,7 @@ mod tests {
     fn sweep_covers_the_matrix() {
         let trace = TraceSpec::calgary().scaled(200, 3_000).generate(1);
         let cells = sweep(
+            &ctx(2),
             &trace,
             &[1, 2],
             &[PolicyKind::Traditional, PolicyKind::L2s],
@@ -472,15 +522,15 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_despite_parallelism() {
         let trace = TraceSpec::nasa().scaled(150, 2_000).generate(2);
-        let run = || {
-            sweep(&trace, &[1, 2, 4], &[PolicyKind::L2s], |n| {
+        let run = |workers| {
+            sweep(&ctx(workers), &trace, &[1, 2, 4], &[PolicyKind::L2s], |n| {
                 SimConfig::quick(n, 800.0)
             })
             .iter()
             .map(|c| c.report.throughput_rps)
             .collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
@@ -494,20 +544,17 @@ mod tests {
 
     #[test]
     fn figure_writer_emits_csv_and_chart() {
-        // The directory is threaded explicitly — mutating
-        // L2S_RESULTS_DIR here would race other tests in this binary,
-        // which run concurrently and read the same process environment.
         let dir = std::env::temp_dir().join("l2s-bench-test");
         std::fs::create_dir_all(&dir).unwrap();
         let spec = TraceSpec::calgary().scaled(200, 2_000);
         let trace = spec.generate(4);
-        let cells = sweep(&trace, &[1, 2], &PAPER_POLICIES, |n| {
+        let cells = sweep(&ctx(2), &trace, &[1, 2], &PAPER_POLICIES, |n| {
             SimConfig::quick(n, 1_000.0)
         });
         let stats = TraceStats::compute(&trace);
         let model = model_line(&stats, &[1, 2], 1_000.0).unwrap();
         let (path, chart) =
-            write_throughput_figure_to(&dir, "figtest", &spec, &cells, &model).unwrap();
+            write_throughput_figure(&dir, "figtest", &spec, &cells, &model).unwrap();
         assert!(path.exists());
         assert!(chart.contains("figtest"));
         let csv = std::fs::read_to_string(&path).unwrap();

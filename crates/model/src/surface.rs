@@ -61,10 +61,10 @@ impl Surface {
     }
 }
 
-/// Default axes used by the figure binaries: hit rate 0.02..=1.00 and
-/// file size 4..=128 KB (the paper's surfaces are meshed at roughly
-/// 8 KB granularity along the size axis; starting below ~4 KB grows the
-/// peak ratio past what Figure 5 shows).
+/// Default axes used by the Figure 3–5 experiments: hit rate
+/// 0.02..=1.00 and file size 4..=128 KB (the paper's surfaces are
+/// meshed at roughly 8 KB granularity along the size axis; starting
+/// below ~4 KB grows the peak ratio past what Figure 5 shows).
 pub fn default_axes(hit_steps: usize, size_steps: usize) -> (Vec<f64>, Vec<f64>) {
     l2s_util::invariant!(
         hit_steps >= 2 && size_steps >= 2,
@@ -81,30 +81,27 @@ pub fn default_axes(hit_steps: usize, size_steps: usize) -> (Vec<f64>, Vec<f64>)
 
 /// Figure 3 / Figure 4: throughput surface of a server kind over the
 /// (hit rate, file size) grid.
-///
-/// Rows are independent closed-form evaluations, so they are fanned out
-/// across the [`l2s_util::pool`] executor; results are collected by row
-/// index, so the surface is identical for any worker count.
 pub fn throughput_surface(
     base: &ModelParams,
     kind: ServerKind,
     hit_rates: &[f64],
     sizes_kb: &[f64],
 ) -> Surface {
-    let workers = l2s_util::pool::workers_from_env();
-    let values = l2s_util::pool::run_indexed(workers, hit_rates.len(), |i| {
-        let h = hit_rates[i];
-        sizes_kb
-            .iter()
-            .map(|&s| {
-                let mut p = *base;
-                p.avg_file_kb = s;
-                // Invalid sweep points surface as explicit None cells
-                // rather than aborting the whole surface.
-                QueueModel::new(p).ok().map(|m| m.max_throughput(kind, h))
-            })
-            .collect()
-    });
+    let values = hit_rates
+        .iter()
+        .map(|&h| {
+            sizes_kb
+                .iter()
+                .map(|&s| {
+                    let mut p = *base;
+                    p.avg_file_kb = s;
+                    // Invalid sweep points surface as explicit None cells
+                    // rather than aborting the whole surface.
+                    QueueModel::new(p).ok().map(|m| m.max_throughput(kind, h))
+                })
+                .collect()
+        })
+        .collect();
     Surface {
         hit_rates: hit_rates.to_vec(),
         sizes_kb: sizes_kb.to_vec(),

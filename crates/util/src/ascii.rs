@@ -1,7 +1,7 @@
 //! Terminal rendering of the paper's figures.
 //!
-//! Every figure binary prints an ASCII rendition next to its CSV output so
-//! the reproduction can be eyeballed without plotting tools: a multi-series
+//! Every figure prints an ASCII rendition next to its CSV output so the
+//! reproduction can be eyeballed without plotting tools: a multi-series
 //! line chart for the throughput-vs-nodes figures (7–10) and a shaded heat
 //! map for the model surfaces (Figures 3–6).
 

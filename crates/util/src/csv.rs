@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// An in-memory CSV table flushed to disk with [`CsvTable::write_to`].
 #[derive(Clone, Debug)]
@@ -91,14 +91,6 @@ fn write_record(out: &mut String, fields: &[String]) {
         }
     }
     out.push('\n');
-}
-
-/// Returns the directory experiment outputs should be written to:
-/// `$L2S_RESULTS_DIR` if set, else `results/` under the current directory.
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("L2S_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
 }
 
 /// Formats `x` with `sig` significant digits in plain decimal notation,

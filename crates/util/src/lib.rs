@@ -13,8 +13,8 @@
 //!   `strict-invariants` feature.
 //! * [`stats`] — online summary statistics, percentiles, and histograms.
 //! * [`csv`] — a minimal CSV writer used by the experiment harness.
-//! * [`ascii`] — terminal line charts and heat maps so every figure binary
-//!   can render the paper's plots without a plotting dependency.
+//! * [`ascii`] — terminal line charts and heat maps so every figure can
+//!   render the paper's plots without a plotting dependency.
 //! * [`pool`] — a std-only scoped thread pool whose results come back in
 //!   submission order, so parallel sweeps stay bit-for-bit deterministic.
 

@@ -13,6 +13,10 @@
 //! Threads are scoped (`std::thread::scope`), so jobs may borrow from
 //! the caller's stack; a panicking job is re-raised on the calling
 //! thread after the scope joins.
+//!
+//! The worker count is always the caller's argument: nothing here reads
+//! the environment. The experiment harness passes the `workers` of its
+//! run context.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -22,27 +26,6 @@ pub fn available_workers() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-}
-
-/// The workspace-wide worker-count knob: `$L2S_WORKERS` when set to a
-/// positive integer (unparsable or zero values are ignored), otherwise
-/// [`available_workers`]. Results never depend on this value — the pool
-/// orders by job index — so it only trades wall-clock for cores.
-/// `L2S_WORKERS=1` pins every sweep to the sequential inline path, which
-/// is what the perf baseline uses to keep its measurements comparable.
-///
-/// The value is capped at [`available_workers`]: threads beyond the
-/// core count cannot add throughput to CPU-bound simulation cells, they
-/// only add context-switch overhead (measured at a few percent of suite
-/// wall-clock when 4 workers land on 1 core). Callers that really want
-/// oversubscription can pass an explicit count to [`run_indexed`].
-pub fn workers_from_env() -> usize {
-    std::env::var("L2S_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(available_workers()))
-        .unwrap_or_else(available_workers)
 }
 
 /// Runs `count` jobs — `job(0)`, `job(1)`, ... — across at most
