@@ -1,8 +1,8 @@
 //! The traditional server and the two single-minded baselines.
 
-use crate::{Assignment, Distributor, LoadIndex, NodeId, PolicyKind};
+use crate::ledger::{Dispatch, Ledger};
+use crate::{NodeId, PolicyKind};
 use l2s_cluster::FileId;
-use l2s_util::{cast, invariant, SimTime};
 
 /// The paper's **traditional** cluster server: a load-balancing switch
 /// assigns each new request to the node with the fewest open connections
@@ -16,102 +16,36 @@ use l2s_util::{cast, invariant, SimTime};
 /// choice and rejoin it on recovery.
 #[derive(Clone, Debug)]
 pub struct Traditional {
-    loads: Vec<u32>,
-    alive: Vec<bool>,
-    /// Least-loaded index over the live nodes, mirroring `loads` — keeps
-    /// the per-arrival fewest-connections pick O(log n) instead of a
-    /// full scan.
-    index: LoadIndex,
+    ledger: Ledger,
 }
 
 impl Traditional {
     /// A traditional server over `n` nodes.
     pub fn new(n: usize) -> Self {
-        l2s_util::invariant!(n >= 1, "need at least one node");
-        let mut index = LoadIndex::new(n);
-        for node in 0..n {
-            index.insert(node, 0);
-        }
         Traditional {
-            loads: vec![0; n],
-            alive: vec![true; n],
-            index,
+            ledger: Ledger::new(n),
         }
     }
 }
 
-impl Distributor for Traditional {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Traditional
+impl Dispatch for Traditional {
+    const KIND: PolicyKind = PolicyKind::Traditional;
+    const SWITCH: bool = true;
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn arrival_node(&mut self) -> Option<NodeId> {
-        // The switch delivers the connection straight to the node that
-        // will serve it, and tracks the connection from acceptance time
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    fn arrival(&mut self) -> Option<NodeId> {
+        // The switch counts the connection from acceptance time
         // (otherwise a burst of simultaneous arrivals would all pile
-        // onto the momentarily-least-loaded node). Dead nodes are absent
-        // from the index, and the index breaks load ties toward the
-        // lowest id, so the pick is identical to the old filtered scan.
-        // An empty index (every node down) rejects the connection.
-        let node = self.index.argmin()?;
-        self.loads[node] += 1;
-        self.index.set_if_present(node, self.loads[node]);
-        Some(node)
-    }
-
-    fn arrival_continuation(&mut self, holder: NodeId) {
-        // The connection stays where it is; the switch sees one more
-        // request on it.
-        self.loads[holder] += 1;
-        self.index.set_if_present(holder, self.loads[holder]);
-    }
-
-    fn assign(&mut self, _now: SimTime, initial: NodeId, _file: FileId) -> Assignment {
-        // The connection was counted at arrival.
-        Assignment {
-            service: initial,
-            forwarded: false,
-            control_msgs: 0,
-        }
-    }
-
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.loads[node] -= 1;
-        self.index.set_if_present(node, self.loads[node]);
-        0
-    }
-
-    fn open_connections(&self, node: NodeId) -> u32 {
-        self.loads[node]
-    }
-
-    fn serving_nodes(&self) -> Vec<NodeId> {
-        (0..self.loads.len()).collect()
-    }
-
-    fn node_down(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = false;
-        self.index.remove(node);
-    }
-
-    fn node_up(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = true;
-        // Strays from before the crash are still settling, so the node
-        // rejoins at its live connection count, not at zero.
-        self.index.insert(node, self.loads[node]);
-    }
-
-    fn abort_undecided(&mut self, _now: SimTime, initial: NodeId) {
-        invariant!(
-            self.loads[initial] > 0,
-            "load conservation violated: abort on node {initial} without an open connection"
-        );
-        self.loads[initial] -= 1;
-        self.index.set_if_present(initial, self.loads[initial]);
+        // onto the momentarily-least-loaded node). Ties go to the lowest
+        // id; with every node down the connection is rejected.
+        self.ledger.live().argmin()
     }
 }
 
@@ -120,92 +54,32 @@ impl Distributor for Traditional {
 /// nodes are skipped in the rotation.
 #[derive(Clone, Debug)]
 pub struct RoundRobin {
-    loads: Vec<u32>,
-    alive: Vec<bool>,
-    next: usize,
+    ledger: Ledger,
 }
 
 impl RoundRobin {
     /// A round-robin server over `n` nodes.
     pub fn new(n: usize) -> Self {
-        l2s_util::invariant!(n >= 1, "need at least one node");
         RoundRobin {
-            loads: vec![0; n],
-            alive: vec![true; n],
-            next: 0,
+            ledger: Ledger::new(n),
         }
     }
 }
 
-impl Distributor for RoundRobin {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::RoundRobin
+impl Dispatch for RoundRobin {
+    const KIND: PolicyKind = PolicyKind::RoundRobin;
+    const SWITCH: bool = true;
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn arrival_node(&mut self) -> Option<NodeId> {
-        // One lap over the rotation starting at the cursor; if no live
-        // node turns up the connection is rejected (cursor untouched, so
-        // the rotation resumes where it left off after a recovery).
-        let n = self.loads.len();
-        let mut node = self.next;
-        for _ in 0..n {
-            if self.alive[node] {
-                break;
-            }
-            node = (node + 1) % n;
-        }
-        if !self.alive[node] {
-            return None;
-        }
-        self.next = (node + 1) % n;
-        self.loads[node] += 1;
-        Some(node)
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
     }
 
-    fn arrival_continuation(&mut self, holder: NodeId) {
-        self.loads[holder] += 1;
-    }
-
-    fn assign(&mut self, _now: SimTime, initial: NodeId, _file: FileId) -> Assignment {
-        // The connection was counted at arrival.
-        Assignment {
-            service: initial,
-            forwarded: false,
-            control_msgs: 0,
-        }
-    }
-
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.loads[node] -= 1;
-        0
-    }
-
-    fn open_connections(&self, node: NodeId) -> u32 {
-        self.loads[node]
-    }
-
-    fn serving_nodes(&self) -> Vec<NodeId> {
-        (0..self.loads.len()).collect()
-    }
-
-    fn node_down(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = false;
-    }
-
-    fn node_up(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = true;
-    }
-
-    fn abort_undecided(&mut self, _now: SimTime, initial: NodeId) {
-        invariant!(
-            self.loads[initial] > 0,
-            "load conservation violated: abort on node {initial} without an open connection"
-        );
-        self.loads[initial] -= 1;
+    fn arrival(&mut self) -> Option<NodeId> {
+        self.ledger.rotate()
     }
 }
 
@@ -221,104 +95,51 @@ impl Distributor for RoundRobin {
 /// the original `hash mod N`.
 #[derive(Clone, Debug)]
 pub struct PureLocality {
-    loads: Vec<u32>,
-    /// Live node ids in ascending order — the hash ring.
-    ring: Vec<NodeId>,
-    alive: Vec<bool>,
-    next_arrival: usize,
+    ledger: Ledger,
 }
 
 impl PureLocality {
     /// A hash-partitioned server over `n` nodes.
     pub fn new(n: usize) -> Self {
-        l2s_util::invariant!(n >= 1, "need at least one node");
         PureLocality {
-            loads: vec![0; n],
-            ring: (0..n).collect(),
-            alive: vec![true; n],
-            next_arrival: 0,
+            ledger: Ledger::new(n),
         }
     }
 
     /// The current owner of `file` (the static owner while every node is
     /// alive).
     pub fn owner(&self, file: impl Into<FileId>) -> NodeId {
-        // Fibonacci hashing spreads sequential ids well.
-        let h = u64::from(file.into().raw()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.ring[cast::index_usize(h % cast::len_u64(self.ring.len()))]
+        self.ledger.hashed(file.into())
     }
 }
 
-impl Distributor for PureLocality {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PureLocality
+impl Dispatch for PureLocality {
+    const KIND: PolicyKind = PolicyKind::PureLocality;
+    const SWITCH: bool = false;
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn arrival_node(&mut self) -> Option<NodeId> {
-        // Round-robin DNS; the owner is only known after parsing. Dead
-        // nodes drop out of DNS rotation; an empty rotation (every node
-        // down) rejects the connection without advancing the cursor.
-        let n = self.loads.len();
-        let mut node = self.next_arrival;
-        for _ in 0..n {
-            if self.alive[node] {
-                break;
-            }
-            node = (node + 1) % n;
-        }
-        if !self.alive[node] {
-            return None;
-        }
-        self.next_arrival = (node + 1) % n;
-        Some(node)
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
     }
 
-    fn assign(&mut self, _now: SimTime, initial: NodeId, file: FileId) -> Assignment {
-        let service = self.owner(file);
-        self.loads[service] += 1;
-        Assignment {
-            service,
-            forwarded: service != initial,
-            control_msgs: 0,
-        }
+    fn arrival(&mut self) -> Option<NodeId> {
+        // Round-robin DNS; the owner is only known after parsing.
+        self.ledger.rotate()
     }
 
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.loads[node] -= 1;
-        0
-    }
-
-    fn open_connections(&self, node: NodeId) -> u32 {
-        self.loads[node]
-    }
-
-    fn serving_nodes(&self) -> Vec<NodeId> {
-        (0..self.loads.len()).collect()
-    }
-
-    fn node_down(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = false;
-        // The ring may empty out entirely (all-down cluster); arrivals
-        // are rejected before `owner` can index it, so no guard here.
-        self.ring.retain(|&id| id != node);
-    }
-
-    fn node_up(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = true;
-        if !self.ring.contains(&node) {
-            self.ring.push(node);
-            self.ring.sort_unstable();
-        }
+    fn service(&self, _initial: NodeId, file: FileId) -> NodeId {
+        self.owner(file)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Distributor, PolicyParams};
+    use l2s_util::SimTime;
 
     #[test]
     fn traditional_picks_fewest_connections() {
@@ -455,7 +276,7 @@ mod tests {
             PolicyKind::RoundRobin,
             PolicyKind::PureLocality,
         ] {
-            let mut p = kind.build(1);
+            let mut p = kind.build(1, &PolicyParams::default());
             for f in 0..5u32 {
                 let n = p.arrival_node().unwrap();
                 assert_eq!(n, 0);

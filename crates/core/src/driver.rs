@@ -15,7 +15,7 @@
 //! rejected arrival (every node down) comes back as
 //! [`Placement::Rejected`] instead of a fabricated node id.
 
-use crate::{Distributor, NodeId, PolicyKind};
+use crate::{Distributor, NodeId, PolicyKind, PolicyParams};
 use l2s_util::SimTime;
 
 /// The outcome of placing one request.
@@ -53,17 +53,11 @@ pub struct PolicyDriver {
 }
 
 impl PolicyDriver {
-    /// A driver over `kind` built with its paper-default parameters for
-    /// an `n`-node cluster.
+    /// A driver over `kind` built with the paper-default parameters
+    /// ([`PolicyParams::default`]) for an `n`-node cluster.
     pub fn new(kind: PolicyKind, n: usize) -> Self {
-        Self::from_policy(kind.build(n), n)
-    }
-
-    /// A driver over an already-built policy (custom parameters, custom
-    /// seed). `n` is the cluster size the policy was built for.
-    pub fn from_policy(policy: Box<dyn Distributor>, n: usize) -> Self {
         PolicyDriver {
-            policy,
+            policy: kind.build(n, &PolicyParams::default()),
             nodes: n,
             msg_buf: Vec::new(),
         }

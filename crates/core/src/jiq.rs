@@ -13,145 +13,67 @@
 //! [`Traditional`](crate::Traditional), which pays nothing for its
 //! strictly richer per-arrival load view.
 //!
-//! The idle set is the zero-load stratum of a [`LoadIndex`] over the
-//! live nodes; picking from it with rotating tie-breaking spreads
-//! consecutive arrivals over all idle nodes instead of herding onto the
-//! lowest id, and stays O(log n) at 1024 nodes.
+//! The idle set is the zero-load stratum of a [`LoadIndex`](crate::LoadIndex)
+//! over the live nodes; picking from it with rotating tie-breaking
+//! spreads consecutive arrivals over all idle nodes instead of herding
+//! onto the lowest id, and stays O(log n) at 1024 nodes.
 
-use crate::{Assignment, Distributor, LoadIndex, NodeId, PolicyKind};
-use l2s_cluster::FileId;
-use l2s_util::{invariant, SimTime};
+use crate::ledger::{Dispatch, Ledger};
+use crate::{NodeId, PolicyKind};
 
 /// The join-idle-queue dispatcher. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Jiq {
-    loads: Vec<u32>,
-    alive: Vec<bool>,
-    /// Live nodes keyed by connection count; its zero-load stratum is
-    /// the idle queue.
-    index: LoadIndex,
+    /// Its live index's zero-load stratum is the idle queue; its DNS
+    /// rotation is the fallback for arrivals that find no idle node.
+    ledger: Ledger,
     /// Rotating cursor spreading arrivals over tied idle nodes.
     idle_cursor: usize,
-    /// Round-robin fallback cursor for arrivals that find no idle node.
-    next: usize,
 }
 
 impl Jiq {
     /// A JIQ dispatcher over `n` nodes.
     pub fn new(n: usize) -> Self {
-        invariant!(n >= 1, "need at least one node");
-        let mut index = LoadIndex::new(n);
-        for node in 0..n {
-            index.insert(node, 0);
-        }
         Jiq {
-            loads: vec![0; n],
-            alive: vec![true; n],
-            index,
+            ledger: Ledger::new(n),
             idle_cursor: 0,
-            next: 0,
         }
     }
 }
 
-impl Distributor for Jiq {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Jiq
+impl Dispatch for Jiq {
+    const KIND: PolicyKind = PolicyKind::Jiq;
+    const SWITCH: bool = true;
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn arrival_node(&mut self) -> Option<NodeId> {
-        let node = match self.index.argmin() {
-            Some(least) if self.loads[least] == 0 => {
-                // At least one node is idle: rotate over the idle set
-                // (the minimum-load stratum) so bursts fan out instead
-                // of piling onto the lowest idle id.
-                self.index
-                    .argmin_rotating(&mut self.idle_cursor)
-                    .unwrap_or(least)
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    fn arrival(&mut self) -> Option<NodeId> {
+        let live = self.ledger.live();
+        match live.argmin() {
+            // At least one node is idle: rotate over the idle set (the
+            // minimum-load stratum) so bursts fan out instead of piling
+            // onto the lowest idle id.
+            Some(least) if self.ledger.open_connections(least) == 0 => {
+                live.argmin_rotating(&mut self.idle_cursor)
             }
-            _ => {
-                // No idle node: JIQ is load-blind, so plain round-robin
-                // over the live nodes. An empty rotation (every node
-                // down) rejects the connection, cursor untouched.
-                let n = self.loads.len();
-                let mut node = self.next;
-                for _ in 0..n {
-                    if self.alive[node] {
-                        break;
-                    }
-                    node = (node + 1) % n;
-                }
-                if !self.alive[node] {
-                    return None;
-                }
-                self.next = (node + 1) % n;
-                node
-            }
-        };
-        self.loads[node] += 1;
-        self.index.set_if_present(node, self.loads[node]);
-        Some(node)
-    }
-
-    fn arrival_continuation(&mut self, holder: NodeId) {
-        // The connection stays where it is; the switch sees one more
-        // request on it.
-        self.loads[holder] += 1;
-        self.index.set_if_present(holder, self.loads[holder]);
-    }
-
-    fn assign(&mut self, _now: SimTime, initial: NodeId, _file: FileId) -> Assignment {
-        // The connection was counted at arrival.
-        Assignment {
-            service: initial,
-            forwarded: false,
-            control_msgs: 0,
+            // No idle node: JIQ is load-blind, so plain round-robin over
+            // the live nodes.
+            _ => self.ledger.rotate(),
         }
-    }
-
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.loads[node] -= 1;
-        self.index.set_if_present(node, self.loads[node]);
-        0
-    }
-
-    fn open_connections(&self, node: NodeId) -> u32 {
-        self.loads[node]
-    }
-
-    fn serving_nodes(&self) -> Vec<NodeId> {
-        (0..self.loads.len()).collect()
-    }
-
-    fn node_down(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = false;
-        self.index.remove(node);
-    }
-
-    fn node_up(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = true;
-        // Strays from before the crash are still settling, so the node
-        // rejoins at its live connection count, not at zero.
-        self.index.insert(node, self.loads[node]);
-    }
-
-    fn abort_undecided(&mut self, _now: SimTime, initial: NodeId) {
-        invariant!(
-            self.loads[initial] > 0,
-            "load conservation violated: abort on node {initial} without an open connection"
-        );
-        self.loads[initial] -= 1;
-        self.index.set_if_present(initial, self.loads[initial]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Distributor;
+    use l2s_util::SimTime;
 
     #[test]
     fn idle_nodes_are_taken_before_busy_ones() {

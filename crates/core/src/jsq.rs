@@ -8,16 +8,16 @@
 //! removes almost all of random assignment's queueing imbalance at a
 //! fraction of full JSQ's information cost.
 //!
-//! Sampling uses the [`LoadIndex`] order statistics: a uniform rank in
-//! `[0, live)` maps to the rank-th live node in O(log n), so a 1024-node
-//! cluster pays the same per-arrival cost as an 8-node one and dead
-//! nodes are never drawn (no rejection loop). The RNG is the workspace's
-//! own deterministic [`DetRng`], seeded from the run seed, so runs are
-//! byte-identical at any worker count.
+//! Sampling uses the [`LoadIndex`](crate::LoadIndex) order statistics: a
+//! uniform rank in `[0, live)` maps to the rank-th live node in
+//! O(log n), so a 1024-node cluster pays the same per-arrival cost as an
+//! 8-node one and dead nodes are never drawn (no rejection loop). The
+//! RNG is the workspace's own deterministic [`DetRng`], seeded from the
+//! run seed, so runs are byte-identical at any worker count.
 
-use crate::{Assignment, Distributor, LoadIndex, NodeId, PolicyKind};
-use l2s_cluster::FileId;
-use l2s_util::{invariant, DetRng, SimTime};
+use crate::ledger::{Dispatch, Ledger};
+use crate::{NodeId, PolicyKind};
+use l2s_util::{invariant, DetRng};
 
 /// Salt mixed into the run seed so the dispatcher's sample stream is
 /// decorrelated from the engine's own arrival/persistence stream (which
@@ -29,151 +29,83 @@ const SEED_SALT: u64 = 0x4a53_5144; // "JSQD"
 pub struct Jsq {
     /// Sample size per arrival.
     d: usize,
-    loads: Vec<u32>,
-    alive: Vec<bool>,
-    /// Least-loaded index over the live nodes; doubles as the uniform
-    /// sampler via its order statistics.
-    index: LoadIndex,
+    /// Its live index doubles as the uniform sampler via its order
+    /// statistics.
+    ledger: Ledger,
     rng: DetRng,
     /// Scratch ranks for the d-way sample, reused across arrivals.
     picks: Vec<usize>,
 }
 
 impl Jsq {
-    /// The classic two-choices sample size.
-    pub const DEFAULT_D: usize = 2;
-
-    /// Seed used by [`PolicyKind::build`]; simulation runs pass their
-    /// own run seed instead.
-    pub const DEFAULT_SEED: u64 = 0x10ad_ba1e;
-
     /// A JSQ(d) dispatcher over `n` nodes sampling `d` choices per
     /// arrival from the deterministic stream seeded by `seed`.
     pub fn new(n: usize, d: usize, seed: u64) -> Self {
-        invariant!(n >= 1, "need at least one node");
         invariant!(d >= 1, "JSQ(d) needs at least one choice");
-        let mut index = LoadIndex::new(n);
-        for node in 0..n {
-            index.insert(node, 0);
-        }
         Jsq {
             d,
-            loads: vec![0; n],
-            alive: vec![true; n],
-            index,
+            ledger: Ledger::new(n),
             rng: DetRng::new(seed ^ SEED_SALT),
             picks: Vec::with_capacity(d),
         }
     }
 }
 
-impl Distributor for Jsq {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Jsq
+impl Dispatch for Jsq {
+    const KIND: PolicyKind = PolicyKind::Jsq;
+    const SWITCH: bool = true;
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn arrival_node(&mut self) -> Option<NodeId> {
-        let live = self.index.len();
-        if live == 0 {
-            // Every node is down: the switch has nothing to sample from
-            // and rejects the connection (no RNG draw, so the sampling
-            // sequence resumes unchanged after a recovery).
-            return None;
-        }
-        let node = if live <= self.d {
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    fn arrival(&mut self) -> Option<NodeId> {
+        let index = self.ledger.live();
+        let live = index.len();
+        if live <= self.d {
             // The sample would cover every live node: exact JSQ, which
-            // the index answers directly (lowest id on ties).
-            self.index.argmin()?
-        } else {
-            self.picks.clear();
-            while self.picks.len() < self.d {
-                let rank = self.rng.index(live);
-                // Sampling without replacement: d distinct nodes, as in
-                // the classic formulation. d is small, so the linear
-                // dedup scan is cheaper than any set structure.
-                if !self.picks.contains(&rank) {
-                    self.picks.push(rank);
-                }
-            }
-            let mut best = self.index.nth_present(self.picks[0]);
-            let mut best_load = self.loads[best];
-            for &rank in &self.picks[1..] {
-                let candidate = self.index.nth_present(rank);
-                let load = self.loads[candidate];
-                if load < best_load || (load == best_load && candidate < best) {
-                    best = candidate;
-                    best_load = load;
-                }
-            }
-            best
-        };
-        self.loads[node] += 1;
-        self.index.set_if_present(node, self.loads[node]);
-        Some(node)
-    }
-
-    fn arrival_continuation(&mut self, holder: NodeId) {
-        // The connection stays where it is; the switch sees one more
-        // request on it.
-        self.loads[holder] += 1;
-        self.index.set_if_present(holder, self.loads[holder]);
-    }
-
-    fn assign(&mut self, _now: SimTime, initial: NodeId, _file: FileId) -> Assignment {
-        // The connection was counted at arrival.
-        Assignment {
-            service: initial,
-            forwarded: false,
-            control_msgs: 0,
+            // the index answers directly (lowest id on ties). With every
+            // node down there is nothing to sample from and the
+            // connection is rejected, with no RNG draw, so the sampling
+            // sequence resumes unchanged after a recovery.
+            return index.argmin();
         }
-    }
-
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.loads[node] -= 1;
-        self.index.set_if_present(node, self.loads[node]);
-        0
-    }
-
-    fn open_connections(&self, node: NodeId) -> u32 {
-        self.loads[node]
-    }
-
-    fn serving_nodes(&self) -> Vec<NodeId> {
-        (0..self.loads.len()).collect()
-    }
-
-    fn node_down(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = false;
-        self.index.remove(node);
-    }
-
-    fn node_up(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = true;
-        // Strays from before the crash are still settling, so the node
-        // rejoins at its live connection count, not at zero.
-        self.index.insert(node, self.loads[node]);
-    }
-
-    fn abort_undecided(&mut self, _now: SimTime, initial: NodeId) {
-        invariant!(
-            self.loads[initial] > 0,
-            "load conservation violated: abort on node {initial} without an open connection"
-        );
-        self.loads[initial] -= 1;
-        self.index.set_if_present(initial, self.loads[initial]);
+        self.picks.clear();
+        while self.picks.len() < self.d {
+            let rank = self.rng.index(live);
+            // Sampling without replacement: d distinct nodes, as in the
+            // classic formulation. d is small, so the linear dedup scan
+            // is cheaper than any set structure.
+            if !self.picks.contains(&rank) {
+                self.picks.push(rank);
+            }
+        }
+        let mut best = index.nth_present(self.picks[0]);
+        let mut best_load = self.ledger.open_connections(best);
+        for &rank in &self.picks[1..] {
+            let candidate = index.nth_present(rank);
+            let load = self.ledger.open_connections(candidate);
+            if load < best_load || (load == best_load && candidate < best) {
+                best = candidate;
+                best_load = load;
+            }
+        }
+        Some(best)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Distributor;
+    use l2s_util::SimTime;
 
     fn jsq(n: usize) -> Jsq {
-        Jsq::new(n, Jsq::DEFAULT_D, Jsq::DEFAULT_SEED)
+        Jsq::new(n, 2, 0x10ad_ba1e)
     }
 
     #[test]
@@ -182,7 +114,7 @@ mod tests {
         // two drawn nodes, and always the less loaded of the pair.
         let mut p = jsq(8);
         for _ in 0..200 {
-            let before = p.loads.clone();
+            let before: Vec<u32> = (0..8).map(|n| p.open_connections(n)).collect();
             let node = p.arrival_node().unwrap();
             // The winner's pre-arrival load cannot exceed every other
             // node's load by more than the sampling allows; at minimum

@@ -24,6 +24,7 @@
 //! costs `N - 1` point-to-point messages, which the simulator charges
 //! to CPUs and NIs.
 
+use crate::ledger::{next_live, release};
 use crate::{argmin_rotating, Assignment, Distributor, NodeId, PolicyKind};
 use l2s_cluster::FileId;
 use l2s_util::{invariant, SimDuration, SimTime};
@@ -191,18 +192,9 @@ impl Distributor for L2s {
     }
 
     fn arrival_node(&mut self) -> Option<NodeId> {
-        // Round-robin DNS; a dead address is skipped (the client's
-        // connection attempt fails and its retry lands on the next name
-        // in the rotation). With every address dead the connection is
-        // rejected outright, cursor untouched.
-        for step in 0..self.nodes {
-            let candidate = (self.next_arrival + step) % self.nodes;
-            if self.alive[candidate] {
-                self.next_arrival = (candidate + 1) % self.nodes;
-                return Some(candidate);
-            }
-        }
-        None
+        // Round-robin DNS over the live addresses.
+        let alive = &self.alive;
+        next_live(&mut self.next_arrival, self.nodes, |node| alive[node])
     }
 
     fn hint_files(&mut self, n: usize) {
@@ -374,11 +366,7 @@ impl Distributor for L2s {
     }
 
     fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.true_loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.true_loads[node] -= 1;
+        release(&mut self.true_loads, node);
         self.views[node][node] = self.true_loads[node];
         self.note_load_change(node)
     }

@@ -24,6 +24,7 @@
 //! only updates its load information at the front-end when 4 local
 //! connections have terminated since the last update").
 
+use crate::ledger::release;
 use crate::{argmin_rotating, Assignment, Distributor, LoadIndex, NodeId, PolicyKind};
 use l2s_cluster::FileId;
 use l2s_util::{invariant, SimDuration, SimTime};
@@ -398,11 +399,7 @@ impl Distributor for Lard {
     }
 
     fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.true_loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.true_loads[node] -= 1;
+        release(&mut self.true_loads, node);
         if !self.alive[node] {
             // An engine-settled connection on a crashed node: the
             // front-end observes the connection reset directly, so the

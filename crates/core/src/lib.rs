@@ -35,6 +35,7 @@ mod jiq;
 mod jsq;
 mod l2s_policy;
 mod lard;
+mod ledger;
 mod load_index;
 mod sita;
 
@@ -49,7 +50,7 @@ pub use lard::{Lard, LardConfig};
 pub use sita::Sita;
 
 use l2s_cluster::FileId;
-use l2s_util::SimTime;
+use l2s_util::{cast, SimTime};
 
 /// Index of a cluster node.
 pub type NodeId = usize;
@@ -120,20 +121,55 @@ impl PolicyKind {
         }
     }
 
-    /// Builds the policy with its paper-default parameters for an
-    /// `n`-node cluster.
-    pub fn build(&self, n: usize) -> Box<dyn Distributor> {
+    /// Builds the policy for an `n`-node cluster with the run's
+    /// parameters. Every policy in the workspace is built here.
+    pub fn build(&self, n: usize, params: &PolicyParams) -> Box<dyn Distributor> {
         match self {
             PolicyKind::Traditional => Box::new(Traditional::new(n)),
             PolicyKind::RoundRobin => Box::new(RoundRobin::new(n)),
             PolicyKind::PureLocality => Box::new(PureLocality::new(n)),
-            PolicyKind::Lard => Box::new(Lard::new(n, LardConfig::default())),
-            PolicyKind::LardBasic => Box::new(Lard::basic(n, LardConfig::default())),
-            PolicyKind::LardDispatcher => Box::new(Lard::dispatcher(n, LardConfig::default())),
-            PolicyKind::L2s => Box::new(L2s::new(n, L2sConfig::default())),
-            PolicyKind::Jsq => Box::new(Jsq::new(n, Jsq::DEFAULT_D, Jsq::DEFAULT_SEED)),
+            PolicyKind::Lard => Box::new(Lard::new(n, params.lard)),
+            PolicyKind::LardBasic => Box::new(Lard::basic(n, params.lard)),
+            PolicyKind::LardDispatcher => Box::new(Lard::dispatcher(n, params.lard)),
+            PolicyKind::L2s => Box::new(L2s::new(n, params.l2s)),
+            PolicyKind::Jsq => Box::new(Jsq::new(n, cast::wide_usize(params.jsq_d), params.seed)),
             PolicyKind::Jiq => Box::new(Jiq::new(n)),
-            PolicyKind::Sita => Box::new(Sita::new(n)),
+            PolicyKind::Sita => match &params.speeds {
+                Some(speeds) => Box::new(Sita::weighted(n, speeds.clone())),
+                None => Box::new(Sita::new(n)),
+            },
+        }
+    }
+}
+
+/// The run parameters [`PolicyKind::build`] hands the policies. The
+/// default is the paper's setup.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PolicyParams {
+    /// L2S thresholds (Section 5.1: `T = 20`, `t = 10`, broadcast delta
+    /// 4).
+    pub l2s: L2sConfig,
+    /// LARD thresholds (`T_low = 25`, `T_high = 65`, report batch 4).
+    pub lard: LardConfig,
+    /// Nodes JSQ(d) samples per arrival (default 2, the
+    /// power-of-two-choices operating point).
+    pub jsq_d: u32,
+    /// The run seed, which JSQ(d) salts for its sample stream.
+    pub seed: u64,
+    /// Relative CPU speed per node on a heterogeneous cluster: SITA
+    /// widens fast nodes' size bands in proportion. `None` for equally
+    /// powerful nodes.
+    pub speeds: Option<Vec<f64>>,
+}
+
+impl Default for PolicyParams {
+    fn default() -> Self {
+        PolicyParams {
+            l2s: L2sConfig::default(),
+            lard: LardConfig::default(),
+            jsq_d: 2,
+            seed: 0x10ad_ba1e,
+            speeds: None,
         }
     }
 }
@@ -336,7 +372,7 @@ mod tests {
     #[test]
     fn kinds_have_names_and_builders() {
         for kind in PolicyKind::all() {
-            let policy = kind.build(4);
+            let policy = kind.build(4, &PolicyParams::default());
             assert_eq!(policy.kind(), kind);
             assert!(!kind.name().is_empty());
             assert!(!policy.serving_nodes().is_empty());
@@ -353,7 +389,7 @@ mod tests {
     fn every_policy_conserves_connections() {
         for kind in PolicyKind::all() {
             let n = 4;
-            let mut policy = kind.build(n);
+            let mut policy = kind.build(n, &PolicyParams::default());
             let now = SimTime::ZERO;
             let mut in_flight: Vec<(NodeId, FileId)> = Vec::new();
             for file in 0..50u32 {
@@ -375,7 +411,7 @@ mod tests {
     fn service_nodes_are_in_range() {
         for kind in PolicyKind::all() {
             let n = 3;
-            let mut policy = kind.build(n);
+            let mut policy = kind.build(n, &PolicyParams::default());
             for file in 0..30u32 {
                 let initial = policy.arrival_node().expect("healthy cluster accepts");
                 assert!(initial < n);

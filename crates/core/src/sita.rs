@@ -18,25 +18,23 @@
 //! outside the hinted population) fall back to hash placement over the
 //! live nodes.
 
-use crate::{Assignment, Distributor, NodeId, PolicyKind};
+use crate::ledger::{Dispatch, Ledger};
+use crate::{NodeId, PolicyKind};
 use l2s_cluster::FileId;
-use l2s_util::{cast, invariant, SimTime};
+use l2s_util::{cast, invariant};
 
 /// The size-interval splitter. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Sita {
-    loads: Vec<u32>,
-    alive: Vec<bool>,
-    /// Live node ids in ascending order — the stand-in ring for dead
-    /// owners and the hash ring for unhinted files.
-    ring: Vec<NodeId>,
+    /// Its live ring holds the stand-ins for dead owners and the hash
+    /// placement of unhinted files.
+    ledger: Ledger,
     /// Relative service capacity per node; uniform for homogeneous
     /// clusters, per-node CPU speed for heterogeneous ones.
     weights: Vec<f64>,
     /// Owning band (node id) per interned file id; empty until sizes
     /// are hinted.
     band_of_file: Vec<u32>,
-    next_arrival: usize,
 }
 
 impl Sita {
@@ -49,7 +47,6 @@ impl Sita {
     /// (one positive, finite weight per node — per-node CPU speed on a
     /// heterogeneous cluster).
     pub fn weighted(n: usize, weights: Vec<f64>) -> Self {
-        invariant!(n >= 1, "need at least one node");
         invariant!(
             weights.len() == n,
             "need one weight per node ({got} for {n})",
@@ -60,12 +57,9 @@ impl Sita {
             "SITA weights must be positive and finite"
         );
         Sita {
-            loads: vec![0; n],
-            alive: vec![true; n],
-            ring: (0..n).collect(),
+            ledger: Ledger::new(n),
             weights,
             band_of_file: Vec::new(),
-            next_arrival: 0,
         }
     }
 
@@ -75,7 +69,7 @@ impl Sita {
     /// contiguous band per node so each band's share of the total bytes
     /// is proportional to the node's weight.
     fn rebuild_bands(&mut self, sizes: &[f64]) {
-        let n = self.loads.len();
+        let n = self.ledger.nodes();
         let mut order: Vec<usize> = (0..sizes.len()).collect();
         order.sort_by(|&a, &b| sizes[a].total_cmp(&sizes[b]).then(a.cmp(&b)));
         let total: f64 = sizes.iter().sum();
@@ -99,98 +93,46 @@ impl Sita {
     /// is down, hash placement when no size information exists).
     pub fn owner(&self, file: impl Into<FileId>) -> NodeId {
         let file = file.into();
-        match self.band_of_file.get(file.index()) {
-            Some(&band) => {
-                let band = cast::wide_usize(band);
-                if self.alive[band] {
-                    band
-                } else {
-                    self.ring[band % self.ring.len()]
-                }
-            }
-            None => {
-                // Fibonacci hashing, matching the pure-locality spread.
-                let h = u64::from(file.raw()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                self.ring[cast::index_usize(h % cast::len_u64(self.ring.len()))]
-            }
+        let band = self.band_of_file.get(file.index());
+        match band.map(|&b| cast::wide_usize(b)) {
+            Some(band) if self.ledger.live().contains(band) => band,
+            Some(band) => self.ledger.ring(cast::len_u64(band)),
+            None => self.ledger.hashed(file),
         }
     }
 }
 
-impl Distributor for Sita {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Sita
+impl Dispatch for Sita {
+    const KIND: PolicyKind = PolicyKind::Sita;
+    const SWITCH: bool = false;
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn hint_file_sizes(&mut self, sizes: &[f64]) {
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    fn hint_sizes(&mut self, sizes: &[f64]) {
         self.rebuild_bands(sizes);
     }
 
-    fn arrival_node(&mut self) -> Option<NodeId> {
-        // Round-robin DNS; the owner is only known after parsing. Dead
-        // nodes drop out of DNS rotation; an empty rotation (every node
-        // down) rejects the connection without advancing the cursor.
-        let n = self.loads.len();
-        let mut node = self.next_arrival;
-        for _ in 0..n {
-            if self.alive[node] {
-                break;
-            }
-            node = (node + 1) % n;
-        }
-        if !self.alive[node] {
-            return None;
-        }
-        self.next_arrival = (node + 1) % n;
-        Some(node)
+    fn arrival(&mut self) -> Option<NodeId> {
+        // Round-robin DNS; the owner is only known after parsing.
+        self.ledger.rotate()
     }
 
-    fn assign(&mut self, _now: SimTime, initial: NodeId, file: FileId) -> Assignment {
-        let service = self.owner(file);
-        self.loads[service] += 1;
-        Assignment {
-            service,
-            forwarded: service != initial,
-            control_msgs: 0,
-        }
-    }
-
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
-        invariant!(
-            self.loads[node] > 0,
-            "load conservation violated: completion on node {node} without an open connection"
-        );
-        self.loads[node] -= 1;
-        0
-    }
-
-    fn open_connections(&self, node: NodeId) -> u32 {
-        self.loads[node]
-    }
-
-    fn serving_nodes(&self) -> Vec<NodeId> {
-        (0..self.loads.len()).collect()
-    }
-
-    fn node_down(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = false;
-        // The ring may empty out entirely (all-down cluster); arrivals
-        // are rejected before `owner` can index it, so no guard here.
-        self.ring.retain(|&id| id != node);
-    }
-
-    fn node_up(&mut self, _now: SimTime, node: NodeId) {
-        self.alive[node] = true;
-        if !self.ring.contains(&node) {
-            self.ring.push(node);
-            self.ring.sort_unstable();
-        }
+    fn service(&self, _initial: NodeId, file: FileId) -> NodeId {
+        self.owner(file)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Distributor;
+    use l2s_util::SimTime;
 
     /// Sizes with ids in shuffled size order, so band assignment has to
     /// actually sort: ids 0..8 sized 8, 1, 6, 3, 2, 7, 4, 5 KB.

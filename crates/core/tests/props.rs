@@ -1,7 +1,7 @@
 //! Property-based tests of the distribution policies' protocol
 //! invariants under arbitrary workloads.
 
-use l2s::{Distributor, L2s, L2sConfig, LoadIndex, PolicyKind};
+use l2s::{Distributor, L2s, L2sConfig, LoadIndex, PolicyKind, PolicyParams};
 use l2s_util::{DetRng, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -77,7 +77,7 @@ fn drive(
     ops: &[(u32, bool)],
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let mut policy = kind.build(nodes);
+    let mut policy = kind.build(nodes, &PolicyParams::default());
     let mut rng = DetRng::new(seed);
     let mut in_flight: Vec<(usize, u32)> = Vec::new();
     let mut now = SimTime::ZERO;

@@ -280,22 +280,6 @@ pub fn write_report_csv(report: &SimReport, path: &Path) -> io::Result<()> {
     report_table(report).write_to(path)
 }
 
-/// Collects a CLF stream into an in-memory [`Trace`] (for
-/// infinite-speed replay of a finished log through the DES). The
-/// request *sequence* is held in memory — this is the one deliberately
-/// unbounded path, used only when the whole log is wanted at once.
-pub fn stream_to_trace<R: BufRead>(name: &str, stream: &mut ClfStream<R>) -> io::Result<Trace> {
-    let mut requests = Vec::new();
-    while let Some(rec) = stream.next_record()? {
-        requests.push(rec.file);
-    }
-    Ok(Trace::new(
-        name,
-        l2s_trace::FileSet::new(stream.sizes_kb().to_vec()),
-        requests,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,17 +396,5 @@ mod tests {
             row.split(',').nth(4).unwrap(),
             format!("{:.6}", report.throughput_rps)
         );
-    }
-
-    #[test]
-    fn stream_to_trace_round_trips_the_kept_requests() {
-        let log = "h - - [01/Jan/2000:10:00:00 +0000] \"GET /a HTTP/1.0\" 200 1024\n\
-                   h - - [01/Jan/2000:10:00:01 +0000] \"GET /b HTTP/1.0\" 200 2048\n\
-                   h - - [01/Jan/2000:10:00:02 +0000] \"GET /a HTTP/1.0\" 200 1024\n";
-        let mut stream = ClfStream::new(log.as_bytes());
-        let trace = stream_to_trace("tail", &mut stream).unwrap();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.files().len(), 2);
-        assert_eq!(trace.requests(), &[0, 1, 0]);
     }
 }

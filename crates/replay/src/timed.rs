@@ -50,22 +50,21 @@ pub struct ReplayConfig {
 
 impl ReplayConfig {
     /// Paper-default hardware (Section 5.1 cache size, NI buffer, and
-    /// Table 1 costs) for `nodes` nodes under `policy`.
+    /// Table 1 costs) for `nodes` nodes under `policy`. Timed replay
+    /// runs the policy with its paper-default parameters
+    /// ([`PolicyParams::default`](l2s::PolicyParams)): the L2S and LARD
+    /// thresholds, JSQ(d)'s sample size and seed, and equally powerful
+    /// nodes for SITA.
     pub fn new(policy: PolicyKind, nodes: usize) -> Self {
-        Self::from_sim(&SimConfig::paper_default(nodes), policy)
-    }
-
-    /// Borrows the hardware parameters of an existing [`SimConfig`], so
-    /// replay and simulation runs agree on the cluster being modeled.
-    pub fn from_sim(sim: &SimConfig, policy: PolicyKind) -> Self {
+        let sim = SimConfig::paper_default(nodes);
         ReplayConfig {
             policy,
-            nodes: sim.nodes,
+            nodes,
             cache_kb: sim.cache_kb,
             ni_buffer: sim.ni_buffer,
             costs: sim.costs,
             snapshot_every_s: 10.0,
-            max_requests: sim.max_requests,
+            max_requests: None,
             response_samples: true,
         }
     }

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::FaultPlan;
-use l2s::{L2sConfig, LardConfig};
+use l2s::{L2sConfig, LardConfig, PolicyParams};
 use l2s_cluster::{CachePolicy, HeteroSpec, NodeCosts};
 use l2s_net::NetConfig;
 use l2s_workload::WorkloadMod;
@@ -129,6 +129,7 @@ pub struct SimConfig {
 impl SimConfig {
     /// The paper's Section 5.1 configuration for an `n`-node cluster.
     pub fn paper_default(n: usize) -> Self {
+        let policy = PolicyParams::default();
         SimConfig {
             nodes: n,
             cache_kb: 32.0 * 1024.0,
@@ -138,21 +139,21 @@ impl SimConfig {
             window: 16,
             ni_buffer: 64,
             arrivals: ArrivalMode::ClosedLoop,
-            seed: 0x10ad_ba1e,
+            seed: policy.seed,
             persistent_mean: 1.0,
             dfs_remote: false,
             cache_policy: CachePolicy::Lru,
             cpu_quantum_s: 0.0005,
             warmup: true,
             max_requests: None,
-            l2s: L2sConfig::default(),
-            lard: LardConfig::default(),
+            l2s: policy.l2s,
+            lard: policy.lard,
             faults: FaultPlan::none(),
             fault_retries: 1,
             retry_delay_s: 0.5,
             response_samples: true,
             hetero: None,
-            jsq_d: 2,
+            jsq_d: policy.jsq_d,
             workload_mod: WorkloadMod::none(),
         }
     }
@@ -164,6 +165,17 @@ impl SimConfig {
             cache_kb,
             warmup: false,
             ..Self::paper_default(n)
+        }
+    }
+
+    /// The parameters this run builds its policy with.
+    pub fn policy_params(&self) -> PolicyParams {
+        PolicyParams {
+            l2s: self.l2s,
+            lard: self.lard,
+            jsq_d: self.jsq_d,
+            seed: self.seed,
+            speeds: self.hetero.as_ref().map(|h| h.speeds(self.nodes)),
         }
     }
 

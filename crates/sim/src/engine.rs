@@ -3,10 +3,7 @@
 use crate::arena::{Flow, ReqArena, ReqId, Route, Timing};
 use crate::workload::{ModulatedWorkload, TraceWorkload, Workload};
 use crate::{ArrivalMode, FaultKind, NodeReport, SimConfig, SimReport};
-use l2s::{
-    Distributor, Jiq, Jsq, L2s, Lard, NodeId, PolicyKind, PureLocality, RoundRobin, Sita,
-    Traditional,
-};
+use l2s::{Distributor, NodeId, PolicyKind};
 use l2s_cluster::{build_nodes, build_nodes_profiled, FileId, NodeHardware};
 use l2s_devs::EventQueue;
 use l2s_net::Fabric;
@@ -250,28 +247,6 @@ fn dfs_home(file: FileId, nodes: usize) -> NodeId {
     (h % nodes as u64) as NodeId
 }
 
-/// Builds the policy for `kind` with the run's parameters.
-fn build_policy(kind: PolicyKind, config: &SimConfig) -> Box<dyn Distributor> {
-    let n = config.nodes;
-    match kind {
-        PolicyKind::Traditional => Box::new(Traditional::new(n)),
-        PolicyKind::RoundRobin => Box::new(RoundRobin::new(n)),
-        PolicyKind::PureLocality => Box::new(PureLocality::new(n)),
-        PolicyKind::Lard => Box::new(Lard::new(n, config.lard)),
-        PolicyKind::LardBasic => Box::new(Lard::basic(n, config.lard)),
-        PolicyKind::LardDispatcher => Box::new(Lard::dispatcher(n, config.lard)),
-        PolicyKind::L2s => Box::new(L2s::new(n, config.l2s)),
-        PolicyKind::Jsq => Box::new(Jsq::new(n, cast::wide_usize(config.jsq_d), config.seed)),
-        PolicyKind::Jiq => Box::new(Jiq::new(n)),
-        // On a heterogeneous cluster SITA widens fast nodes' size bands
-        // in proportion to their CPU speed.
-        PolicyKind::Sita => match &config.hetero {
-            Some(h) => Box::new(Sita::weighted(n, h.speeds(n))),
-            None => Box::new(Sita::new(n)),
-        },
-    }
-}
-
 /// Runs one simulation of `trace` under `policy_kind` and returns the
 /// measured report. See the crate docs for the modeled lifecycle.
 pub fn simulate(config: &SimConfig, policy_kind: PolicyKind, trace: &Trace) -> SimReport {
@@ -362,7 +337,7 @@ fn run_simulation<'t>(
         .unwrap_or(workload.len());
     l2s_util::invariant!(limit > 0, "max_requests must leave at least one request");
 
-    let mut policy = build_policy(policy_kind, config);
+    let mut policy = policy_kind.build(config.nodes, &config.policy_params());
     // Files are interned densely, so policies can size their per-file
     // tables once instead of growing them request by request.
     policy.hint_files(workload.files().len());

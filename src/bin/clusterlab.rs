@@ -164,16 +164,42 @@ fn policy_by_name(name: &str) -> Result<PolicyKind, String> {
         })
 }
 
+/// `--key` as a count of at least one.
+fn count(p: &args::Parsed, key: &str, default: usize) -> Result<usize, String> {
+    match p.get(key, default)? {
+        0 => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// `--key` as a positive, finite quantity.
+fn positive(p: &args::Parsed, key: &str, default: f64) -> Result<f64, String> {
+    let v = p.get(key, default)?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("--{key} must be positive and finite, got {v}"))
+    }
+}
+
 fn build_trace(p: &args::Parsed) -> Result<Trace, String> {
     if let Some(log) = p.options.get("log") {
         let text = std::fs::read_to_string(log).map_err(|e| format!("reading {log}: {e}"))?;
         return Ok(clf::parse_log(log, &text));
     }
     let spec = trace_by_name(&p.get_str("trace", "calgary"))?;
-    let files = p.get("files", spec.num_files.min(8_000))?;
-    let requests = p.get("requests", 200_000usize)?;
+    let files = count(p, "files", spec.num_files.min(8_000))?;
+    let requests = count(p, "requests", 200_000)?;
     let seed = p.get("seed", 42u64)?;
     Ok(spec.scaled(files, requests).generate(seed))
+}
+
+/// The paper's configuration with the `--nodes` and `--cache-mb` flags
+/// applied.
+fn cluster_config(p: &args::Parsed) -> Result<SimConfig, String> {
+    let mut config = SimConfig::paper_default(count(p, "nodes", 8)?);
+    config.cache_kb = positive(p, "cache-mb", 32.0)? * 1024.0;
+    Ok(config)
 }
 
 fn cmd_model(p: &args::Parsed) -> Result<(), String> {
@@ -213,13 +239,15 @@ fn cmd_model(p: &args::Parsed) -> Result<(), String> {
 }
 
 fn cmd_simulate(p: &args::Parsed) -> Result<(), String> {
-    let trace = build_trace(p)?;
-    let mut config = SimConfig::paper_default(p.get("nodes", 8usize)?);
-    config.cache_kb = p.get("cache-mb", 32.0f64)? * 1024.0;
+    let mut config = cluster_config(p)?;
     config.persistent_mean = p.get("persistent", 1.0f64)?;
     config.dfs_remote = p.flag("dfs");
     config.seed = p.get("seed", 42u64)?;
+    config
+        .validate()
+        .map_err(|e| format!("invalid configuration: {e}"))?;
     let policy = policy_by_name(&p.get_str("policy", "l2s"))?;
+    let trace = build_trace(p)?;
     let report = simulate(&config, policy, &trace);
     println!("policy            : {}", report.policy);
     println!("nodes             : {}", report.nodes);
@@ -265,9 +293,8 @@ fn cmd_trace(p: &args::Parsed) -> Result<(), String> {
 }
 
 fn cmd_compare(p: &args::Parsed) -> Result<(), String> {
+    let config = cluster_config(p)?;
     let trace = build_trace(p)?;
-    let mut config = SimConfig::paper_default(p.get("nodes", 8usize)?);
-    config.cache_kb = p.get("cache-mb", 32.0f64)? * 1024.0;
     println!(
         "{:>16} {:>12} {:>8} {:>10} {:>9}",
         "policy", "throughput", "miss", "forwarded", "idle"

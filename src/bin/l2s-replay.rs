@@ -141,6 +141,32 @@ fn parse_opts(argv: Vec<String>) -> Result<Opts, String> {
     if opts.nodes == 0 {
         return Err("--nodes must be at least 1".into());
     }
+    if opts.files == 0 {
+        return Err("--files must be at least 1".into());
+    }
+    if opts.requests == Some(0) {
+        return Err("--requests must be at least 1".into());
+    }
+    if !(opts.cache_mb.is_finite() && opts.cache_mb > 0.0) {
+        return Err(format!(
+            "--cache-mb must be positive and finite, got {}",
+            opts.cache_mb
+        ));
+    }
+    if !(opts.rate_rps.is_finite() && opts.rate_rps > 0.0) {
+        // A zero rate puts the first arrival centuries away, and the
+        // wall clock would wait for it.
+        return Err(format!(
+            "--rate must be positive and finite, got {}",
+            opts.rate_rps
+        ));
+    }
+    if !(opts.snapshot_secs.is_finite() && opts.snapshot_secs >= 0.0) {
+        return Err(format!(
+            "--snapshot-secs must be finite and at least 0, got {}",
+            opts.snapshot_secs
+        ));
+    }
     match (&opts.log, &opts.trace) {
         (None, None) => Err("one of --log or --trace is required".into()),
         (Some(_), Some(_)) => Err("--log and --trace are mutually exclusive".into()),
@@ -264,6 +290,9 @@ fn run(opts: &Opts) -> Result<(), String> {
                 let mut config = SimConfig::paper_default(opts.nodes);
                 config.cache_kb = opts.cache_mb * 1024.0;
                 config.seed = opts.seed;
+                config
+                    .validate()
+                    .map_err(|e| format!("invalid configuration: {e}"))?;
                 let (placements, report) = replay_trace_fast(&config, opts.policy, &trace);
                 if opts.checksum {
                     println!(

@@ -1,12 +1,41 @@
-//! End-to-end tests of the `clusterlab` CLI binary.
+//! End-to-end tests of the `clusterlab` and `l2s-replay` CLI binaries.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
-fn clusterlab(args: &[&str]) -> std::process::Output {
+fn clusterlab(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_clusterlab"))
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+/// Runs `l2s-replay`, killing it if it is still running after 30 s: a
+/// timed replay paced by the wall clock can otherwise wait forever.
+fn l2s_replay(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_l2s-replay"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("wait on l2s-replay").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill l2s-replay");
+            panic!("l2s-replay {args:?} did not finish within 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect l2s-replay output")
+}
+
+/// Asserts that a run exited 2 (a usage error, not a panic's 101) with a
+/// message naming `flag`.
+fn assert_rejects(out: &Output, flag: &str, args: &[&str]) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
 }
 
 #[test]
@@ -108,4 +137,48 @@ fn help_prints_usage() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("USAGE"), "{text}");
     assert!(text.contains("clusterlab simulate"), "{text}");
+}
+
+#[test]
+fn clusterlab_rejects_bad_flags_with_exit_2() {
+    for (flag, args) in [
+        ("--nodes", &["simulate", "--nodes", "0"][..]),
+        ("--cache-mb", &["simulate", "--cache-mb", "-5"]),
+        ("--cache-mb", &["simulate", "--cache-mb", "nan"]),
+        ("--files", &["simulate", "--files", "0"]),
+        ("--requests", &["simulate", "--requests", "0"]),
+    ] {
+        assert_rejects(&clusterlab(args), flag, args);
+    }
+}
+
+#[test]
+fn l2s_replay_rejects_bad_flags_with_exit_2() {
+    for (flag, args) in [
+        (
+            "--cache-mb",
+            &[
+                "--trace",
+                "calgary",
+                "--cache-mb",
+                "-1",
+                "--as-fast-as-possible",
+            ][..],
+        ),
+        ("--files", &["--trace", "calgary", "--files", "0"]),
+        ("--requests", &["--trace", "calgary", "--requests", "0"]),
+        ("--rate", &["--trace", "calgary", "--rate", "0"]),
+        ("--rate", &["--trace", "calgary", "--rate", "-5"]),
+        ("--rate", &["--trace", "calgary", "--rate", "nan"]),
+        (
+            "--snapshot-secs",
+            &["--trace", "calgary", "--snapshot-secs", "nan"],
+        ),
+        (
+            "--snapshot-secs",
+            &["--trace", "calgary", "--snapshot-secs", "-3"],
+        ),
+    ] {
+        assert_rejects(&l2s_replay(args), flag, args);
+    }
 }

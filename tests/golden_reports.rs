@@ -16,6 +16,7 @@
 //! and commit the updated snapshot alongside the change that justifies it.
 
 use cluster_server_eval::prelude::*;
+use cluster_server_eval::sim::FaultPlan;
 use cluster_server_eval::util::csv::CsvTable;
 use std::fmt::Write as _;
 
@@ -31,12 +32,14 @@ fn render_p99(p99: Option<f64>) -> String {
     }
 }
 
-/// Renders one policy × cache-policy cell the same way the experiment
-/// harness would, covering float formatting as well as raw numbers.
-fn render_cell(kind: PolicyKind, cache: CachePolicy) -> String {
+/// Renders one policy × cache-policy × fault-plan cell the same way the
+/// experiment harness would, covering float formatting as well as raw
+/// numbers.
+fn render_cell(kind: PolicyKind, cache: CachePolicy, faults: FaultPlan) -> String {
     let trace = TraceSpec::clarknet().scaled(600, 8_000).generate(42);
     let mut config = SimConfig::quick(6, trace.working_set_kb() / 4.0);
     config.cache_policy = cache;
+    config.faults = faults;
     let report = simulate(&config, kind, &trace);
 
     let mut table = CsvTable::new([
@@ -81,13 +84,26 @@ fn cache_label(cache: CachePolicy) -> &'static str {
     }
 }
 
+/// Two overlapping crash-and-recover windows on different nodes, both
+/// over before the shortest measured pass (L2S, ~6 s with the crashes)
+/// ends: every policy's `node_down`, `node_up`, abort and retry paths
+/// run, the second crash while the first node is still down. Nodes 1
+/// and 2 are back-ends under every LARD variant.
+fn overlapping_crashes() -> FaultPlan {
+    FaultPlan::crash_recover(1, 0.8, 2.0).merged(FaultPlan::crash_recover(2, 1.4, 2.6))
+}
+
 fn render_all() -> String {
     let mut out = String::new();
     for cache in [CachePolicy::Lru, CachePolicy::GreedyDualSize] {
         for kind in PolicyKind::all() {
             let _ = writeln!(out, "# cell: {} / {}", kind.name(), cache_label(cache));
-            out.push_str(&render_cell(kind, cache));
+            out.push_str(&render_cell(kind, cache, FaultPlan::none()));
         }
+    }
+    for kind in PolicyKind::all() {
+        let _ = writeln!(out, "# cell: {} / lru / crashes", kind.name());
+        out.push_str(&render_cell(kind, CachePolicy::Lru, overlapping_crashes()));
     }
     out
 }

@@ -3,7 +3,7 @@
 use cluster_server_eval::cluster::LruCache;
 use cluster_server_eval::devs::EventQueue;
 use cluster_server_eval::model::{ModelParams, QueueModel, ServerKind};
-use cluster_server_eval::policy::PolicyKind;
+use cluster_server_eval::policy::{PolicyKind, PolicyParams};
 use cluster_server_eval::prelude::*;
 use cluster_server_eval::zipf::{harmonic, ZipfLaw};
 use proptest::prelude::*;
@@ -101,7 +101,7 @@ proptest! {
     ) {
         let kind = PolicyKind::all()[kind_idx];
         let n = 4;
-        let mut policy = kind.build(n);
+        let mut policy = kind.build(n, &PolicyParams::default());
         let mut in_flight: Vec<(usize, u32)> = Vec::new();
         let now = SimTime::ZERO;
         for (file, complete) in ops {
