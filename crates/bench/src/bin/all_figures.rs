@@ -1,6 +1,6 @@
 //! Regenerates the paper's tables and figures in one process, sharing
-//! the memoized traces across experiments (`run_experiments.sh` invokes
-//! this). `--only <name>` (repeatable) runs just the named experiments.
+//! the memoized traces and simulated cells across experiments
+//! (`run_experiments.sh` invokes this). `--only <name>` (repeatable) runs just the named experiments.
 //!
 //! The run context comes from the environment, read here and nowhere
 //! else (see `RunCtx::from_vars`): `L2S_WORKERS`, `L2S_BENCH_CAP`,

@@ -4,10 +4,9 @@
 //! experiment swaps the per-node policy and reports the effect per
 //! server organization.
 
-use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
+use crate::{paper_config, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_cluster::CachePolicy;
-use l2s_sim::simulate;
 use l2s_trace::TraceSpec;
 use l2s_util::csv::CsvTable;
 
@@ -35,10 +34,9 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         .collect();
     let reports = run_cells_parallel(ctx, cells.len(), |i| {
         let (si, kind, cache) = cells[i];
-        let trace = paper_trace(&specs[si]);
         let mut cfg = paper_config(ctx, nodes);
         cfg.cache_policy = cache;
-        simulate(&cfg, kind, &trace)
+        ctx.simulate(&specs[si], kind, &cfg)
     });
 
     let mut last_spec = usize::MAX;
@@ -72,16 +70,11 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         ]);
     }
 
-    let path = ctx.out.join("exp_cache_policy.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(GDS trades byte hit rate for object hit rate: it can lower the *miss count* \
          on the\n traditional server's thrashing caches, but under locality-conscious \
          distribution the\n aggregate cache already fits the working set and the policies \
          converge)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_cache_policy", &table)
 }

@@ -9,20 +9,18 @@
 //! requested, not its disk home), while the traditional server — paying
 //! the DFS on every one of its many misses — loses noticeably.
 
-use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
+use crate::{paper_config, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
-use l2s_sim::simulate;
 use l2s_trace::TraceSpec;
 use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
 pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::rutgers();
-    let trace = paper_trace(&spec);
     let mut table = CsvTable::new(["policy", "nodes", "dfs", "throughput_rps", "miss_rate"]);
 
     // 18 cells (nodes × policy × dfs mode) simulated in parallel over the
-    // one shared trace; printing walks the index-ordered results so the
+    // one shared trace (the local-disk half are Figure 10's cells); printing walks the index-ordered results so the
     // output matches the sequential nesting exactly.
     let node_counts = [4usize, 8, 16];
     let policies = [PolicyKind::Traditional, PolicyKind::Lard, PolicyKind::L2s];
@@ -40,7 +38,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         let (nodes, kind, remote) = cells[i];
         let mut cfg = paper_config(ctx, nodes);
         cfg.dfs_remote = remote;
-        simulate(&cfg, kind, &trace)
+        ctx.simulate(&spec, kind, &cfg)
     });
 
     // Each consecutive pair of cells is one (nodes, policy) row: local
@@ -73,15 +71,10 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         }
     }
 
-    let path = ctx.out.join("exp_dfs.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(the paper's single-µd charge is a good approximation precisely for the \
          locality-conscious\n servers it advocates; the traditional server's miss volume \
          makes the DFS boundary visible)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_dfs", &table)
 }

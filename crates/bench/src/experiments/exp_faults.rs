@@ -14,9 +14,9 @@
 //! so their degraded and recovered phases show the cost of re-learning
 //! locality, while the traditional server only loses raw capacity.
 
-use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx, PAPER_POLICIES};
+use crate::{paper_config, run_cells_parallel, RunCtx, PAPER_POLICIES};
 use l2s::PolicyKind;
-use l2s_sim::{simulate, FaultPlan, SimReport};
+use l2s_sim::{FaultPlan, SimReport};
 use l2s_trace::TraceSpec;
 use l2s_util::csv::CsvTable;
 
@@ -62,8 +62,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         .collect();
     let healthy: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, kind) = cells[i];
-        let trace = paper_trace(&specs[s]);
-        simulate(&paper_config(ctx, NODES), kind, &trace)
+        ctx.simulate(&specs[s], kind, &paper_config(ctx, NODES))
     });
 
     // Per-trace fault plans from the healthy elapsed times of the paper
@@ -85,10 +84,9 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     // Stage 2: the same matrix under faults.
     let faulted: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, kind) = cells[i];
-        let trace = paper_trace(&specs[s]);
         let mut cfg = paper_config(ctx, NODES);
         cfg.faults = plans[s].clone();
-        simulate(&cfg, kind, &trace)
+        ctx.simulate(&specs[s], kind, &cfg)
     });
 
     let mut table = CsvTable::new([
@@ -151,15 +149,10 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         ]);
     }
 
-    let path = ctx.out.join("exp_faults.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(the degraded column is throughput while 2 of {NODES} nodes are down; recovered is \
          after both\n reboot with cold caches — the locality-conscious servers must re-learn \
          placement there,\n the traditional server only regains capacity)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_faults", &table)
 }

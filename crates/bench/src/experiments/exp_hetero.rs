@@ -21,7 +21,7 @@ use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_cluster::HeteroSpec;
 use l2s_model::{ModelParams, QueueModel, ServerKind};
-use l2s_sim::{simulate, SimReport};
+use l2s_sim::SimReport;
 use l2s_trace::{TraceSpec, TraceStats};
 use l2s_util::cast;
 use l2s_util::csv::CsvTable;
@@ -82,10 +82,9 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         .collect();
     let reports: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, m, kind) = cells[i];
-        let trace = paper_trace(&specs[s]);
         let mut cfg = paper_config(ctx, NODES);
         cfg.hetero = Some(mixes[m].1.clone());
-        simulate(&cfg, kind, &trace)
+        ctx.simulate(&specs[s], kind, &cfg)
     });
 
     let mut table = CsvTable::new([
@@ -100,8 +99,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     ]);
     let cache_kb = paper_config(ctx, 1).cache_kb;
     for s in 0..specs.len() {
-        let trace = paper_trace(&specs[s]);
-        let stats = TraceStats::compute(&trace);
+        let stats = TraceStats::compute(&paper_trace(&specs[s]));
         let mut prev_bound = 0.0;
         for (m, (mix_name, mix)) in mixes.iter().enumerate() {
             let bound = model_bound(&stats, mix, cache_kb)?;
@@ -159,10 +157,6 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         }
     }
 
-    let path = ctx.out.join("exp_hetero.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(each mix keeps the same node count; mild ≈ 1.13× and extreme ≈ 1.38× the uniform \
          cluster's\n aggregate CPU. The model_bound rows are the heterogeneous closed form — \
@@ -170,6 +164,5 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
          saturation line. It moves with the\n mix only when the CPU is the bottleneck; the \
          locality-conscious servers clear it by\n beating the oblivious hit rate)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_hetero", &table)
 }

@@ -15,7 +15,7 @@
 //! node, still has a central point of failure, and pays a two-way
 //! message per request — L2S should match or beat it.
 
-use crate::{paper_config, paper_trace, sweep, RunCtx, PAPER_NODE_COUNTS};
+use crate::{cell, paper_config, sweep, RunCtx, PAPER_NODE_COUNTS};
 use l2s::PolicyKind;
 use l2s_trace::TraceSpec;
 use l2s_util::csv::CsvTable;
@@ -30,8 +30,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     ];
     let mut table = CsvTable::new(["trace", "nodes", "policy", "throughput_rps", "miss_rate"]);
     for spec in [TraceSpec::calgary(), TraceSpec::clarknet()] {
-        let trace = paper_trace(&spec);
-        let cells = sweep(ctx, &trace, &PAPER_NODE_COUNTS, &policies, |n| {
+        let cells = sweep(ctx, &spec, &PAPER_NODE_COUNTS, &policies, |n| {
             paper_config(ctx, n)
         });
         println!("\n{} trace — throughput (requests/s):", spec.name);
@@ -40,39 +39,32 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             "nodes", "lard", "lard-basic", "lard-dispatcher", "l2s"
         );
         for &n in &PAPER_NODE_COUNTS {
-            let get = |p: PolicyKind| {
-                cells
-                    .iter()
-                    .find(|c| c.nodes == n && c.policy == p)
-                    .map(|c| (c.report.throughput_rps, c.report.miss_rate))
-                    .unwrap_or((f64::NAN, f64::NAN))
-            };
-            let rows: Vec<(PolicyKind, (f64, f64))> =
-                policies.iter().map(|&p| (p, get(p))).collect();
+            let rows = policies
+                .iter()
+                .map(|&p| cell(&cells, &spec.name, n, p))
+                .collect::<Result<Vec<_>, _>>()?;
             println!(
                 "{n:>6} {:>10.0} {:>11.0} {:>16.0} {:>10.0}",
-                rows[0].1 .0, rows[1].1 .0, rows[2].1 .0, rows[3].1 .0
+                rows[0].report.throughput_rps,
+                rows[1].report.throughput_rps,
+                rows[2].report.throughput_rps,
+                rows[3].report.throughput_rps
             );
-            for (p, (thr, miss)) in rows {
+            for c in rows {
                 table.row([
                     spec.name.clone(),
                     n.to_string(),
-                    p.name().to_string(),
-                    format!("{thr:.1}"),
-                    format!("{miss:.5}"),
+                    c.policy.name().to_string(),
+                    format!("{:.1}", c.report.throughput_rps),
+                    format!("{:.5}", c.report.miss_rate),
                 ]);
             }
         }
     }
-    let path = ctx.out.join("exp_lard_variants.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(expected: lard-basic <= lard (replication helps hot files); lard-dispatcher \
          breaks the ~4k r/s\n front-end ceiling but keeps a wasted node and per-request \
          round trip; l2s stays on top)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_lard_variants", &table)
 }

@@ -19,15 +19,14 @@
 use crate::{paper_trace, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_model::{Derived, ModelParams, QueueModel};
-use l2s_sim::{simulate, ArrivalMode, SimConfig};
+use l2s_sim::{ArrivalMode, SimConfig};
 use l2s_trace::{TraceSpec, TraceStats};
 use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
 pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::calgary();
-    let trace = paper_trace(&spec);
-    let stats = TraceStats::compute(&trace);
+    let stats = TraceStats::compute(&paper_trace(&spec));
     let nodes = 8;
 
     // Calibrate: measure both servers' closed-loop behavior (traditional
@@ -37,7 +36,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     closed.max_requests = Some(100_000);
     let calibration = run_cells_parallel(ctx, 2, |i| {
         let kind = [PolicyKind::Traditional, PolicyKind::L2s][i];
-        simulate(&closed, kind, &trace)
+        ctx.simulate(&spec, kind, &closed)
     });
     let (baseline, l2s_closed) = (&calibration[0], &calibration[1]);
     let derived = Derived {
@@ -73,14 +72,15 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             rate_rps: bound * part1_loads[i],
         };
         cfg.max_requests = Some(80_000);
-        simulate(&cfg, PolicyKind::Traditional, &trace)
+        ctx.simulate(&spec, PolicyKind::Traditional, &cfg)
     });
     for (load, report) in part1_loads.into_iter().zip(&part1) {
         let rate = bound * load;
         let model_ms = model
             .solve_derived(&derived, rate)
-            .map(|s| s.response_s * 1e3)
-            .unwrap_or(f64::NAN);
+            .ok_or_else(|| format!("the model has no solution at {rate:.0} r/s"))?
+            .response_s
+            * 1e3;
         let sim_ms = report.mean_response_s * 1e3;
         println!("{load:>10.1} {rate:>12.0} {sim_ms:>16.2} {model_ms:>16.2}");
         table.row([
@@ -109,7 +109,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             rate_rps: l2s_closed.throughput_rps * part2_loads[i],
         };
         cfg.max_requests = Some(80_000);
-        simulate(&cfg, PolicyKind::L2s, &trace)
+        ctx.simulate(&spec, PolicyKind::L2s, &cfg)
     });
     for (load, report) in part2_loads.into_iter().zip(&part2) {
         let rate = l2s_closed.throughput_rps * load;
@@ -130,10 +130,6 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         ]);
     }
 
-    let path = ctx.out.join("exp_latency_curve.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(Part 1 expected: simulated and modeled curves grow convexly together, sim at \
          or below the\n exponential model. Part 2 expected: L2S tracks offered load at \
@@ -141,6 +137,5 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
          below its closed-loop capacity — threshold-based\n replication needs admission \
          control, a finding the paper's closed-loop methodology cannot see.)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_latency_curve", &table)
 }

@@ -4,7 +4,7 @@
 //! are already low), and never lifts LARD past its front-end ceiling —
 //! so traditional can overtake LARD at large memories and cluster sizes.
 
-use crate::{paper_config, paper_trace, sweep, RunCtx, PAPER_POLICIES};
+use crate::{cell, paper_config, sweep, RunCtx, PAPER_POLICIES};
 use l2s::PolicyKind;
 use l2s_trace::TraceSpec;
 use l2s_util::csv::CsvTable;
@@ -16,9 +16,8 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let mut table = CsvTable::new(["trace", "cache_mb", "nodes", "policy", "throughput_rps"]);
 
     for spec in [TraceSpec::calgary(), TraceSpec::rutgers()] {
-        let trace = paper_trace(&spec);
         for &cache_mb in &caches_mb {
-            let cells = sweep(ctx, &trace, &node_counts, &PAPER_POLICIES, |n| {
+            let cells = sweep(ctx, &spec, &node_counts, &PAPER_POLICIES, |n| {
                 let mut cfg = paper_config(ctx, n);
                 cfg.cache_kb = cache_mb * 1024.0;
                 cfg
@@ -32,17 +31,12 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
                 "nodes", "l2s", "lard", "traditional"
             );
             for &n in &node_counts {
-                let get = |p: PolicyKind| {
-                    cells
-                        .iter()
-                        .find(|c| c.nodes == n && c.policy == p)
-                        .map(|c| c.report.throughput_rps)
-                        .unwrap_or(f64::NAN)
-                };
+                let get =
+                    |p: PolicyKind| cell(&cells, &spec.name, n, p).map(|c| c.report.throughput_rps);
                 let (l2s, lard, trad) = (
-                    get(PolicyKind::L2s),
-                    get(PolicyKind::Lard),
-                    get(PolicyKind::Traditional),
+                    get(PolicyKind::L2s)?,
+                    get(PolicyKind::Lard)?,
+                    get(PolicyKind::Traditional)?,
                 );
                 println!("{n:>6} {l2s:>10.0} {lard:>10.0} {trad:>12.0}");
                 for (p, v) in [
@@ -62,15 +56,10 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         }
     }
 
-    let path = ctx.out.join("exp_memory_sim.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(paper: larger memories lift the traditional server dramatically, LARD and \
          L2S only slightly;\n LARD's ~5000 r/s front-end ceiling is memory-independent, \
          letting traditional overtake it\n at 128 MB and >= 8 nodes on some traces)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_memory_sim", &table)
 }

@@ -21,10 +21,6 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         table.row_f64([kb / mb, gain]);
         println!("{:>7.0} MB {gain:>21.2}x", kb / mb);
     }
-    let path = ctx.out.join("exp_memory_sweep.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
 
     let (Some(first), Some(last)) = (sweep.first(), sweep.last()) else {
         return Err("memory sweep produced no rows".into());
@@ -35,6 +31,5 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
          (paper: ~7x and ~6.5x — larger memories shrink the benefit everywhere, \
          but it stays significant)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_memory_sweep", &table)
 }

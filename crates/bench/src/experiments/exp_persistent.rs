@@ -11,16 +11,14 @@
 //! per-request bottleneck — while the already-decentralized L2S is
 //! essentially insensitive.
 
-use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
+use crate::{paper_config, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
-use l2s_sim::simulate;
 use l2s_trace::TraceSpec;
 use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
 pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::clarknet();
-    let trace = paper_trace(&spec);
     let nodes = 16;
     let mut table = CsvTable::new([
         "policy",
@@ -41,7 +39,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         let (kind, mean) = cells[i];
         let mut cfg = paper_config(ctx, nodes);
         cfg.persistent_mean = mean;
-        simulate(&cfg, kind, &trace)
+        ctx.simulate(&spec, kind, &cfg)
     });
 
     for ((kind, mean), r) in cells.iter().zip(&reports) {
@@ -71,15 +69,10 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         ]);
     }
 
-    let path = ctx.out.join("exp_persistent.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(expected: LARD's throughput climbs steeply with connection length as its \
          front-end ceiling\n dissolves — the Aron et al. P-HTTP result — while L2S, \
          already front-end-free, barely moves\n and stays on top)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_persistent", &table)
 }

@@ -125,16 +125,11 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         ]);
     }
 
-    let path = ctx.out.join("exp_replay.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(every cell ran the same trace twice — once through the DES engine's \
          observer hook,\n once through the l2s-replay fast path — and the placement \
          streams matched element\n for element; the checksums above pin the sequences \
          for cross-run comparison)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_replay", &table)
 }

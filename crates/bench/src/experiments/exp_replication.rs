@@ -61,15 +61,10 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         );
     }
 
-    let path = ctx.out.join("exp_replication.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(paper: ~15% replication robustly balances load and reduces forwarding \
          while barely denting the aggregate cache; R = 1 degenerates to the \
          locality-oblivious server)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_replication", &table)
 }

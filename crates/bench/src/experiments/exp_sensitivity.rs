@@ -5,20 +5,15 @@
 //! called out in DESIGN.md. The paper's finding: L2S is "only slightly
 //! affected by reasonable parameters" in all four dimensions.
 
-use crate::{paper_config, paper_trace, run_cells_parallel, RunCtx};
+use crate::{paper_config, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
-use l2s_sim::{simulate, SimConfig};
+use l2s_sim::SimConfig;
 use l2s_trace::TraceSpec;
 use l2s_util::csv::CsvTable;
-
-fn l2s_rps(cfg: &SimConfig, trace: &l2s_trace::Trace) -> f64 {
-    simulate(cfg, PolicyKind::L2s, trace).throughput_rps
-}
 
 /// Runs the experiment; errors are I/O or model failures.
 pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::calgary();
-    let trace = paper_trace(&spec);
     let nodes = 16;
     let base_cfg = paper_config(ctx, nodes);
 
@@ -70,7 +65,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     // Cell 0 is the unmodified baseline; cells 1.. are the knobs.
     let throughputs = run_cells_parallel(ctx, cells.len() + 1, |i| {
         let cfg = if i == 0 { &base_cfg } else { &cells[i - 1].2 };
-        l2s_rps(cfg, &trace)
+        ctx.simulate(&spec, PolicyKind::L2s, cfg).throughput_rps
     });
     let base = throughputs[0];
     println!(
@@ -102,15 +97,10 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         ]);
     }
 
-    let path = ctx.out.join("exp_sensitivity.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(paper: L2S is only slightly affected by reasonable broadcast frequencies, \
          messaging overheads,\n and network latency/bandwidth; the largest sensitivity \
          is to severe bandwidth reduction)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("exp_sensitivity", &table)
 }

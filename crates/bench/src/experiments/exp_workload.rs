@@ -27,8 +27,8 @@ use l2s::PolicyKind;
 use l2s_cluster::{CachePolicy, FileCache};
 use l2s_model::{lru_miss_rate, NonStatLruSpec};
 use l2s_sim::{
-    simulate, DriftSpec, FlashCrowd, ModulatedWorkload, RateSchedule, SimReport, SynthWorkload,
-    Workload, WorkloadMod,
+    DriftSpec, FlashCrowd, ModulatedWorkload, RateSchedule, SimReport, SynthWorkload, Workload,
+    WorkloadMod,
 };
 use l2s_trace::TraceSpec;
 use l2s_util::cast;
@@ -300,10 +300,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         "tolerance",
     ]);
     validate_model(ctx, &mut model_table)?;
-    let model_path = ctx.out.join("exp_workload_model.csv");
-    model_table
-        .write_to(&model_path)
-        .map_err(|e| format!("write {}: {e}", model_path.display()))?;
+    ctx.write_csv("exp_workload_model", &model_table)?;
 
     // Part B: the dispatcher zoo under drift and flash crowds.
     let spec = TraceSpec::clarknet();
@@ -318,7 +315,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         let (s, kind) = cells[i];
         let mut cfg = paper_config(ctx, NODES);
         cfg.workload_mod = scenarios[s].1.clone();
-        simulate(&cfg, kind, &trace)
+        ctx.simulate(&spec, kind, &cfg)
     });
 
     let mut table = CsvTable::new([
@@ -403,10 +400,6 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         }
     }
 
-    let path = ctx.out.join("exp_workload.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(Part A holds the modulated generator to the analytic non-stationary LRU \
          estimate — the\n workload engine is a checked instrument, not just a knob. Part B's \
@@ -414,6 +407,5 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
          punishes remembered file→node\n mappings, flash crowds punish policies that cannot \
          spread a few suddenly-hot files)"
     );
-    println!("CSV: {} and {}", path.display(), model_path.display());
-    Ok(())
+    ctx.write_csv("exp_workload", &table)
 }

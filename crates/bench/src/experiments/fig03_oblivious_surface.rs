@@ -23,10 +23,6 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             ]);
         }
     }
-    let path = ctx.out.join("fig03_oblivious_surface.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
 
     let labels: Vec<String> = hits.iter().map(|h| format!("hit {h:.2}")).collect();
     println!(
@@ -41,6 +37,5 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let (peak, at_hit, at_size) = surface.peak();
     println!("peak throughput: {peak:.0} reqs/s at hit rate {at_hit:.2}, {at_size:.0} KB files");
     println!("(paper: ~2.5e4 reqs/s, significant only above ~80% hit rate and below ~64 KB)");
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("fig03_oblivious_surface", &table)
 }

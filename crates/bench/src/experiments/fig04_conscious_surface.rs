@@ -24,10 +24,6 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             ]);
         }
     }
-    let path = ctx.out.join("fig04_conscious_surface.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
 
     let labels: Vec<String> = hits.iter().map(|h| format!("hit {h:.2}")).collect();
     println!(
@@ -43,6 +39,5 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     println!("peak throughput: {peak:.0} reqs/s at hit rate {at_hit:.2}, {at_size:.0} KB files");
     println!("(paper: same ~2.5e4 peak as Figure 3 but sustained over a much larger region —");
     println!(" significant already above ~50% hit rate and below ~96 KB)");
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("fig04_conscious_surface", &table)
 }

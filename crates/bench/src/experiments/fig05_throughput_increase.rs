@@ -24,10 +24,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             ]);
         }
     }
-    let path = ctx.out.join("fig05_throughput_increase.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    ctx.write_csv("fig05_throughput_increase", &table)?;
 
     let labels: Vec<String> = hits.iter().map(|h| format!("hit {h:.2}")).collect();
     println!(
@@ -50,10 +47,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     for &(h, m) in &side {
         side_table.row_f64([h, m]);
     }
-    let side_path = ctx.out.join("fig06_increase_side_view.csv");
-    side_table
-        .write_to(&side_path)
-        .map_err(|e| format!("write {}: {e}", side_path.display()))?;
+    ctx.write_csv("fig06_increase_side_view", &side_table)?;
     println!(
         "{}",
         line_chart(
@@ -74,6 +68,5 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         .fold(f64::INFINITY, f64::min);
     println!("at 100% hit rate the ratio dips to {min_at_full_hit:.2} (forwarding overhead)");
     println!("(paper: up to ~7x, growing with hit rate, collapsing past ~80%, <1 near full hit)");
-    println!("CSV: {} and {}", path.display(), side_path.display());
     Ok(())
 }

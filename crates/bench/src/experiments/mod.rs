@@ -1,10 +1,12 @@
 //! Every experiment of the suite, each one
 //! `run(&RunCtx) -> Result<(), String>`.
 //!
-//! Each submodule owns one experiment; Figures 7–10 share
-//! [`crate::run_paper_figure`]. The `all_figures` binary runs them from
-//! [`ALL`] in one process, so the memoized traces of
-//! [`crate::paper_trace`] are generated once per spec, and
+//! Each submodule owns one experiment, except that Figures 7–10 share
+//! [`crate::run_paper_figure`] and Section 5.2's three tables share
+//! [`section52`]. The `all_figures` binary runs them from [`ALL`] in one
+//! process with one [`RunCtx`], so the memoized traces of
+//! [`crate::paper_trace`] are generated once per spec and each distinct
+//! cell is simulated once ([`RunCtx::simulate`]);
 //! `all_figures --only <name>` picks a subset ([`select`]).
 
 use crate::RunCtx;
@@ -12,14 +14,11 @@ use crate::RunCtx;
 pub mod exp_cache_policy;
 pub mod exp_dfs;
 pub mod exp_faults;
-pub mod exp_forwarding;
 pub mod exp_hetero;
-pub mod exp_idle_times;
 pub mod exp_lard_variants;
 pub mod exp_latency_curve;
 pub mod exp_memory_sim;
 pub mod exp_memory_sweep;
-pub mod exp_miss_rates;
 pub mod exp_persistent;
 pub mod exp_replay;
 pub mod exp_replication;
@@ -28,6 +27,7 @@ pub mod exp_workload;
 pub mod fig03_oblivious_surface;
 pub mod fig04_conscious_surface;
 pub mod fig05_throughput_increase;
+pub mod section52;
 pub mod table2_traces;
 
 /// Figure 7: throughput vs cluster size for the Calgary trace.
@@ -66,9 +66,9 @@ pub const ALL: &[Experiment] = &[
     ("fig08_clarknet", fig08_clarknet),
     ("fig09_nasa", fig09_nasa),
     ("fig10_rutgers", fig10_rutgers),
-    ("exp_miss_rates", exp_miss_rates::run),
-    ("exp_idle_times", exp_idle_times::run),
-    ("exp_forwarding", exp_forwarding::run),
+    ("exp_miss_rates", section52::miss_rates),
+    ("exp_idle_times", section52::idle_times),
+    ("exp_forwarding", section52::forwarding),
     ("exp_memory_sim", exp_memory_sim::run),
     ("exp_sensitivity", exp_sensitivity::run),
     ("exp_lard_variants", exp_lard_variants::run),

@@ -71,15 +71,10 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         let _ = trace_seed(spec);
     }
 
-    let path = ctx.out.join("table2_traces.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "\n(paper Table 2: Calgary 8397/42.9/567895/19.7/1.08, Clarknet \
          35885/11.6/3053525/11.9/0.78,\n NASA 5500/53.7/3147719/47.0/0.91, \
          Rutgers 24098/30.5/535021/26.2/0.79;\n working sets 288-717 MB)"
     );
-    println!("CSV: {}", path.display());
-    Ok(())
+    ctx.write_csv("table2_traces", &table)
 }

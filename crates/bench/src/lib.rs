@@ -3,7 +3,8 @@
 //! Every table and figure of the paper, and every extension study, is
 //! one experiment in [`experiments::ALL`] (see DESIGN.md's experiment
 //! index). `all_figures` runs the whole suite in one process, sharing
-//! the memoized traces, or only the experiments named by `--only`. This
+//! the memoized traces and simulated cells, or only the experiments
+//! named by `--only`. This
 //! library holds the common machinery: the run context ([`RunCtx`]), the
 //! deterministic parallel cell executor ([`run_cells_parallel`]), the
 //! analytic "model" line of Figures 7–10, and output helpers.
@@ -14,6 +15,14 @@
 //! builds one [`RunCtx`] at its entry point — worker count, request cap
 //! and output directory — and passes it down; [`RunCtx::from_vars`]
 //! documents the variables it is built from.
+//!
+//! The context also holds the run's report store: every experiment
+//! simulates through [`RunCtx::simulate`], so a `(trace, policy,
+//! SimConfig)` cell that an earlier experiment already ran — Section
+//! 5.2's tables read the Figures 7–10 grid, the extension studies reuse
+//! its default cells — is simulated once per run. The store belongs to
+//! the context and its clones, never to the process: a fresh `RunCtx`
+//! starts empty.
 //!
 //! # Parallel execution
 //!
@@ -41,14 +50,15 @@ pub mod experiments;
 
 use l2s::PolicyKind;
 use l2s_model::{ModelParams, QueueModel, ServerKind};
-use l2s_sim::{simulate, SimConfig, SimReport};
+use l2s_sim::{SimConfig, SimReport};
 use l2s_trace::{Trace, TraceSpec, TraceStats};
 use l2s_util::ascii::{line_chart, Series};
 use l2s_util::cast;
 use l2s_util::csv::CsvTable;
 use std::collections::BTreeMap;
 use std::ffi::OsString;
-use std::path::{Path, PathBuf};
+use std::fmt;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The cluster sizes of Figures 7–10.
@@ -60,6 +70,49 @@ pub const PAPER_POLICIES: [PolicyKind; 3] =
 
 /// Per-run request cap of the quick configuration.
 const QUICK_CAP: usize = 150_000;
+
+/// One value per key, computed at most once: the memo behind
+/// [`paper_trace`] and the report store of [`RunCtx`].
+///
+/// The map lock is held only long enough to fetch or insert a key's
+/// slot; the value is computed under the slot's own `OnceLock`. Two
+/// workers asking for the *same* key share one computation (the second
+/// blocks until it is done), while different keys compute in parallel.
+struct Memo<T> {
+    slots: Mutex<BTreeMap<String, Arc<OnceLock<T>>>>,
+}
+
+impl<T: Clone> Memo<T> {
+    const fn new() -> Self {
+        Memo {
+            slots: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The value stored under `key`, computing it with `init` first if
+    /// no caller has yet.
+    fn get_or_init(&self, key: String, init: impl FnOnce() -> T) -> T {
+        let slot = {
+            // A panicking holder cannot leave the map half-updated: its
+            // only update is one insertion.
+            let mut map = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(map.entry(key).or_default())
+        };
+        slot.get_or_init(init).clone()
+    }
+
+    /// How many keys have been asked for.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+}
+
+impl<T> fmt::Debug for Memo<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memo").finish_non_exhaustive()
+    }
+}
 
 /// How one run of the harness is carried out: built once at the
 /// binary's entry point and passed to every experiment. None of these
@@ -74,9 +127,22 @@ pub struct RunCtx {
     pub cap: Option<usize>,
     /// Directory every CSV is written to.
     pub out: PathBuf,
+    /// Reports of the cells simulated so far in this run, shared by the
+    /// context's clones (see [`RunCtx::simulate`]).
+    reports: Arc<Memo<SimReport>>,
 }
 
 impl RunCtx {
+    /// A context with an empty report store.
+    pub fn new(workers: usize, cap: Option<usize>, out: PathBuf) -> RunCtx {
+        RunCtx {
+            workers,
+            cap,
+            out,
+            reports: Arc::new(Memo::new()),
+        }
+    }
+
     /// Builds the context from variables looked up by name:
     ///
     /// * `L2S_WORKERS=<n>` — worker count, capped at the core count;
@@ -96,12 +162,43 @@ impl RunCtx {
         };
         let cores = l2s_util::pool::available_workers();
         let full = lookup("L2S_BENCH_FULL").is_some_and(|v| v == "1");
-        RunCtx {
-            workers: positive("L2S_WORKERS").map_or(cores, |n| n.min(cores)),
-            cap: (!full).then(|| positive("L2S_BENCH_CAP").unwrap_or(QUICK_CAP)),
-            out: lookup("L2S_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
-        }
+        RunCtx::new(
+            positive("L2S_WORKERS").map_or(cores, |n| n.min(cores)),
+            (!full).then(|| positive("L2S_BENCH_CAP").unwrap_or(QUICK_CAP)),
+            lookup("L2S_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
+        )
     }
+
+    /// The report of `policy` on the harness trace of `spec` (see
+    /// [`paper_trace`]) under `config`, simulated at most once per run.
+    ///
+    /// The store is keyed by the trace spec, the policy and the whole
+    /// config's `Debug` text. That text renders every float so it reads
+    /// back exactly (telling −0.0 from 0.0) and every duration in whole
+    /// nanoseconds, and a field added to `SimConfig` joins the key by
+    /// itself. `simulate` is deterministic in its inputs, so a stored
+    /// report is the one a direct call would return.
+    pub fn simulate(&self, spec: &TraceSpec, policy: PolicyKind, config: &SimConfig) -> SimReport {
+        self.reports
+            .get_or_init(cell_key(spec, policy, config), || {
+                l2s_sim::simulate(config, policy, &paper_trace(spec))
+            })
+    }
+
+    /// Writes `table` to `<out>/<stem>.csv` and prints the path.
+    pub fn write_csv(&self, stem: &str, table: &CsvTable) -> Result<(), String> {
+        let path = self.out.join(format!("{stem}.csv"));
+        table
+            .write_to(&path)
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        println!("CSV: {}", path.display());
+        Ok(())
+    }
+}
+
+/// The report store's key for one cell.
+fn cell_key(spec: &TraceSpec, policy: PolicyKind, config: &SimConfig) -> String {
+    format!("{}|{policy:?}|{config:?}", trace_key(spec))
 }
 
 /// Runs `cells` independent jobs across `ctx.workers` threads and
@@ -150,22 +247,13 @@ fn trace_key(spec: &TraceSpec) -> String {
 /// spec pay generation once. The cache key is bit-exact over every spec
 /// field, so memoization cannot change what any experiment sees —
 /// `spec.generate(trace_seed(spec))` is deterministic in the spec.
-///
-/// Thread-safety: the map lock is held only long enough to fetch or
-/// insert a per-key slot; generation itself runs under the slot's own
-/// `OnceLock`. Two workers asking for the *same* spec concurrently share
-/// one generation (the second blocks), while workers generating
-/// *different* specs proceed in parallel.
+/// Workers asking for the same spec share one generation; different
+/// specs generate in parallel.
 pub fn paper_trace(spec: &TraceSpec) -> Arc<Trace> {
-    type Slot = Arc<OnceLock<Arc<Trace>>>;
-    static CACHE: OnceLock<Mutex<BTreeMap<String, Slot>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let key = trace_key(spec);
-    let slot: Slot = {
-        let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(key).or_default())
-    };
-    Arc::clone(slot.get_or_init(|| Arc::new(spec.generate(trace_seed(spec)))))
+    static TRACES: Memo<Arc<Trace>> = Memo::new();
+    TRACES.get_or_init(trace_key(spec), || {
+        Arc::new(spec.generate(trace_seed(spec)))
+    })
 }
 
 /// One cell of a node sweep.
@@ -179,14 +267,15 @@ pub struct SweepCell {
     pub report: SimReport,
 }
 
-/// Runs `trace` under every `(nodes, policy)` combination in parallel
-/// and returns the cells sorted by `(nodes, policy index)`.
+/// Runs the trace of `spec` under every `(nodes, policy)` combination
+/// in parallel, through the run's report store, and returns the cells
+/// sorted by `(nodes, policy index)`.
 ///
 /// `configure` customizes the base [`SimConfig`] per cluster size (cache
 /// size overrides, sensitivity knobs, ...).
 pub fn sweep<F>(
     ctx: &RunCtx,
-    trace: &Trace,
+    spec: &TraceSpec,
     node_counts: &[usize],
     policies: &[PolicyKind],
     configure: F,
@@ -202,12 +291,10 @@ where
     // output is identical for every worker count.
     let mut cells = run_cells_parallel(ctx, jobs.len(), |i| {
         let (n, policy) = jobs[i];
-        let config = configure(n);
-        let report = simulate(&config, policy, trace);
         SweepCell {
             nodes: n,
             policy,
-            report,
+            report: ctx.simulate(spec, policy, &configure(n)),
         }
     });
     // The enumeration above already emits (nodes, policy index) order for
@@ -258,46 +345,33 @@ pub fn model_line(
 }
 
 /// Renders and writes one Figures 7–10 style experiment: simulated
-/// throughput for the three servers plus the model bound, as CSV and an
-/// ASCII chart under `dir`. Returns the path written and the chart
-/// text.
+/// throughput for the three servers plus the model bound, as
+/// `<fig>.csv` under `ctx.out` and an ASCII chart, which it returns. A
+/// cell missing from `cells` is an error.
 pub fn write_throughput_figure(
-    dir: &Path,
+    ctx: &RunCtx,
     fig: &str,
     spec: &TraceSpec,
     cells: &[SweepCell],
     model: &[(usize, f64)],
-) -> std::io::Result<(PathBuf, String)> {
+) -> Result<String, String> {
     let mut table = CsvTable::new(["nodes", "model", "l2s", "lard", "traditional"]);
-    let mut series: Vec<Series> = vec![
-        Series::new("model", Vec::new()),
-        Series::new("l2s", Vec::new()),
-        Series::new("lard", Vec::new()),
-        Series::new("traditional", Vec::new()),
-    ];
-    let nodes: Vec<usize> = model.iter().map(|&(n, _)| n).collect();
-    for (i, &n) in nodes.iter().enumerate() {
-        let get = |p: PolicyKind| {
-            cells
-                .iter()
-                .find(|c| c.nodes == n && c.policy == p)
-                .map(|c| c.report.throughput_rps)
-                .unwrap_or(0.0)
-        };
-        let row = [
-            model[i].1,
-            get(PolicyKind::L2s),
-            get(PolicyKind::Lard),
-            get(PolicyKind::Traditional),
-        ];
-        table.row_f64([cast::len_f64(n), row[0], row[1], row[2], row[3]]);
+    let mut series: Vec<Series> = ["model", "l2s", "lard", "traditional"]
+        .into_iter()
+        .map(|name| Series::new(name, Vec::new()))
+        .collect();
+    for &(n, bound) in model {
+        let mut row = vec![bound];
+        for p in PAPER_POLICIES {
+            row.push(cell(cells, &spec.name, n, p)?.report.throughput_rps);
+        }
+        table.row_f64(std::iter::once(cast::len_f64(n)).chain(row.iter().copied()));
         for (s, v) in series.iter_mut().zip(row) {
             s.points.push((cast::len_f64(n), v));
         }
     }
-    let path = dir.join(format!("{fig}.csv"));
-    table.write_to(&path)?;
-    let chart = line_chart(
+    ctx.write_csv(fig, &table)?;
+    Ok(line_chart(
         &format!(
             "{fig}: throughput (requests/s) vs nodes — {} trace",
             spec.name
@@ -305,8 +379,7 @@ pub fn write_throughput_figure(
         &series,
         64,
         20,
-    );
-    Ok((path, chart))
+    ))
 }
 
 /// Runs one complete Figures 7–10 experiment (sweep + model line +
@@ -323,8 +396,7 @@ pub fn run_paper_figure(ctx: &RunCtx, fig: &str, spec: &TraceSpec) -> Result<(),
             ", quick mode (L2S_BENCH_FULL=1 for full)"
         }
     );
-    let trace = paper_trace(spec);
-    let stats = TraceStats::compute(&trace);
+    let stats = TraceStats::compute(&paper_trace(spec));
     println!(
         "   generated: avg file {:.1} KB, avg request {:.1} KB, alpha {:.2}, working set {:.0} MB",
         stats.avg_file_kb,
@@ -332,23 +404,21 @@ pub fn run_paper_figure(ctx: &RunCtx, fig: &str, spec: &TraceSpec) -> Result<(),
         stats.alpha,
         stats.working_set_kb / 1024.0
     );
-    let cells = sweep(ctx, &trace, &PAPER_NODE_COUNTS, &PAPER_POLICIES, |n| {
+    let cells = sweep(ctx, spec, &PAPER_NODE_COUNTS, &PAPER_POLICIES, |n| {
         paper_config(ctx, n)
     });
     let model = model_line(&stats, &PAPER_NODE_COUNTS, paper_config(ctx, 1).cache_kb)?;
-    let (path, chart) = write_throughput_figure(&ctx.out, fig, spec, &cells, &model)
-        .map_err(|e| format!("write {fig} outputs: {e}"))?;
+    let chart = write_throughput_figure(ctx, fig, spec, &cells, &model)?;
     println!("{chart}");
 
-    let at16 = |p: PolicyKind| {
-        cell(&cells, 16, p)
-            .map(|c| c.report.throughput_rps)
-            .ok_or_else(|| format!("{fig}: missing 16-node {} cell", p.name()))
-    };
+    let at16 = |p: PolicyKind| cell(&cells, &spec.name, 16, p).map(|c| c.report.throughput_rps);
     let l2s = at16(PolicyKind::L2s)?;
     let lard = at16(PolicyKind::Lard)?;
     let trad = at16(PolicyKind::Traditional)?;
-    let bound = model.last().map(|&(_, x)| x).unwrap_or(f64::NAN);
+    let &(_, bound) = model
+        .iter()
+        .find(|&&(n, _)| n == 16)
+        .ok_or_else(|| format!("{fig}: the model line has no 16-node bound"))?;
     println!("  at 16 nodes: L2S {l2s:.0} r/s, LARD {lard:.0} r/s, traditional {trad:.0} r/s");
     println!(
         "  L2S vs LARD {:+.0}%, L2S vs traditional {:+.0}%, L2S at {:.0}% of the model bound",
@@ -356,16 +426,26 @@ pub fn run_paper_figure(ctx: &RunCtx, fig: &str, spec: &TraceSpec) -> Result<(),
         (l2s / trad - 1.0) * 100.0,
         l2s / bound * 100.0
     );
-    println!("  CSV: {}", path.display());
     Ok(())
 }
 
-/// Convenience accessor: the cell for `(nodes, policy)`, if the sweep
-/// produced one.
-pub fn cell(cells: &[SweepCell], nodes: usize, policy: PolicyKind) -> Option<&SweepCell> {
+/// The cell for `(nodes, policy)` of a sweep over the trace named
+/// `trace`; a missing cell is an error naming all three.
+pub fn cell<'a>(
+    cells: &'a [SweepCell],
+    trace: &str,
+    nodes: usize,
+    policy: PolicyKind,
+) -> Result<&'a SweepCell, String> {
     cells
         .iter()
         .find(|c| c.nodes == nodes && c.policy == policy)
+        .ok_or_else(|| {
+            format!(
+                "{trace} trace: no {nodes}-node {} cell in the sweep",
+                policy.name()
+            )
+        })
 }
 
 /// Extracts the first `"key": <number>` occurrence from a JSON string.
@@ -399,7 +479,8 @@ pub struct SuiteTiming {
 }
 
 /// Runs `selected` experiments (see [`experiments::select`]) in this
-/// process, in order, sharing the memoized traces, and times each one.
+/// process, in order, sharing the memoized traces and the context's
+/// report store, and times each one.
 /// Stops at the first failure, naming the experiment.
 pub fn run_all_figures_timed(
     ctx: &RunCtx,
@@ -427,11 +508,7 @@ mod tests {
 
     /// A context for tests that call library functions directly.
     fn ctx(workers: usize) -> RunCtx {
-        RunCtx {
-            workers,
-            cap: Some(2_000),
-            out: std::env::temp_dir(),
-        }
+        RunCtx::new(workers, Some(2_000), std::env::temp_dir())
     }
 
     /// `RunCtx::from_vars` over a fixed set of variables.
@@ -503,10 +580,10 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_matrix() {
-        let trace = TraceSpec::calgary().scaled(200, 3_000).generate(1);
+        let spec = TraceSpec::calgary().scaled(200, 3_000);
         let cells = sweep(
             &ctx(2),
-            &trace,
+            &spec,
             &[1, 2],
             &[PolicyKind::Traditional, PolicyKind::L2s],
             |n| SimConfig::quick(n, 1_000.0),
@@ -521,9 +598,11 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_despite_parallelism() {
-        let trace = TraceSpec::nasa().scaled(150, 2_000).generate(2);
+        let spec = TraceSpec::nasa().scaled(150, 2_000);
+        // A fresh context per run, so the 4-worker run simulates every
+        // cell again instead of reading the 1-worker run's reports.
         let run = |workers| {
-            sweep(&ctx(workers), &trace, &[1, 2, 4], &[PolicyKind::L2s], |n| {
+            sweep(&ctx(workers), &spec, &[1, 2, 4], &[PolicyKind::L2s], |n| {
                 SimConfig::quick(n, 800.0)
             })
             .iter()
@@ -531,6 +610,25 @@ mod tests {
             .collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn missing_cells_are_errors_naming_the_cell() {
+        let spec = TraceSpec::calgary().scaled(100, 500);
+        let cells = sweep(&ctx(1), &spec, &[1], &[PolicyKind::L2s], |n| {
+            SimConfig::quick(n, 500.0)
+        });
+        assert!(cell(&cells, &spec.name, 1, PolicyKind::L2s).is_ok());
+        let err = cell(&cells, &spec.name, 4, PolicyKind::Lard).unwrap_err();
+        for part in ["calgary", "4-node", "lard"] {
+            assert!(err.contains(part), "{err} should name {part}");
+        }
+        // The figure writer refuses a sweep that lacks a row's cells
+        // instead of writing 0.
+        let model = [(1, 100.0), (4, 400.0)];
+        let err =
+            write_throughput_figure(&ctx(1), "figmissing", &spec, &cells, &model).unwrap_err();
+        assert!(err.contains("lard"), "{err}");
     }
 
     #[test]
@@ -544,23 +642,125 @@ mod tests {
 
     #[test]
     fn figure_writer_emits_csv_and_chart() {
-        let dir = std::env::temp_dir().join("l2s-bench-test");
+        let dir = std::env::temp_dir().join(format!("l2s-bench-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        let ctx = RunCtx::new(2, Some(2_000), dir.clone());
         let spec = TraceSpec::calgary().scaled(200, 2_000);
-        let trace = spec.generate(4);
-        let cells = sweep(&ctx(2), &trace, &[1, 2], &PAPER_POLICIES, |n| {
+        let cells = sweep(&ctx, &spec, &[1, 2], &PAPER_POLICIES, |n| {
             SimConfig::quick(n, 1_000.0)
         });
-        let stats = TraceStats::compute(&trace);
+        let stats = TraceStats::compute(&paper_trace(&spec));
         let model = model_line(&stats, &[1, 2], 1_000.0).unwrap();
-        let (path, chart) =
-            write_throughput_figure(&dir, "figtest", &spec, &cells, &model).unwrap();
-        assert!(path.exists());
+        let chart = write_throughput_figure(&ctx, "figtest", &spec, &cells, &model).unwrap();
         assert!(chart.contains("figtest"));
-        let csv = std::fs::read_to_string(&path).unwrap();
+        let csv = std::fs::read_to_string(dir.join("figtest.csv")).unwrap();
         assert!(csv.starts_with("nodes,model,l2s,lard,traditional"));
         assert_eq!(csv.lines().count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memo_computes_each_key_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let memo: Memo<usize> = Memo::new();
+        let computed = AtomicUsize::new(0);
+        let start = Barrier::new(4);
+        // Four threads released together, each asking for the same four
+        // keys in a different order.
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (memo, computed, start) = (&memo, &computed, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for k in 0..4 {
+                        let key = (k + t) % 4;
+                        let v = memo.get_or_init(format!("key{key}"), || {
+                            computed.fetch_add(1, Ordering::SeqCst);
+                            key
+                        });
+                        assert_eq!(v, key);
+                    }
+                });
+            }
+        });
+        assert_eq!(computed.load(Ordering::SeqCst), 4);
+        assert_eq!(memo.len(), 4);
+    }
+
+    /// A tiny cell for the report-store tests.
+    fn store_cell() -> (TraceSpec, SimConfig) {
+        (
+            TraceSpec::rutgers().scaled(120, 800),
+            SimConfig::quick(2, 400.0),
+        )
+    }
+
+    #[test]
+    fn a_repeated_cell_is_simulated_once_per_run() {
+        let (spec, config) = store_cell();
+        let ctx = ctx(1);
+        let first = ctx.simulate(&spec, PolicyKind::L2s, &config);
+        let again = ctx.clone().simulate(&spec, PolicyKind::L2s, &config);
+        assert_eq!(first, again);
+        assert_eq!(ctx.reports.len(), 1, "the second request must not simulate");
+    }
+
+    #[test]
+    fn a_stored_report_equals_a_direct_simulation() {
+        let (spec, config) = store_cell();
+        for policy in [PolicyKind::L2s, PolicyKind::Traditional] {
+            let stored = ctx(1).simulate(&spec, policy, &config);
+            let direct = l2s_sim::simulate(&config, policy, &paper_trace(&spec));
+            assert_eq!(stored, direct, "{}", policy.name());
+        }
+    }
+
+    #[test]
+    fn configs_differing_in_one_field_get_their_own_reports() {
+        let (spec, config) = store_cell();
+        let ctx = ctx(1);
+        let base = ctx.simulate(&spec, PolicyKind::L2s, &config);
+        let bigger = SimConfig {
+            cache_kb: 2.0 * config.cache_kb,
+            ..config.clone()
+        };
+        let other = ctx.simulate(&spec, PolicyKind::L2s, &bigger);
+        assert_eq!(ctx.reports.len(), 2);
+        assert_ne!(base, other, "a doubled cache must change the report");
+        // The policy and the trace are part of the key too.
+        ctx.simulate(&spec, PolicyKind::Lard, &config);
+        ctx.simulate(&spec.scaled(120, 801), PolicyKind::L2s, &config);
+        assert_eq!(ctx.reports.len(), 4);
+    }
+
+    #[test]
+    fn cell_keys_see_every_bit_of_the_config() {
+        let (spec, config) = store_cell();
+        let key = |c: &SimConfig| cell_key(&spec, PolicyKind::L2s, c);
+        let mut negative_zero = config.clone();
+        negative_zero.costs.switch_s = -0.0;
+        let mut positive_zero = config.clone();
+        positive_zero.costs.switch_s = 0.0;
+        assert_ne!(key(&negative_zero), key(&positive_zero));
+        // Fault times are durations; one nanosecond apart is another cell.
+        let mut early = config.clone();
+        early.faults = l2s_sim::FaultPlan::crash_recover(1, 0.5, 1.0);
+        let mut late = config.clone();
+        late.faults = l2s_sim::FaultPlan::crash_recover(1, 0.5 + 1e-9, 1.0);
+        assert_ne!(key(&early), key(&late));
+        assert_eq!(key(&config), key(&config.clone()));
+    }
+
+    #[test]
+    fn contexts_share_no_reports() {
+        let (spec, config) = store_cell();
+        let (a, b) = (ctx(1), ctx(1));
+        let from_a = a.simulate(&spec, PolicyKind::L2s, &config);
+        assert_eq!(b.reports.len(), 0, "a fresh context starts empty");
+        let from_b = b.simulate(&spec, PolicyKind::L2s, &config);
+        assert_eq!(b.reports.len(), 1, "b simulates the cell itself");
+        assert_eq!(from_a, from_b);
     }
 
     #[test]

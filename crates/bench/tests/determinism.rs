@@ -154,13 +154,12 @@ impl Drop for TempDir {
 /// fresh directory.
 fn run(name: &str, workers: usize) -> TempDir {
     let dir = TempDir::new(&format!("{name}-w{workers}"));
-    let ctx = RunCtx {
-        workers,
-        // Small cap so both runs finish in seconds; the cap is part of
-        // each cell's configuration, so it is identical across runs.
-        cap: Some(2_000),
-        out: dir.0.clone(),
-    };
+    // Small cap so both runs finish in seconds; the cap is part of each
+    // cell's configuration, so it is identical across runs. A fresh
+    // context per run starts with an empty report store, so the 4-worker
+    // run simulates every cell itself instead of reading the sequential
+    // run's reports.
+    let ctx = RunCtx::new(workers, Some(2_000), dir.0.clone());
     let (_, experiment) = experiments::ALL
         .iter()
         .find(|(known, _)| *known == name)

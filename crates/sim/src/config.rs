@@ -72,15 +72,6 @@ pub struct SimConfig {
     /// Cache replacement policy on every node (default LRU, the paper's;
     /// GreedyDual-Size available as an ablation).
     pub cache_policy: CachePolicy,
-    /// CPU scheduling quantum in seconds (default 500 µs): reply
-    /// processing (the `µm` cost, up to several ms for large files) is
-    /// charged in chunks of this size so short operations (parse,
-    /// forward, message handling) interleave with long sends the way a
-    /// time-shared CPU sending TCP segments actually behaves. Without
-    /// it, a run-to-completion FIFO CPU makes every 160 µs parse wait
-    /// behind whole multi-ms replies — head-of-line blocking no real
-    /// server exhibits.
-    pub cpu_quantum_s: f64,
     /// Whether to warm caches by simulating the trace once before the
     /// measured run (Section 5.1 does; tests may disable it for speed).
     pub warmup: bool,
@@ -97,13 +88,10 @@ pub struct SimConfig {
     /// scheduled past the last request extend the measurement window
     /// until they fire.
     pub faults: FaultPlan,
-    /// How many times a request aborted by a crash is retried (as a
-    /// fresh arrival through the router) before it is counted as
-    /// failed. Default 1.
+    /// How many times a request aborted by a crash is retried — as a
+    /// fresh arrival through the router, after the engine's fixed 0.5 s
+    /// client timeout — before it is counted as failed. Default 1.
     pub fault_retries: u32,
-    /// Client-side delay before a crash-aborted request retries,
-    /// modeling connection-timeout detection. Default 0.5 s.
-    pub retry_delay_s: f64,
     /// When true (the default), every response time is recorded
     /// individually so the report's p99 is exact. Scaling sweeps over
     /// 10⁸+ requests disable this: the report then carries a streaming
@@ -143,14 +131,12 @@ impl SimConfig {
             persistent_mean: 1.0,
             dfs_remote: false,
             cache_policy: CachePolicy::Lru,
-            cpu_quantum_s: 0.0005,
             warmup: true,
             max_requests: None,
             l2s: policy.l2s,
             lard: policy.lard,
             faults: FaultPlan::none(),
             fault_retries: 1,
-            retry_delay_s: 0.5,
             response_samples: true,
             hetero: None,
             jsq_d: policy.jsq_d,
@@ -201,9 +187,6 @@ impl SimConfig {
         if self.ni_buffer == 0 {
             return Err("ni_buffer must be >= 1".into());
         }
-        if self.cpu_quantum_s <= 0.0 || !self.cpu_quantum_s.is_finite() {
-            return Err("cpu_quantum_s must be positive".into());
-        }
         if self.persistent_mean < 1.0 || !self.persistent_mean.is_finite() {
             return Err("persistent_mean must be >= 1".into());
         }
@@ -211,9 +194,6 @@ impl SimConfig {
             if rate_rps <= 0.0 || !rate_rps.is_finite() {
                 return Err("Poisson rate must be positive".into());
             }
-        }
-        if self.retry_delay_s < 0.0 || !self.retry_delay_s.is_finite() {
-            return Err("retry_delay_s must be finite and non-negative".into());
         }
         if self.jsq_d == 0 {
             return Err("jsq_d must be >= 1".into());
@@ -290,9 +270,6 @@ mod tests {
         c.validate().unwrap();
         c.faults = crate::FaultPlan::crash_recover(9, 1.0, 3.0);
         assert!(c.validate().is_err(), "plan must fit the cluster");
-        c.faults = crate::FaultPlan::none();
-        c.retry_delay_s = f64::NAN;
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -11,6 +11,19 @@ use l2s_trace::{FileSet, Trace};
 use l2s_util::stats::quantile;
 use l2s_util::{cast, invariant, DetRng, OnlineStats, SimDuration, SimTime};
 
+/// CPU scheduling quantum (500 µs): reply processing (the `µm` cost, up
+/// to several ms for large files) is charged in chunks of this size so
+/// short operations (parse, forward, message handling) interleave with
+/// long sends the way a time-shared CPU sending TCP segments actually
+/// behaves. Without it, a run-to-completion FIFO CPU makes every 160 µs
+/// parse wait behind whole multi-ms replies — head-of-line blocking no
+/// real server exhibits.
+const CPU_QUANTUM: SimDuration = SimDuration::from_micros(500);
+
+/// Client-side delay before a crash-aborted request retries, modeling
+/// connection-timeout detection (0.5 s).
+const RETRY_DELAY: SimDuration = SimDuration::from_millis(500);
+
 /// Lifecycle events. Each event marks a request's *arrival* at a
 /// contended station, so every FIFO queue sees jobs in true arrival
 /// order.
@@ -116,7 +129,6 @@ struct CostCache {
     forward: SimDuration,
     msg_cpu: SimDuration,
     msg_ni: SimDuration,
-    quantum: SimDuration,
     /// Router service time for one inbound client request.
     router_request: SimDuration,
     /// Size-dependent service times, indexed by interned file id.
@@ -151,7 +163,6 @@ impl CostCache {
             forward: costs.forward(),
             msg_cpu: costs.msg_cpu(),
             msg_ni: costs.msg_ni(),
-            quantum: SimDuration::from_secs_f64(config.cpu_quantum_s),
             router_request: config.net.router_service(config.request_kb),
             per_file,
         }
@@ -229,9 +240,6 @@ struct Engine<'t> {
     /// between warm-up and measurement while the queue clock keeps
     /// running), so the injector offsets them by this base.
     pass_base_s: f64,
-    /// `SimConfig::retry_delay_s` converted once at setup so the retry
-    /// paths stay in integer nanoseconds.
-    retry_delay: SimDuration,
     /// Callback invoked on every distribution decision (see
     /// [`PlacementRecord`]); `None` on the historical paths.
     observer: Option<&'t mut PlacementObserver<'t>>,
@@ -399,7 +407,6 @@ fn run_simulation<'t>(
         down_since: vec![SimTime::ZERO; config.nodes],
         down_count: 0,
         pass_base_s: 0.0,
-        retry_delay: SimDuration::from_secs_f64(config.retry_delay_s),
         observer,
         observed_seq: 0,
     };
@@ -880,7 +887,7 @@ impl<'t> Engine<'t> {
                     if retries_left > 0 {
                         self.arena.flow_mut(id).retries_left -= 1;
                         self.measure.retried += 1;
-                        self.queue.schedule_after(self.retry_delay, Ev::Retry(id));
+                        self.queue.schedule_after(RETRY_DELAY, Ev::Retry(id));
                     } else {
                         self.measure.failed += 1;
                         invariant!(
@@ -948,7 +955,7 @@ impl<'t> Engine<'t> {
                 f.assigned = false;
             }
             self.measure.retried += 1;
-            self.queue.schedule_after(self.retry_delay, Ev::Retry(id));
+            self.queue.schedule_after(RETRY_DELAY, Ev::Retry(id));
         } else {
             self.measure.failed += 1;
             invariant!(
@@ -1026,10 +1033,9 @@ impl<'t> Engine<'t> {
     /// time, long replies interleave with short operations exactly like
     /// time-shared segment processing.
     fn schedule_reply_chunk(&mut self, id: ReqId, now: SimTime) {
-        let quantum = self.cc.quantum;
         let node = self.arena.route(id).service();
         let remaining = self.arena.flow(id).reply_remaining;
-        let chunk = remaining.min(quantum);
+        let chunk = remaining.min(CPU_QUANTUM);
         let left = remaining - chunk;
         self.arena.flow_mut(id).reply_remaining = left;
         let done = self.nodes[node].cpu.schedule(now, chunk);

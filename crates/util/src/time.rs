@@ -240,7 +240,17 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Exact whole nanoseconds, so two durations format alike only when they
+/// are equal (a `Debug` rendering can then serve as a key).
 impl fmt::Debug for SimDuration {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}ns", self.0)
+    }
+}
+
+/// Human scale: nanoseconds, or three decimals of µs or ms, or six of
+/// seconds.
+impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 < 1_000 {
             write!(f, "{}ns", self.0)
@@ -251,12 +261,6 @@ impl fmt::Debug for SimDuration {
         } else {
             write!(f, "{:.6}s", self.as_secs_f64())
         }
-    }
-}
-
-impl fmt::Display for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
     }
 }
 
@@ -358,5 +362,15 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(3)), "3.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(14)), "14.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs_f64(2.0)), "2.000000s");
+    }
+
+    #[test]
+    fn debug_is_exact() {
+        let d = SimDuration::from_nanos(500_000_001);
+        assert_eq!(format!("{d:?}"), "500000001ns");
+        assert_ne!(
+            format!("{d:?}"),
+            format!("{:?}", SimDuration::from_millis(500))
+        );
     }
 }

@@ -9,187 +9,28 @@
 //! clusterlab compare  [--trace NAME] [--nodes N] [--cache-mb MB] [--requests N]
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free; see [`args`].
+//! Argument parsing is deliberately dependency-free and shared with
+//! `l2s-replay`; see [`args`]. A misspelt or unused flag, or a malformed
+//! value, exits 2 with a message naming the flag.
 
 use cluster_server_eval::model::{ModelParams, QueueModel, ServerKind};
 use cluster_server_eval::policy::PolicyKind;
 use cluster_server_eval::prelude::*;
 use cluster_server_eval::trace::{clf, TraceStats};
 
-mod args {
-    //! A tiny `--flag value` parser.
+#[path = "common/args.rs"]
+mod args;
 
-    use std::collections::BTreeMap;
-
-    /// Parsed command line: a subcommand plus `--key value` options.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct Parsed {
-        /// First positional argument.
-        pub command: String,
-        /// `--key value` pairs; bare `--key` stores an empty value.
-        pub options: BTreeMap<String, String>,
-    }
-
-    /// Parses `argv[1..]`. Returns `Err` with a message on malformed
-    /// input (option before subcommand, missing value for a non-flag).
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Parsed, String> {
-        let mut it = argv.into_iter().peekable();
-        let command = match it.next() {
-            Some(c) if !c.starts_with("--") => c,
-            Some(c) => return Err(format!("expected a subcommand before {c}")),
-            None => return Err("expected a subcommand".into()),
-        };
-        let mut options = BTreeMap::new();
-        while let Some(tok) = it.next() {
-            let Some(key) = tok.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument {tok}"));
-            };
-            // A following token that isn't itself an option is this
-            // option's value; a bare flag stores the empty string.
-            let value = it.next_if(|v| !v.starts_with("--")).unwrap_or_default();
-            options.insert(key.to_string(), value);
-        }
-        Ok(Parsed { command, options })
-    }
-
-    impl Parsed {
-        /// Fetches an option parsed as `T`, with a default. A bare
-        /// `--key` (no value) is reported as missing, naming the flag,
-        /// instead of surfacing as `invalid value ""`.
-        pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-            match self.options.get(key) {
-                None => Ok(default),
-                Some(raw) if raw.is_empty() => Err(format!("missing value for --{key}")),
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|_| format!("invalid value {raw:?} for --{key}")),
-            }
-        }
-
-        /// Fetches a string option.
-        pub fn get_str(&self, key: &str, default: &str) -> String {
-            self.options
-                .get(key)
-                .cloned()
-                .unwrap_or_else(|| default.to_string())
-        }
-
-        /// True when the bare flag is present.
-        pub fn flag(&self, key: &str) -> bool {
-            self.options.contains_key(key)
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn argv(s: &str) -> Vec<String> {
-            s.split_whitespace().map(String::from).collect()
-        }
-
-        #[test]
-        fn parses_command_and_options() {
-            let p = parse(argv("simulate --nodes 8 --policy l2s --dfs")).unwrap();
-            assert_eq!(p.command, "simulate");
-            assert_eq!(p.get::<usize>("nodes", 1).unwrap(), 8);
-            assert_eq!(p.get_str("policy", "x"), "l2s");
-            assert!(p.flag("dfs"));
-            assert!(!p.flag("missing"));
-        }
-
-        #[test]
-        fn defaults_apply() {
-            let p = parse(argv("model")).unwrap();
-            assert_eq!(p.get::<f64>("hit", 0.8).unwrap(), 0.8);
-        }
-
-        #[test]
-        fn rejects_missing_command() {
-            assert!(parse(argv("")).is_err());
-            assert!(parse(argv("--nodes 4")).is_err());
-        }
-
-        #[test]
-        fn rejects_bad_values() {
-            let p = parse(argv("model --nodes banana")).unwrap();
-            assert!(p.get::<usize>("nodes", 1).is_err());
-        }
-
-        #[test]
-        fn rejects_stray_positionals() {
-            assert!(parse(argv("simulate extra")).is_err());
-        }
-
-        #[test]
-        fn bare_typed_option_reports_missing_value() {
-            // Regression: `--nodes` with no value used to surface as
-            // `invalid value "" for --nodes`, hiding what went wrong.
-            let p = parse(argv("model --nodes")).unwrap();
-            let err = p.get::<usize>("nodes", 1).unwrap_err();
-            assert!(err.contains("missing value for --nodes"), "{err}");
-        }
-
-        #[test]
-        fn bare_flag_followed_by_an_option_stays_a_flag() {
-            let p = parse(argv("simulate --dfs --nodes 4")).unwrap();
-            assert!(p.flag("dfs"));
-            assert_eq!(p.get::<usize>("nodes", 1).unwrap(), 4);
-        }
-    }
-}
-
-fn trace_by_name(name: &str) -> Result<TraceSpec, String> {
-    match name {
-        "calgary" => Ok(TraceSpec::calgary()),
-        "clarknet" => Ok(TraceSpec::clarknet()),
-        "nasa" => Ok(TraceSpec::nasa()),
-        "rutgers" => Ok(TraceSpec::rutgers()),
-        other => Err(format!(
-            "unknown trace {other:?} (expected calgary|clarknet|nasa|rutgers)"
-        )),
-    }
-}
-
-fn policy_by_name(name: &str) -> Result<PolicyKind, String> {
-    PolicyKind::all()
-        .into_iter()
-        .find(|k| k.name() == name)
-        .ok_or_else(|| {
-            let names: Vec<&str> = PolicyKind::all().iter().map(|k| k.name()).collect();
-            format!(
-                "unknown policy {name:?} (expected one of {})",
-                names.join("|")
-            )
-        })
-}
-
-/// `--key` as a count of at least one.
-fn count(p: &args::Parsed, key: &str, default: usize) -> Result<usize, String> {
-    match p.get(key, default)? {
-        0 => Err(format!("--{key} must be at least 1")),
-        n => Ok(n),
-    }
-}
-
-/// `--key` as a positive, finite quantity.
-fn positive(p: &args::Parsed, key: &str, default: f64) -> Result<f64, String> {
-    let v = p.get(key, default)?;
-    if v.is_finite() && v > 0.0 {
-        Ok(v)
-    } else {
-        Err(format!("--{key} must be positive and finite, got {v}"))
-    }
-}
+use args::{policy_by_name, trace_by_name};
 
 fn build_trace(p: &args::Parsed) -> Result<Trace, String> {
-    if let Some(log) = p.options.get("log") {
+    if let Some(log) = p.value("log")? {
         let text = std::fs::read_to_string(log).map_err(|e| format!("reading {log}: {e}"))?;
         return Ok(clf::parse_log(log, &text));
     }
     let spec = trace_by_name(&p.get_str("trace", "calgary"))?;
-    let files = count(p, "files", spec.num_files.min(8_000))?;
-    let requests = count(p, "requests", 200_000)?;
+    let files = p.count("files", spec.num_files.min(8_000))?;
+    let requests = p.count("requests", 200_000)?;
     let seed = p.get("seed", 42u64)?;
     Ok(spec.scaled(files, requests).generate(seed))
 }
@@ -197,8 +38,8 @@ fn build_trace(p: &args::Parsed) -> Result<Trace, String> {
 /// The paper's configuration with the `--nodes` and `--cache-mb` flags
 /// applied.
 fn cluster_config(p: &args::Parsed) -> Result<SimConfig, String> {
-    let mut config = SimConfig::paper_default(count(p, "nodes", 8)?);
-    config.cache_kb = positive(p, "cache-mb", 32.0)? * 1024.0;
+    let mut config = SimConfig::paper_default(p.count("nodes", 8)?);
+    config.cache_kb = p.positive("cache-mb", 32.0)? * 1024.0;
     Ok(config)
 }
 
@@ -211,11 +52,15 @@ fn cmd_model(p: &args::Parsed) -> Result<(), String> {
         ..ModelParams::default()
     };
     let hit = p.get("hit", 0.8f64)?;
+    if !(0.0..=1.0).contains(&hit) {
+        return Err(format!("--hit must be a fraction in [0, 1], got {hit}"));
+    }
     let kind = match p.get_str("kind", "lc").as_str() {
         "lc" => ServerKind::LocalityConscious,
         "lo" => ServerKind::LocalityOblivious,
         other => return Err(format!("unknown kind {other:?} (expected lc|lo)")),
     };
+    p.finish()?;
     let model = QueueModel::new(params).map_err(|e| e.to_string())?;
     let derived = model.derived_from_hlo(kind, hit);
     let bound = model.max_throughput_derived(&derived);
@@ -248,6 +93,7 @@ fn cmd_simulate(p: &args::Parsed) -> Result<(), String> {
         .map_err(|e| format!("invalid configuration: {e}"))?;
     let policy = policy_by_name(&p.get_str("policy", "l2s"))?;
     let trace = build_trace(p)?;
+    p.finish()?;
     let report = simulate(&config, policy, &trace);
     println!("policy            : {}", report.policy);
     println!("nodes             : {}", report.nodes);
@@ -280,6 +126,7 @@ fn cmd_simulate(p: &args::Parsed) -> Result<(), String> {
 
 fn cmd_trace(p: &args::Parsed) -> Result<(), String> {
     let trace = build_trace(p)?;
+    p.finish()?;
     let stats = TraceStats::compute(&trace);
     println!("name            : {}", stats.name);
     println!("files           : {}", stats.num_files);
@@ -295,6 +142,7 @@ fn cmd_trace(p: &args::Parsed) -> Result<(), String> {
 fn cmd_compare(p: &args::Parsed) -> Result<(), String> {
     let config = cluster_config(p)?;
     let trace = build_trace(p)?;
+    p.finish()?;
     println!(
         "{:>16} {:>12} {:>8} {:>10} {:>9}",
         "policy", "throughput", "miss", "forwarded", "idle"

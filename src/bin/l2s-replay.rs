@@ -28,6 +28,11 @@ use l2s_trace::ClfStream;
 use std::io::BufRead;
 use std::path::PathBuf;
 
+#[path = "common/args.rs"]
+mod args;
+
+use args::{policy_by_name, trace_by_name};
+
 const USAGE: &str = "\
 l2s-replay — live CLF replay front-end (HPDC 2000 reproduction)
 
@@ -66,123 +71,41 @@ struct Opts {
     checksum: bool,
 }
 
-fn parse_opts(argv: Vec<String>) -> Result<Opts, String> {
-    let mut opts = Opts {
-        log: None,
-        trace: None,
-        policy: PolicyKind::L2s,
-        nodes: 8,
-        cache_mb: 32.0,
-        files: 2_000,
-        requests: None,
-        seed: 42,
-        rate_rps: 500.0,
-        speed: 1.0,
-        fast: false,
-        snapshot_secs: 10.0,
-        csv: None,
-        checksum: false,
-    };
-    let mut it = argv.into_iter().peekable();
-    while let Some(tok) = it.next() {
-        let Some(key) = tok.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument {tok:?}"));
-        };
-        // Flags without values first; everything else requires one.
-        match key {
-            "as-fast-as-possible" | "fast" => {
-                opts.fast = true;
-                continue;
-            }
-            "checksum" => {
-                opts.checksum = true;
-                continue;
-            }
-            "help" | "h" => return Err(String::new()),
-            _ => {}
-        }
-        let value = it
-            .next_if(|v| !v.starts_with("--"))
-            .ok_or_else(|| format!("missing value for --{key}"))?;
-        let num = |what: &str, v: &str| -> Result<f64, String> {
-            v.parse::<f64>()
-                .map_err(|_| format!("invalid value {v:?} for --{what}"))
-        };
-        match key {
-            "log" => opts.log = Some(value),
-            "trace" => opts.trace = Some(value),
-            "policy" => {
-                opts.policy = PolicyKind::all()
-                    .into_iter()
-                    .find(|k| k.name() == value)
-                    .ok_or_else(|| {
-                        let names: Vec<&str> = PolicyKind::all().iter().map(|k| k.name()).collect();
-                        format!("unknown policy {value:?} (expected {})", names.join("|"))
-                    })?;
-            }
-            "nodes" => opts.nodes = num("nodes", &value)? as usize,
-            "cache-mb" => opts.cache_mb = num("cache-mb", &value)?,
-            "files" => opts.files = num("files", &value)? as usize,
-            "requests" => opts.requests = Some(num("requests", &value)? as usize),
-            "seed" => opts.seed = num("seed", &value)? as u64,
-            "rate" => opts.rate_rps = num("rate", &value)?,
-            "speed" => {
-                let s = num("speed", &value)?;
-                if !(s.is_finite() && s > 0.0) {
-                    return Err(format!("--speed must be positive and finite, got {s}"));
-                }
-                opts.speed = s;
-            }
-            "snapshot-secs" => opts.snapshot_secs = num("snapshot-secs", &value)?,
-            "csv" => opts.csv = Some(PathBuf::from(value)),
-            other => return Err(format!("unknown option --{other}")),
-        }
-    }
-    if opts.nodes == 0 {
-        return Err("--nodes must be at least 1".into());
-    }
-    if opts.files == 0 {
-        return Err("--files must be at least 1".into());
-    }
-    if opts.requests == Some(0) {
-        return Err("--requests must be at least 1".into());
-    }
-    if !(opts.cache_mb.is_finite() && opts.cache_mb > 0.0) {
+/// Reads every option the tool knows; any other fails the run.
+fn parse_opts(p: &args::Parsed) -> Result<Opts, String> {
+    let snapshot_secs = p.get("snapshot-secs", 10.0f64)?;
+    if !(snapshot_secs.is_finite() && snapshot_secs >= 0.0) {
         return Err(format!(
-            "--cache-mb must be positive and finite, got {}",
-            opts.cache_mb
+            "--snapshot-secs must be finite and at least 0, got {snapshot_secs}"
         ));
     }
-    if !(opts.rate_rps.is_finite() && opts.rate_rps > 0.0) {
+    let opts = Opts {
+        log: p.value("log")?.map(String::from),
+        trace: p.value("trace")?.map(String::from),
+        policy: policy_by_name(&p.get_str("policy", "l2s"))?,
+        nodes: p.count("nodes", 8)?,
+        cache_mb: p.positive("cache-mb", 32.0)?,
+        files: p.count("files", 2_000)?,
+        requests: p
+            .value("requests")?
+            .map(|_| p.count("requests", 1))
+            .transpose()?,
+        seed: p.get("seed", 42u64)?,
         // A zero rate puts the first arrival centuries away, and the
         // wall clock would wait for it.
-        return Err(format!(
-            "--rate must be positive and finite, got {}",
-            opts.rate_rps
-        ));
-    }
-    if !(opts.snapshot_secs.is_finite() && opts.snapshot_secs >= 0.0) {
-        return Err(format!(
-            "--snapshot-secs must be finite and at least 0, got {}",
-            opts.snapshot_secs
-        ));
-    }
+        rate_rps: p.positive("rate", 500.0)?,
+        speed: p.positive("speed", 1.0)?,
+        // `|`, not `||`: both spellings must count as read.
+        fast: p.flag("as-fast-as-possible") | p.flag("fast"),
+        snapshot_secs,
+        csv: p.value("csv")?.map(PathBuf::from),
+        checksum: p.flag("checksum"),
+    };
+    p.finish()?;
     match (&opts.log, &opts.trace) {
         (None, None) => Err("one of --log or --trace is required".into()),
         (Some(_), Some(_)) => Err("--log and --trace are mutually exclusive".into()),
         _ => Ok(opts),
-    }
-}
-
-fn trace_by_name(name: &str) -> Result<TraceSpec, String> {
-    match name {
-        "calgary" => Ok(TraceSpec::calgary()),
-        "clarknet" => Ok(TraceSpec::clarknet()),
-        "nasa" => Ok(TraceSpec::nasa()),
-        "rutgers" => Ok(TraceSpec::rutgers()),
-        other => Err(format!(
-            "unknown trace {other:?} (expected calgary|clarknet|nasa|rutgers)"
-        )),
     }
 }
 
@@ -331,9 +254,19 @@ fn run(opts: &Opts) -> Result<(), String> {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1).collect()) {
-        Ok(o) => o,
-        Err(e) if e.is_empty() => {
+    // The tool has no subcommands; its name stands in for one, so the
+    // shared parser's messages read "l2s-replay: ...".
+    let argv = std::iter::once("l2s-replay".to_string()).chain(std::env::args().skip(1));
+    let parsed = args::parse(argv).and_then(|p| {
+        if p.flag("help") || p.flag("h") {
+            Ok(None)
+        } else {
+            parse_opts(&p).map(Some)
+        }
+    });
+    let opts = match parsed {
+        Ok(Some(o)) => o,
+        Ok(None) => {
             println!("{USAGE}");
             return;
         }

@@ -147,6 +147,16 @@ fn clusterlab_rejects_bad_flags_with_exit_2() {
         ("--cache-mb", &["simulate", "--cache-mb", "nan"]),
         ("--files", &["simulate", "--files", "0"]),
         ("--requests", &["simulate", "--requests", "0"]),
+        // Integer flags parse as integers, never through a float cast.
+        ("--nodes", &["simulate", "--nodes", "2.7"]),
+        ("--seed", &["simulate", "--seed", "-1"]),
+        // A flag the command never reads is an error, not a default run.
+        ("--nodse", &["simulate", "--nodse", "4"]),
+        ("--trace", &["model", "--trace", "calgary"]),
+        // The hit rate is a fraction; NaN used to print H = 1, Q = 0.
+        ("--hit", &["model", "--hit", "2"]),
+        ("--hit", &["model", "--hit", "-1"]),
+        ("--hit", &["model", "--hit", "nan"]),
     ] {
         assert_rejects(&clusterlab(args), flag, args);
     }
@@ -178,7 +188,42 @@ fn l2s_replay_rejects_bad_flags_with_exit_2() {
             "--snapshot-secs",
             &["--trace", "calgary", "--snapshot-secs", "-3"],
         ),
+        // These used to be read as floats and cast: seed -1 ran seed 0,
+        // 2.7 nodes ran 2, 1e12 nodes aborted on allocation (exit 134)
+        // and 1e30 requests panicked (exit 101).
+        ("--seed", &["--trace", "calgary", "--seed", "-1"]),
+        ("--nodes", &["--trace", "calgary", "--nodes", "2.7"]),
+        ("--nodes", &["--trace", "calgary", "--nodes", "1e12"]),
+        ("--requests", &["--trace", "calgary", "--requests", "1e30"]),
+        ("--nodse", &["--trace", "calgary", "--nodse", "4"]),
     ] {
         assert_rejects(&l2s_replay(args), flag, args);
     }
+}
+
+#[test]
+fn l2s_replay_help_and_flags_still_work() {
+    let out = l2s_replay(&["--help"]);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    // `--fast` is an alias of `--as-fast-as-possible`; both may be given.
+    let args = [
+        "--trace",
+        "calgary",
+        "--nodes",
+        "4",
+        "--requests",
+        "2000",
+        "--fast",
+        "--as-fast-as-possible",
+        "--checksum",
+    ];
+    let out = l2s_replay(&args);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("checksum"), "{text}");
 }
