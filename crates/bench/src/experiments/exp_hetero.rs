@@ -83,7 +83,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let reports: Vec<SimReport> = run_cells_parallel(ctx, cells.len(), |i| {
         let (s, m, kind) = cells[i];
         let mut cfg = paper_config(ctx, NODES);
-        cfg.hetero = Some(mixes[m].1.clone());
+        cfg.hetero = mixes[m].1.clone();
         ctx.simulate(&specs[s], kind, &cfg)
     });
 

@@ -13,7 +13,7 @@
 use crate::{paper_trace, run_cells_parallel, trace_seed, RunCtx};
 use l2s::PolicyKind;
 use l2s_replay::{placement_checksum, replay_trace_fast};
-use l2s_sim::{simulate_observed, PlacementRecord, SimConfig};
+use l2s_sim::{simulate_workload_observed, PlacementRecord, SimConfig, TraceWorkload};
 use l2s_trace::TraceSpec;
 use l2s_util::cast;
 use l2s_util::csv::CsvTable;
@@ -45,7 +45,8 @@ fn run_cell(ctx: &RunCtx, spec: &TraceSpec, kind: PolicyKind) -> Result<Cell, St
 
     let mut direct: Vec<PlacementRecord> = Vec::new();
     let mut observer = |r: PlacementRecord| direct.push(r);
-    let direct_report = simulate_observed(&config, kind, &trace, &mut observer);
+    let mut workload = TraceWorkload::new(&trace);
+    let direct_report = simulate_workload_observed(&config, kind, &mut workload, &mut observer);
 
     if replayed.len() != direct.len() {
         return Err(format!(

@@ -60,7 +60,7 @@ impl CacheStats {
 /// Recency is tracked by *stamps*, not a linked list: every hit writes
 /// one monotone counter value into the slot it touched, and the LRU
 /// victim is the live slot with the smallest stamp. Slots live in a pool
-/// located through a [`Directory`] — an open-addressing table of slot
+/// located through a `Directory` — an open-addressing table of slot
 /// ids sized to the resident files, so a node's bookkeeping follows what
 /// it caches rather than the file population (a dense id-indexed array
 /// per node grew with nodes × files, and with the largest id inserted).
@@ -70,7 +70,7 @@ impl CacheStats {
 /// that splice traffic dominates the simulator's hot path. The stamp
 /// scheme makes a hit exactly one random write. Eviction finds victims
 /// with a batched harvest: a sequential scan keeps the
-/// [`HARVEST_BATCH`] oldest stamps in a bounded max-heap, and victims
+/// `HARVEST_BATCH` oldest stamps in a bounded max-heap, and victims
 /// pop in stamp order,
 /// each validated against its slot (a candidate touched since the scan
 /// has a newer stamp and is discarded). Because stamps are unique and

@@ -176,10 +176,11 @@ mod tests {
         let mut t = Traditional::new(4);
         for f in 0..20u32 {
             let n = t.arrival_node().unwrap();
-            let a = t.assign(SimTime::ZERO, n, f.into());
-            assert!(!a.forwarded);
-            assert_eq!(a.control_msgs, 0);
+            assert_eq!(t.assign(SimTime::ZERO, n, f.into()), n);
         }
+        let mut out = Vec::new();
+        t.drain_messages(&mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -224,11 +225,11 @@ mod tests {
     #[test]
     fn pure_locality_is_sticky_per_file() {
         let mut p = PureLocality::new(4);
-        let first = p.assign(SimTime::ZERO, 0, 42.into()).service;
+        let first = p.assign(SimTime::ZERO, 0, 42.into());
         for _ in 0..10 {
             let initial = p.arrival_node().unwrap();
-            let a = p.assign(SimTime::ZERO, initial, 42.into());
-            assert_eq!(a.service, first, "same file, same owner");
+            let service = p.assign(SimTime::ZERO, initial, 42.into());
+            assert_eq!(service, first, "same file, same owner");
         }
     }
 
@@ -243,14 +244,12 @@ mod tests {
     }
 
     #[test]
-    fn pure_locality_forwarding_flag_tracks_owner() {
+    fn pure_locality_serves_at_the_owner() {
         let mut p = PureLocality::new(2);
         let owner = p.owner(7);
-        let a = p.assign(SimTime::ZERO, owner, 7.into());
-        assert!(!a.forwarded);
+        assert_eq!(p.assign(SimTime::ZERO, owner, 7.into()), owner);
         let other = 1 - owner;
-        let b = p.assign(SimTime::ZERO, other, 7.into());
-        assert!(b.forwarded);
+        assert_eq!(p.assign(SimTime::ZERO, other, 7.into()), owner);
     }
 
     #[test]
@@ -280,9 +279,7 @@ mod tests {
             for f in 0..5u32 {
                 let n = p.arrival_node().unwrap();
                 assert_eq!(n, 0);
-                let a = p.assign(SimTime::ZERO, n, f.into());
-                assert_eq!(a.service, 0);
-                assert!(!a.forwarded);
+                assert_eq!(p.assign(SimTime::ZERO, n, f.into()), 0);
             }
         }
     }

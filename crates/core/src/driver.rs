@@ -27,8 +27,6 @@ pub enum Placement {
         node: NodeId,
         /// Whether it was handed off from the accepting node.
         forwarded: bool,
-        /// Control messages the decision emitted.
-        control_msgs: u32,
     },
     /// No node could accept the connection (every candidate is down);
     /// the caller counts the request as failed.
@@ -92,22 +90,21 @@ impl PolicyDriver {
         let Some(initial) = self.policy.arrival_node() else {
             return Placement::Rejected;
         };
-        let a = self
+        let node = self
             .policy
             .assign(SimTime::from_nanos(now_ns), initial, file.into());
         Placement::Serve {
-            node: a.service,
-            forwarded: a.forwarded,
-            control_msgs: a.control_msgs,
+            node,
+            forwarded: node != initial,
         }
     }
 
     /// The request for `file` being serviced at `node` completed at
-    /// `now_ns`. Returns control messages emitted (batched load
-    /// reports and the like).
-    pub fn complete(&mut self, now_ns: u64, node: NodeId, file: u32) -> u32 {
+    /// `now_ns`. Any control messages it emitted (batched load reports
+    /// and the like) wait in [`PolicyDriver::drain_messages`].
+    pub fn complete(&mut self, now_ns: u64, node: NodeId, file: u32) {
         self.policy
-            .complete(SimTime::from_nanos(now_ns), node, file.into())
+            .complete(SimTime::from_nanos(now_ns), node, file.into());
     }
 
     /// `node` went down at `now_ns`; the policy stops routing to it.
@@ -131,8 +128,7 @@ impl PolicyDriver {
     }
 
     /// Drains the `(from, to)` control-message pairs emitted since the
-    /// last drain. The count always matches the `control_msgs` totals
-    /// returned by [`PolicyDriver::place`] / [`PolicyDriver::complete`].
+    /// last drain: the only record of the policy's message traffic.
     pub fn drain_messages(&mut self) -> &[(NodeId, NodeId)] {
         self.msg_buf.clear();
         self.policy.drain_messages(&mut self.msg_buf);
@@ -213,7 +209,6 @@ mod tests {
         let p = Placement::Serve {
             node: 2,
             forwarded: false,
-            control_msgs: 0,
         };
         assert_eq!(p.node(), Some(2));
     }

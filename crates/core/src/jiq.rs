@@ -133,10 +133,11 @@ mod tests {
         let mut p = Jiq::new(4);
         for f in 0..20u32 {
             let n = p.arrival_node().unwrap();
-            let a = p.assign(SimTime::ZERO, n, f.into());
-            assert!(!a.forwarded);
-            assert_eq!(a.control_msgs, 0);
-            assert_eq!(p.complete(SimTime::ZERO, n, f.into()), 0);
+            assert_eq!(p.assign(SimTime::ZERO, n, f.into()), n);
+            p.complete(SimTime::ZERO, n, f.into());
         }
+        let mut out = Vec::new();
+        p.drain_messages(&mut out);
+        assert!(out.is_empty());
     }
 }

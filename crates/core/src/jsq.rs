@@ -190,9 +190,10 @@ mod tests {
         let mut p = jsq(4);
         for f in 0..20u32 {
             let n = p.arrival_node().unwrap();
-            let a = p.assign(SimTime::ZERO, n, f.into());
-            assert!(!a.forwarded);
-            assert_eq!(a.control_msgs, 0);
+            assert_eq!(p.assign(SimTime::ZERO, n, f.into()), n);
         }
+        let mut out = Vec::new();
+        p.drain_messages(&mut out);
+        assert!(out.is_empty());
     }
 }

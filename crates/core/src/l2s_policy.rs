@@ -25,7 +25,7 @@
 //! to CPUs and NIs.
 
 use crate::ledger::{next_live, release};
-use crate::{argmin_rotating, Assignment, Distributor, NodeId, PolicyKind};
+use crate::{argmin_rotating, Distributor, NodeId, PolicyKind};
 use l2s_cluster::FileId;
 use l2s_util::{invariant, SimDuration, SimTime};
 
@@ -155,34 +155,28 @@ impl L2s {
         }
     }
 
-    /// Applies a load change at `node` and returns the number of
-    /// point-to-point messages if the broadcast threshold tripped. A
-    /// crashed node cannot send (its stray completions settle silently),
-    /// and crashed observers receive nothing — their views are resynced
-    /// when they rejoin.
-    fn note_load_change(&mut self, node: NodeId) -> u32 {
+    /// Applies a load change at `node` and queues a broadcast if the
+    /// threshold tripped. A crashed node cannot send (its stray
+    /// completions settle silently), and crashed observers receive
+    /// nothing — their views are resynced when they rejoin.
+    fn note_load_change(&mut self, node: NodeId) {
         if !self.alive[node] {
-            return 0;
+            return;
         }
         let current = self.true_loads[node];
-        let drift = current.abs_diff(self.last_broadcast[node]);
-        if drift >= self.config.broadcast_delta {
-            let mut sent = 0u32;
-            for observer in 0..self.nodes {
-                if !self.alive[observer] {
-                    continue;
-                }
-                self.views[observer][node] = current;
-                if observer != node {
-                    self.outbox.push((node, observer));
-                    sent += 1;
-                }
-            }
-            self.last_broadcast[node] = current;
-            sent
-        } else {
-            0
+        if current.abs_diff(self.last_broadcast[node]) < self.config.broadcast_delta {
+            return;
         }
+        for observer in 0..self.nodes {
+            if !self.alive[observer] {
+                continue;
+            }
+            self.views[observer][node] = current;
+            if observer != node {
+                self.outbox.push((node, observer));
+            }
+        }
+        self.last_broadcast[node] = current;
     }
 }
 
@@ -203,11 +197,10 @@ impl Distributor for L2s {
         }
     }
 
-    fn assign(&mut self, now: SimTime, initial: NodeId, file: FileId) -> Assignment {
+    fn assign(&mut self, now: SimTime, initial: NodeId, file: FileId) -> NodeId {
         self.ensure_file(file);
         let cfg = self.config;
         let nodes = self.nodes;
-        let mut msgs = 0u32;
         // Disjoint borrows of the policy's tables so the hot path never
         // clones the view row, the candidate list, or the server set.
         let L2s {
@@ -224,15 +217,12 @@ impl Distributor for L2s {
 
         // A server-set change is announced to every *live* peer (all
         // `N - 1` of them while the cluster is healthy).
-        let broadcast_set_change = |outbox: &mut Vec<(NodeId, NodeId)>| -> u32 {
-            let mut sent = 0u32;
+        let broadcast_set_change = |outbox: &mut Vec<(NodeId, NodeId)>| {
             for o in 0..nodes {
                 if o != initial && alive[o] {
                     outbox.push((initial, o));
-                    sent += 1;
                 }
             }
-            sent
         };
 
         // The decision is taken on `initial`'s view of the world (its own
@@ -272,7 +262,7 @@ impl Distributor for L2s {
                     if !set.members.contains(&m) {
                         set.members.push(m);
                         set.last_modified = now;
-                        msgs += broadcast_set_change(outbox);
+                        broadcast_set_change(outbox);
                     }
                     m
                 } else {
@@ -292,7 +282,7 @@ impl Distributor for L2s {
             let set = &mut sets[file.index()];
             set.members.push(chosen);
             set.last_modified = now;
-            msgs += broadcast_set_change(outbox);
+            broadcast_set_change(outbox);
             chosen
         };
 
@@ -316,7 +306,7 @@ impl Distributor for L2s {
             if let Some(victim) = victim {
                 set.members.retain(|&m| m != victim);
                 set.last_modified = now;
-                msgs += broadcast_set_change(outbox);
+                broadcast_set_change(outbox);
             }
         }
 
@@ -326,13 +316,8 @@ impl Distributor for L2s {
             // The initial node saw its own hand-off.
             views[initial][service] = views[initial][service].saturating_add(1);
         }
-        msgs += self.note_load_change(service);
-
-        Assignment {
-            service,
-            forwarded: service != initial,
-            control_msgs: msgs,
-        }
+        self.note_load_change(service);
+        service
     }
 
     /// P-HTTP adaptation: a continuation request is served by the node
@@ -344,7 +329,7 @@ impl Distributor for L2s {
     /// cache back to the locality-oblivious regime.) Everything else
     /// runs the normal algorithm, migrating the connection to the
     /// content.
-    fn assign_continuation(&mut self, now: SimTime, holder: NodeId, file: FileId) -> Assignment {
+    fn assign_continuation(&mut self, now: SimTime, holder: NodeId, file: FileId) -> NodeId {
         let cfg = self.config;
         let in_set = self
             .sets
@@ -354,21 +339,17 @@ impl Distributor for L2s {
         if in_set && self.true_loads[holder] <= cfg.t_high {
             self.true_loads[holder] += 1;
             self.views[holder][holder] = self.true_loads[holder];
-            let msgs = self.note_load_change(holder);
-            Assignment {
-                service: holder,
-                forwarded: false,
-                control_msgs: msgs,
-            }
+            self.note_load_change(holder);
+            holder
         } else {
             self.assign(now, holder, file)
         }
     }
 
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
+    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) {
         release(&mut self.true_loads, node);
         self.views[node][node] = self.true_loads[node];
-        self.note_load_change(node)
+        self.note_load_change(node);
     }
 
     fn open_connections(&self, node: NodeId) -> u32 {
@@ -430,16 +411,21 @@ mod tests {
         L2s::new(n, L2sConfig::default())
     }
 
+    /// Control messages queued since the last drain.
+    fn drained(s: &mut L2s) -> usize {
+        let mut out = Vec::new();
+        s.drain_messages(&mut out);
+        out.len()
+    }
+
     #[test]
     fn first_request_stays_local() {
         let mut s = l2s(4);
         let initial = s.arrival_node().unwrap();
-        let a = s.assign(SimTime::ZERO, initial, 7.into());
-        assert_eq!(a.service, initial);
-        assert!(!a.forwarded);
+        assert_eq!(s.assign(SimTime::ZERO, initial, 7.into()), initial);
         assert_eq!(s.server_set(7), &[initial]);
         // Set creation is broadcast to the other 3 nodes.
-        assert_eq!(a.control_msgs, 3);
+        assert_eq!(drained(&mut s), 3);
     }
 
     #[test]
@@ -448,9 +434,7 @@ mod tests {
         let owner = s.arrival_node().unwrap();
         s.assign(SimTime::ZERO, owner, 7.into());
         // Same node receives the file again: serves locally.
-        let a = s.assign(SimTime::ZERO, owner, 7.into());
-        assert_eq!(a.service, owner);
-        assert!(!a.forwarded);
+        assert_eq!(s.assign(SimTime::ZERO, owner, 7.into()), owner);
     }
 
     #[test]
@@ -460,17 +444,16 @@ mod tests {
         s.assign(SimTime::ZERO, owner, 7.into());
         let other = s.arrival_node().unwrap();
         assert_ne!(other, owner);
-        let a = s.assign(SimTime::ZERO, other, 7.into());
-        assert_eq!(a.service, owner, "request follows cache locality");
-        assert!(a.forwarded);
+        let service = s.assign(SimTime::ZERO, other, 7.into());
+        assert_eq!(service, owner, "request follows cache locality");
     }
 
     /// Gives `node` ownership of `count` fresh files (while underloaded,
     /// first requests stay local), starting at file id `base`.
     fn seed_files(s: &mut L2s, node: NodeId, base: u32, count: u32) {
         for f in base..base + count {
-            let a = s.assign(SimTime::ZERO, node, f.into());
-            assert_eq!(a.service, node, "seed request should stay local");
+            let service = s.assign(SimTime::ZERO, node, f.into());
+            assert_eq!(service, node, "seed request should stay local");
         }
     }
 
@@ -479,8 +462,8 @@ mod tests {
     /// enough not to trigger replication).
     fn pump_via_forwards(s: &mut L2s, owner: NodeId, via: NodeId, base: u32, count: u32) {
         for i in 0..count {
-            let a = s.assign(SimTime::ZERO, via, (base + (i % 5)).into());
-            assert_eq!(a.service, owner);
+            let service = s.assign(SimTime::ZERO, via, (base + (i % 5)).into());
+            assert_eq!(service, owner);
         }
     }
 
@@ -500,9 +483,9 @@ mod tests {
         assert_eq!(s.server_set(7).len(), 1);
         // Now a request for 7 lands on overloaded node 1 while the sole
         // member (node 0) is also overloaded: replication.
-        let a = s.assign(SimTime::ZERO, 1, 7.into());
+        let service = s.assign(SimTime::ZERO, 1, 7.into());
         assert_eq!(s.server_set(7).len(), 2, "replicated under dual overload");
-        assert!(s.server_set(7).contains(&a.service));
+        assert!(s.server_set(7).contains(&service));
     }
 
     #[test]
@@ -518,8 +501,7 @@ mod tests {
         // Node 1 is idle; it receives a request for 7. The set member is
         // overloaded but node 1 is not, so the request is still forwarded
         // (no replication).
-        let a = s.assign(SimTime::ZERO, 1, 7.into());
-        assert_eq!(a.service, 0);
+        assert_eq!(s.assign(SimTime::ZERO, 1, 7.into()), 0);
         assert_eq!(s.server_set(7).len(), 1);
     }
 
@@ -553,13 +535,13 @@ mod tests {
     fn load_broadcasts_fire_every_delta_changes() {
         let cfg = L2sConfig::default();
         let mut s = l2s(4);
-        s.assign(SimTime::ZERO, 0, 1.into()); // set creation: 3 msgs
-        let mut msgs = 0;
+        s.assign(SimTime::ZERO, 0, 1.into());
+        assert_eq!(drained(&mut s), 3, "set creation");
         for _ in 0..cfg.broadcast_delta {
-            msgs += s.assign(SimTime::ZERO, 0, 1.into()).control_msgs;
+            s.assign(SimTime::ZERO, 0, 1.into());
         }
         // Load went 1 -> 5; threshold 4 tripped exactly once.
-        assert_eq!(msgs, 3, "one broadcast of N-1 messages");
+        assert_eq!(drained(&mut s), 3, "one broadcast of N-1 messages");
     }
 
     #[test]
@@ -583,13 +565,13 @@ mod tests {
         for _ in 0..cfg.broadcast_delta {
             s.assign(SimTime::ZERO, 0, 1.into());
         }
+        drained(&mut s);
         // Load is at 4 (broadcast happened). Four completions bring it to
         // 0, drifting 4 from the broadcast value: one more broadcast.
-        let mut msgs = 0;
         for _ in 0..cfg.broadcast_delta {
-            msgs += s.complete(SimTime::ZERO, 0, 1.into());
+            s.complete(SimTime::ZERO, 0, 1.into());
         }
-        assert_eq!(msgs, 3);
+        assert_eq!(drained(&mut s), 3);
     }
 
     #[test]
@@ -602,10 +584,8 @@ mod tests {
     fn single_node_never_forwards() {
         let mut s = l2s(1);
         for f in 0..10u32 {
-            let a = s.assign(SimTime::ZERO, 0, f.into());
-            assert_eq!(a.service, 0);
-            assert!(!a.forwarded);
-            assert_eq!(a.control_msgs, 0, "no peers to notify");
+            assert_eq!(s.assign(SimTime::ZERO, 0, f.into()), 0);
+            assert_eq!(drained(&mut s), 0, "no peers to notify");
         }
     }
 
@@ -614,9 +594,8 @@ mod tests {
         let mut s = l2s(4);
         // File 7 is owned by node 0, which also holds the connection.
         s.assign(SimTime::ZERO, 0, 7.into());
-        let a = s.assign_continuation(SimTime::ZERO, 0, 7.into());
-        assert_eq!(a.service, 0);
-        assert!(!a.forwarded, "member holder serves without hand-off");
+        let service = s.assign_continuation(SimTime::ZERO, 0, 7.into());
+        assert_eq!(service, 0, "member holder serves without hand-off");
         assert_eq!(s.open_connections(0), 2);
     }
 
@@ -626,19 +605,17 @@ mod tests {
         s.assign(SimTime::ZERO, 0, 7.into()); // node 0 owns file 7
                                               // Node 2 holds the connection but is not in 7's set: the request
                                               // is forwarded to the owner and the set stays clean.
-        let a = s.assign_continuation(SimTime::ZERO, 2, 7.into());
-        assert_eq!(a.service, 0);
-        assert!(a.forwarded);
+        assert_eq!(s.assign_continuation(SimTime::ZERO, 2, 7.into()), 0);
         assert_eq!(s.server_set(7), &[0], "no affinity-driven replication");
     }
 
     #[test]
     fn continuation_for_unseen_file_behaves_like_first_request() {
         let mut s = l2s(3);
-        let a = s.assign_continuation(SimTime::ZERO, 1, 99.into());
-        assert_eq!(a.service, 1, "first touch stays local");
+        let service = s.assign_continuation(SimTime::ZERO, 1, 99.into());
+        assert_eq!(service, 1, "first touch stays local");
         assert_eq!(s.server_set(99), &[1]);
-        assert_eq!(a.control_msgs, 2, "set creation broadcast to peers");
+        assert_eq!(drained(&mut s), 2, "set creation broadcast to peers");
     }
 
     #[test]
@@ -654,8 +631,7 @@ mod tests {
         assert_eq!(s.arrival_node().unwrap(), 0);
         // The file's set was pruned empty, so the next request recreates
         // it on a live node.
-        let a = s.assign(SimTime::ZERO, 0, 7.into());
-        assert_eq!(a.service, 0);
+        assert_eq!(s.assign(SimTime::ZERO, 0, 7.into()), 0);
         assert_eq!(s.server_set(7), &[0]);
     }
 
@@ -664,21 +640,18 @@ mod tests {
         let cfg = L2sConfig::default();
         let mut s = l2s(3);
         s.node_down(SimTime::ZERO, 2);
-        let a = s.assign(SimTime::ZERO, 0, 1.into());
-        assert_eq!(a.control_msgs, 1, "set creation reaches only the live peer");
-        let mut msgs = 0;
-        for _ in 0..cfg.broadcast_delta {
-            msgs += s.assign(SimTime::ZERO, 0, 1.into()).control_msgs;
-        }
-        assert_eq!(msgs, 1, "one load broadcast, to the one live peer");
-        assert_eq!(s.viewed_load(1, 0), 4);
-        assert_eq!(s.viewed_load(2, 0), 0, "dead observer heard nothing");
+        s.assign(SimTime::ZERO, 0, 1.into());
         let mut out = Vec::new();
         s.drain_messages(&mut out);
-        assert!(
-            out.iter().all(|&(_, to)| to != 2),
-            "no message targets node 2"
-        );
+        assert_eq!(out, [(0, 1)], "set creation reaches only the live peer");
+        for _ in 0..cfg.broadcast_delta {
+            s.assign(SimTime::ZERO, 0, 1.into());
+        }
+        out.clear();
+        s.drain_messages(&mut out);
+        assert_eq!(out, [(0, 1)], "one load broadcast, to the one live peer");
+        assert_eq!(s.viewed_load(1, 0), 4);
+        assert_eq!(s.viewed_load(2, 0), 0, "dead observer heard nothing");
     }
 
     #[test]
@@ -702,13 +675,13 @@ mod tests {
             s.assign(SimTime::ZERO, 0, 1.into());
         }
         s.node_down(SimTime::ZERO, 0);
+        drained(&mut s);
         // The engine settles each in-flight request on the dead node; the
         // load drains without any broadcast traffic.
-        let mut msgs = 0;
         for _ in 0..5 {
-            msgs += s.complete(SimTime::ZERO, 0, 1.into());
+            s.complete(SimTime::ZERO, 0, 1.into());
         }
-        assert_eq!(msgs, 0);
+        assert_eq!(drained(&mut s), 0);
         assert_eq!(s.open_connections(0), 0);
     }
 
@@ -727,8 +700,7 @@ mod tests {
         for f in 0..cfg.t_high + 1 {
             s.assign(SimTime::ZERO, 1, (100 + f).into());
         }
-        let a = s.assign(SimTime::ZERO, 1, 7.into());
-        assert_ne!(a.service, 2);
+        assert_ne!(s.assign(SimTime::ZERO, 1, 7.into()), 2);
         assert!(!s.server_set(7).contains(&2));
     }
 
@@ -738,8 +710,7 @@ mod tests {
         let mut used = [false; 4];
         for f in 0..8u32 {
             let initial = s.arrival_node().unwrap();
-            let a = s.assign(SimTime::ZERO, initial, f.into());
-            used[a.service] = true;
+            used[s.assign(SimTime::ZERO, initial, f.into())] = true;
         }
         assert!(
             used.iter().all(|&u| u),

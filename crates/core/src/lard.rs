@@ -25,7 +25,7 @@
 //! connections have terminated since the last update").
 
 use crate::ledger::release;
-use crate::{argmin_rotating, Assignment, Distributor, LoadIndex, NodeId, PolicyKind};
+use crate::{argmin_rotating, Distributor, LoadIndex, NodeId, PolicyKind};
 use l2s_cluster::FileId;
 use l2s_util::{invariant, SimDuration, SimTime};
 
@@ -224,13 +224,18 @@ impl Distributor for Lard {
     }
 
     fn arrival_node(&mut self) -> Option<NodeId> {
-        // LARD deliberately always answers `Some`: clients target a
-        // hardwired next hop (the front-end, or the DNS rotation's next
-        // serving address) whether or not it is up, and the engine's
-        // liveness check fails the connection there. This models the
-        // dedicated distributor's failure mode rather than an
-        // all-knowing switch that rejects up front.
+        // LARD deliberately answers `Some` even for a dead next hop:
+        // clients target a hardwired address (the front-end, or the DNS
+        // rotation's next serving node) whether or not it is up, and the
+        // engine's liveness check fails the connection there. This
+        // models the dedicated distributor's failure mode rather than an
+        // all-knowing switch that rejects up front. A dead dispatcher is
+        // the exception: the accepting node's query goes unanswered, so
+        // the connection fails without reaching any node.
         if self.dispatched && self.nodes > 1 {
+            if !self.alive[self.front_end()] {
+                return None;
+            }
             // Round-robin DNS over the serving nodes, skipping dead
             // addresses (the client's retry lands on the next name).
             let span = self.nodes - 1;
@@ -254,7 +259,7 @@ impl Distributor for Lard {
         }
     }
 
-    fn assign(&mut self, now: SimTime, initial: NodeId, file: FileId) -> Assignment {
+    fn assign(&mut self, now: SimTime, initial: NodeId, file: FileId) -> NodeId {
         // New client connections land on the front-end (or, in the
         // dispatcher organization, on any serving node). With persistent
         // connections, later requests of a connection originate at the
@@ -270,11 +275,7 @@ impl Distributor for Lard {
             let target = back_end_range(self.nodes).start;
             self.true_loads[target] += 1;
             self.viewed_loads[target] += 1;
-            return Assignment {
-                service: target,
-                forwarded: target != initial,
-                control_msgs: 0,
-            };
+            return target;
         }
         let cfg = self.config;
         let mode = self.mode;
@@ -357,27 +358,20 @@ impl Distributor for Lard {
         self.viewed_loads[target] += 1;
         self.view_index
             .set_if_present(target, self.viewed_loads[target]);
-        let control_msgs = if self.dispatched && self.nodes > 1 {
+        if self.dispatched && self.nodes > 1 && self.alive[self.front_end()] {
             // Query + reply between the accepting node and the
             // dispatcher.
             self.outbox.push((initial, self.front_end()));
             self.outbox.push((self.front_end(), initial));
-            2
-        } else {
-            0
-        };
-        Assignment {
-            service: target,
-            forwarded: target != initial,
-            control_msgs,
         }
+        target
     }
 
     /// P-HTTP adaptation (Aron et al., USENIX '99): a back-end holding a
     /// persistent connection serves the next request itself when it is
     /// already in the file's server set; otherwise the connection is
     /// handed off per the normal front-end decision.
-    fn assign_continuation(&mut self, now: SimTime, holder: NodeId, file: FileId) -> Assignment {
+    fn assign_continuation(&mut self, now: SimTime, holder: NodeId, file: FileId) -> NodeId {
         let in_set = self
             .sets
             .get(file.index())
@@ -388,17 +382,13 @@ impl Distributor for Lard {
             self.viewed_loads[holder] += 1;
             self.view_index
                 .set_if_present(holder, self.viewed_loads[holder]);
-            Assignment {
-                service: holder,
-                forwarded: false,
-                control_msgs: 0,
-            }
+            holder
         } else {
             self.assign(now, holder, file)
         }
     }
 
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
+    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) {
         release(&mut self.true_loads, node);
         if !self.alive[node] {
             // An engine-settled connection on a crashed node: the
@@ -406,7 +396,7 @@ impl Distributor for Lard {
             // view updates without a report message. (A dead node is
             // absent from the index, so there is nothing to mirror.)
             self.viewed_loads[node] = self.viewed_loads[node].saturating_sub(1);
-            return 0;
+            return;
         }
         self.unreported[node] += 1;
         if self.unreported[node] >= self.config.report_batch {
@@ -415,16 +405,12 @@ impl Distributor for Lard {
             self.viewed_loads[node] = self.viewed_loads[node].saturating_sub(batch);
             self.view_index
                 .set_if_present(node, self.viewed_loads[node]);
-            if node == self.front_end() || !self.alive[self.front_end()] {
-                // Degenerate single-node server (the "report" is local),
-                // or no front-end to report to.
-                0
-            } else {
+            // One report message to the front-end, unless the server is
+            // the degenerate single node (the "report" is local) or there
+            // is no front-end to report to.
+            if node != self.front_end() && self.alive[self.front_end()] {
                 self.outbox.push((node, self.front_end()));
-                1 // one report message to the front-end
             }
-        } else {
-            0
         }
     }
 
@@ -502,15 +488,24 @@ mod tests {
         Lard::new(n, LardConfig::default())
     }
 
+    /// Control messages queued since the last drain.
+    fn drained(l: &mut Lard) -> Vec<(NodeId, NodeId)> {
+        let mut out = Vec::new();
+        l.drain_messages(&mut out);
+        out
+    }
+
     #[test]
     fn front_end_never_serves() {
         let mut l = lard(4);
         for f in 0..100u32 {
             let initial = l.arrival_node().unwrap();
             assert_eq!(initial, 0);
-            let a = l.assign(SimTime::ZERO, initial, f.into());
-            assert_ne!(a.service, 0, "front-end must not serve");
-            assert!(a.forwarded, "every LARD request is handed off");
+            let service = l.assign(SimTime::ZERO, initial, f.into());
+            assert_ne!(
+                service, 0,
+                "front-end must not serve, so every request is handed off"
+            );
         }
         assert_eq!(l.open_connections(0), 0);
     }
@@ -525,18 +520,18 @@ mod tests {
         // First request picked node 1 (both idle, lowest id). Now file 7
         // must go to node 2 if 1 is busier.
         let busier = l.server_set(99)[0];
-        let a = l.assign(SimTime::ZERO, 0, 7.into());
-        assert_ne!(a.service, busier);
-        assert_eq!(l.server_set(7), &[a.service]);
+        let service = l.assign(SimTime::ZERO, 0, 7.into());
+        assert_ne!(service, busier);
+        assert_eq!(l.server_set(7), &[service]);
     }
 
     #[test]
     fn requests_stick_to_the_server_set() {
         let mut l = lard(4);
-        let first = l.assign(SimTime::ZERO, 0, 5.into()).service;
+        let first = l.assign(SimTime::ZERO, 0, 5.into());
         for _ in 0..20 {
-            let a = l.assign(SimTime::ZERO, 0, 5.into());
-            assert_eq!(a.service, first, "below T_high the set never grows");
+            let service = l.assign(SimTime::ZERO, 0, 5.into());
+            assert_eq!(service, first, "below T_high the set never grows");
         }
         assert_eq!(l.server_set(5).len(), 1);
     }
@@ -544,14 +539,14 @@ mod tests {
     #[test]
     fn overload_replicates_the_file() {
         let mut l = lard(3);
-        let owner = l.assign(SimTime::ZERO, 0, 5.into()).service;
+        let owner = l.assign(SimTime::ZERO, 0, 5.into());
         // Push the owner past T_high while the other back-end stays idle.
         for _ in 0..70 {
             l.assign(SimTime::ZERO, 0, 5.into());
         }
         assert!(l.open_connections(owner) > LardConfig::default().t_high);
-        let a = l.assign(SimTime::ZERO, 0, 5.into());
-        assert_ne!(a.service, owner, "hot file spills to an idle node");
+        let service = l.assign(SimTime::ZERO, 0, 5.into());
+        assert_ne!(service, owner, "hot file spills to an idle node");
         assert_eq!(l.server_set(5).len(), 2, "set grew");
     }
 
@@ -581,11 +576,14 @@ mod tests {
         for _ in 0..8 {
             l.assign(SimTime::ZERO, 0, 1.into());
         }
-        let mut msgs = 0;
         for _ in 0..8 {
-            msgs += l.complete(SimTime::ZERO, 1, 1.into());
+            l.complete(SimTime::ZERO, 1, 1.into());
         }
-        assert_eq!(msgs, 2, "8 completions / batch of 4 = 2 reports");
+        assert_eq!(
+            drained(&mut l),
+            [(1, 0), (1, 0)],
+            "8 completions / batch of 4 = 2 reports"
+        );
     }
 
     #[test]
@@ -596,11 +594,13 @@ mod tests {
         }
         // 3 completions: unreported, front-end still sees 4.
         for _ in 0..3 {
-            assert_eq!(l.complete(SimTime::ZERO, 1, 1.into()), 0);
+            l.complete(SimTime::ZERO, 1, 1.into());
         }
+        assert!(drained(&mut l).is_empty());
         assert_eq!(l.open_connections(1), 1);
         assert_eq!(l.viewed_loads[1], 4, "view is stale until the batch");
-        assert_eq!(l.complete(SimTime::ZERO, 1, 1.into()), 1);
+        l.complete(SimTime::ZERO, 1, 1.into());
+        assert_eq!(drained(&mut l), [(1, 0)]);
         assert_eq!(l.viewed_loads[1], 0, "batch report synchronizes view");
     }
 
@@ -608,9 +608,8 @@ mod tests {
     fn single_node_degenerates_to_local_service() {
         let mut l = lard(1);
         let initial = l.arrival_node().unwrap();
-        let a = l.assign(SimTime::ZERO, initial, 3.into());
-        assert_eq!(a.service, 0);
-        assert!(!a.forwarded);
+        assert_eq!(initial, 0);
+        assert_eq!(l.assign(SimTime::ZERO, initial, 3.into()), 0);
         assert_eq!(l.serving_nodes(), vec![0]);
     }
 
@@ -623,24 +622,20 @@ mod tests {
     #[test]
     fn continuation_sticks_to_set_member() {
         let mut l = lard(3);
-        let owner = l.assign(SimTime::ZERO, 0, 5.into()).service;
+        let owner = l.assign(SimTime::ZERO, 0, 5.into());
         // The owner holds a persistent connection: the next request for
         // 5 is served locally without a hand-off.
-        let a = l.assign_continuation(SimTime::ZERO, owner, 5.into());
-        assert_eq!(a.service, owner);
-        assert!(!a.forwarded);
+        assert_eq!(l.assign_continuation(SimTime::ZERO, owner, 5.into()), owner);
     }
 
     #[test]
     fn continuation_for_foreign_file_is_handed_off() {
         let mut l = lard(3);
-        let owner = l.assign(SimTime::ZERO, 0, 5.into()).service;
+        let owner = l.assign(SimTime::ZERO, 0, 5.into());
         let other = if owner == 1 { 2 } else { 1 };
         // `other` holds the connection but is not in 5's server set: the
         // normal algorithm decides (and keeps the single owner).
-        let a = l.assign_continuation(SimTime::ZERO, other, 5.into());
-        assert_eq!(a.service, owner);
-        assert!(a.forwarded);
+        assert_eq!(l.assign_continuation(SimTime::ZERO, other, 5.into()), owner);
         assert_eq!(l.server_set(5), &[owner]);
     }
 
@@ -648,7 +643,7 @@ mod tests {
     fn basic_lard_moves_instead_of_replicating() {
         let cfg = LardConfig::default();
         let mut l = Lard::basic(3, cfg);
-        let owner = l.assign(SimTime::ZERO, 0, 5.into()).service;
+        let owner = l.assign(SimTime::ZERO, 0, 5.into());
         // Push the owner past 2*T_high so the move rule fires even
         // without an idle target.
         for _ in 0..(2 * cfg.t_high + 2) {
@@ -668,24 +663,28 @@ mod tests {
             vec![1, 2, 3, 1, 2, 3],
             "round-robin over serving nodes"
         );
-        let a = l.assign(SimTime::ZERO, 1, 9.into());
-        assert_ne!(a.service, 0, "dispatcher itself never serves");
-        assert_eq!(a.control_msgs, 2, "query + reply to the dispatcher");
-        let mut out = Vec::new();
-        l.drain_messages(&mut out);
-        assert_eq!(out, vec![(1, 0), (0, 1)]);
+        assert_ne!(
+            l.assign(SimTime::ZERO, 1, 9.into()),
+            0,
+            "dispatcher itself never serves"
+        );
+        assert_eq!(
+            drained(&mut l),
+            [(1, 0), (0, 1)],
+            "query + reply to the dispatcher"
+        );
     }
 
     #[test]
     fn back_end_crash_reassigns_orphaned_files() {
         let mut l = lard(3);
-        let owner = l.assign(SimTime::ZERO, 0, 5.into()).service;
+        let owner = l.assign(SimTime::ZERO, 0, 5.into());
         l.node_down(SimTime::ZERO, owner);
         assert_eq!(l.serving_nodes().len(), 1);
         assert!(l.server_set(5).is_empty(), "orphaned set pruned");
-        let a = l.assign(SimTime::ZERO, 0, 5.into());
-        assert_ne!(a.service, owner, "file reassigned to a live back-end");
-        assert_eq!(l.server_set(5), &[a.service]);
+        let service = l.assign(SimTime::ZERO, 0, 5.into());
+        assert_ne!(service, owner, "file reassigned to a live back-end");
+        assert_eq!(l.server_set(5), &[service]);
         l.node_up(SimTime::ZERO, owner);
         assert_eq!(l.serving_nodes(), vec![1, 2]);
     }
@@ -695,11 +694,12 @@ mod tests {
         let mut l = lard(3);
         l.node_down(SimTime::ZERO, 1);
         l.node_down(SimTime::ZERO, 2);
-        let a = l.assign(SimTime::ZERO, 0, 5.into());
-        assert_eq!(a.service, 1, "handed to the lowest back-end id (dead)");
+        let service = l.assign(SimTime::ZERO, 0, 5.into());
+        assert_eq!(service, 1, "handed to the lowest back-end id (dead)");
         assert!(l.server_set(5).is_empty(), "no set created while headless");
         // The engine settles the doomed hand-off; load conservation holds.
-        assert_eq!(l.complete(SimTime::ZERO, 1, 5.into()), 0);
+        l.complete(SimTime::ZERO, 1, 5.into());
+        assert!(drained(&mut l).is_empty());
         assert_eq!(l.open_connections(1), 0);
     }
 
@@ -710,11 +710,13 @@ mod tests {
             l.assign(SimTime::ZERO, 0, 1.into());
         }
         l.node_down(SimTime::ZERO, 1);
-        let mut msgs = 0;
         for _ in 0..8 {
-            msgs += l.complete(SimTime::ZERO, 1, 1.into());
+            l.complete(SimTime::ZERO, 1, 1.into());
         }
-        assert_eq!(msgs, 0, "connection resets, not report messages");
+        assert!(
+            drained(&mut l).is_empty(),
+            "connection resets, not report messages"
+        );
         assert_eq!(l.viewed_loads[1], 0, "the view settles with the resets");
         assert_eq!(l.open_connections(1), 0);
     }
@@ -722,26 +724,25 @@ mod tests {
     #[test]
     fn front_end_crash_wipes_state_and_recovery_resyncs() {
         let mut l = lard(3);
-        let owner = l.assign(SimTime::ZERO, 0, 5.into()).service;
+        let owner = l.assign(SimTime::ZERO, 0, 5.into());
         for _ in 0..7 {
             l.assign(SimTime::ZERO, 0, 5.into());
         }
         l.node_down(SimTime::ZERO, 0);
         assert!(l.server_set(5).is_empty(), "sets die with the front-end");
         // Completions while headless produce no report messages.
-        let mut msgs = 0;
         for _ in 0..4 {
-            msgs += l.complete(SimTime::ZERO, owner, 5.into());
+            l.complete(SimTime::ZERO, owner, 5.into());
         }
-        assert_eq!(msgs, 0, "no reports to a dead front-end");
+        assert!(drained(&mut l).is_empty(), "no reports to a dead front-end");
         l.node_up(SimTime::ZERO, 0);
         assert_eq!(
             l.viewed_loads[owner],
             l.open_connections(owner),
             "recovery handshake resyncs the view"
         );
-        let a = l.assign(SimTime::ZERO, 0, 5.into());
-        assert_eq!(l.server_set(5), &[a.service], "distribution restarts");
+        let service = l.assign(SimTime::ZERO, 0, 5.into());
+        assert_eq!(l.server_set(5), &[service], "distribution restarts");
     }
 
     #[test]
@@ -761,8 +762,33 @@ mod tests {
         // Only one back-end: it accepts and serves everything itself.
         let initial = l.arrival_node().unwrap();
         assert_eq!(initial, 1);
-        let a = l.assign(SimTime::ZERO, initial, 3.into());
-        assert_eq!(a.service, 1);
-        assert!(!a.forwarded, "no hand-off when the decision is local");
+        assert_eq!(
+            l.assign(SimTime::ZERO, initial, 3.into()),
+            1,
+            "no hand-off when the decision is local"
+        );
+    }
+
+    #[test]
+    fn dead_dispatcher_rejects_connections_and_sends_nothing() {
+        let mut l = Lard::dispatcher(4, LardConfig::default());
+        let initial = l.arrival_node().unwrap();
+        let service = l.assign(SimTime::ZERO, initial, 3.into());
+        let mut open = vec![service];
+        drained(&mut l);
+        l.node_down(SimTime::ZERO, 0);
+        assert_eq!(l.arrival_node(), None, "no dispatcher to query");
+        // Held connections still get decisions, but neither they nor a
+        // full batch of completions queue anything for the dead
+        // dispatcher.
+        for _ in 0..3 {
+            open.push(l.assign_continuation(SimTime::ZERO, service, 4.into()));
+        }
+        for node in open {
+            l.complete(SimTime::ZERO, node, 4.into());
+        }
+        assert!(drained(&mut l).is_empty(), "nothing addressed to node 0");
+        l.node_up(SimTime::ZERO, 0);
+        assert!(l.arrival_node().is_some(), "service resumes on recovery");
     }
 }

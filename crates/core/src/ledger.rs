@@ -9,7 +9,7 @@
 //! assignment rules — and the blanket [`Distributor`] impl below writes
 //! every other hook once.
 
-use crate::{Assignment, Distributor, LoadIndex, NodeId, PolicyKind};
+use crate::{Distributor, LoadIndex, NodeId, PolicyKind};
 use l2s_cluster::FileId;
 use l2s_util::{cast, invariant, SimTime};
 
@@ -195,21 +195,16 @@ impl<D: Dispatch> Distributor for D {
         }
     }
 
-    fn assign(&mut self, _now: SimTime, initial: NodeId, file: FileId) -> Assignment {
+    fn assign(&mut self, _now: SimTime, initial: NodeId, file: FileId) -> NodeId {
         let service = self.service(initial, file);
         if !D::SWITCH {
             self.ledger_mut().open(service);
         }
-        Assignment {
-            service,
-            forwarded: service != initial,
-            control_msgs: 0,
-        }
+        service
     }
 
-    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) -> u32 {
+    fn complete(&mut self, _now: SimTime, node: NodeId, _file: FileId) {
         self.ledger_mut().close(node);
-        0
     }
 
     fn open_connections(&self, node: NodeId) -> u32 {

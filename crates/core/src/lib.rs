@@ -22,9 +22,9 @@
 //!
 //! Policies are pure decision logic: they see request arrivals and
 //! completions, maintain their own (possibly stale) load views, and
-//! report how many control messages they emit, but know nothing about
-//! event scheduling. The simulator charges the corresponding CPU/NI/
-//! switch costs.
+//! queue the control messages they emit, but know nothing about event
+//! scheduling. The simulator drains the queue and charges the
+//! corresponding CPU/NI/switch costs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -174,19 +174,6 @@ impl Default for PolicyParams {
     }
 }
 
-/// The outcome of distributing one request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Assignment {
-    /// The node that will service the request.
-    pub service: NodeId,
-    /// Whether the request is handed off from the node that accepted the
-    /// client connection to a different service node.
-    pub forwarded: bool,
-    /// Small point-to-point control messages emitted as a side effect
-    /// (load or server-set dissemination; excludes the hand-off itself).
-    pub control_msgs: u32,
-}
-
 /// A request-distribution policy.
 ///
 /// Protocol per request:
@@ -194,10 +181,15 @@ pub struct Assignment {
 ///    (round-robin DNS for L2S, the front-end for LARD, the
 ///    load-balancing switch's pick for the traditional server);
 /// 2. [`Distributor::assign`] — the distribution decision made at that
-///    node; the policy increments its load accounting for the service
-///    node;
-/// 3. [`Distributor::complete`] — the service node finished the request;
-///    returns control messages emitted (e.g. batched load reports).
+///    node: returns the service node, and the policy increments its load
+///    accounting for it. The request is handed off exactly when the
+///    service node differs from the accepting one;
+/// 3. [`Distributor::complete`] — the service node finished the request.
+///
+/// Any hook may queue control messages (load or server-set
+/// dissemination, completion reports, dispatcher queries; never the
+/// hand-off itself); [`Distributor::drain_messages`] hands them to the
+/// caller, which charges and counts them.
 pub trait Distributor {
     /// The policy's kind.
     fn kind(&self) -> PolicyKind;
@@ -209,7 +201,10 @@ pub trait Distributor {
     /// over the all-down case with `unwrap_or(0)`, silently resurrecting
     /// node 0.) [`Lard`] is the deliberate exception — its front-end /
     /// rotation target is returned even when dead, modeling the hardwired
-    /// next hop whose liveness check the engine then fails.
+    /// next hop whose liveness check the engine then fails. In the
+    /// dispatcher organization ([`PolicyKind::LardDispatcher`]) a dead
+    /// dispatcher answers no query, so every new connection is rejected
+    /// with `None` until it recovers.
     fn arrival_node(&mut self) -> Option<NodeId>;
 
     /// Hints the number of distinct files in the workload (dense
@@ -237,21 +232,20 @@ pub trait Distributor {
     }
 
     /// Distribution decision for a request for `file` accepted at
-    /// `initial`.
-    fn assign(&mut self, now: SimTime, initial: NodeId, file: FileId) -> Assignment;
+    /// `initial`: the node that will service it.
+    fn assign(&mut self, now: SimTime, initial: NodeId, file: FileId) -> NodeId;
 
     /// Distribution decision for a *continuation* request on a
     /// persistent connection held by `holder` (the paper's Section 4
     /// points at the P-HTTP adaptations of its algorithms). The default
     /// treats it like a fresh request at `holder`; L2S and LARD override
     /// it with connection-affine rules.
-    fn assign_continuation(&mut self, now: SimTime, holder: NodeId, file: FileId) -> Assignment {
+    fn assign_continuation(&mut self, now: SimTime, holder: NodeId, file: FileId) -> NodeId {
         self.assign(now, holder, file)
     }
 
     /// The request for `file` being serviced at `node` completed.
-    /// Returns control messages emitted.
-    fn complete(&mut self, now: SimTime, node: NodeId, file: FileId) -> u32;
+    fn complete(&mut self, now: SimTime, node: NodeId, file: FileId);
 
     /// Ground-truth open connections at `node` (for metrics and tests;
     /// policies may internally act on stale views instead).
@@ -262,11 +256,10 @@ pub trait Distributor {
     fn serving_nodes(&self) -> Vec<NodeId>;
 
     /// Drains the control messages emitted since the last drain into
-    /// `out` as `(from, to)` node pairs, so the simulator can charge the
-    /// CPU/NI costs at both endpoints. Counts always match the
-    /// `control_msgs` totals reported by [`Distributor::assign`] and
-    /// [`Distributor::complete`]. Policies that never send messages use
-    /// the default no-op.
+    /// `out` as `(from, to)` node pairs, so the caller can count them and
+    /// charge the CPU/NI costs at both endpoints. Every pair names two
+    /// distinct nodes that were up when it was queued. Policies that
+    /// never send messages use the default no-op.
     fn drain_messages(&mut self, out: &mut Vec<(NodeId, NodeId)>) {
         let _ = out;
     }
@@ -301,12 +294,12 @@ pub trait Distributor {
 
     /// A request already assigned to `service` was abandoned mid-flight
     /// (the service node, or a node on the request's path, crashed).
-    /// Releases exactly the accounting [`Distributor::assign`] took;
-    /// returns control messages emitted. The default treats it as a
-    /// completion, which is correct wherever completion is a pure
-    /// decrement — policies with dead-node message suppression override.
-    fn abort_assigned(&mut self, now: SimTime, service: NodeId, file: FileId) -> u32 {
-        self.complete(now, service, file)
+    /// Releases exactly the accounting [`Distributor::assign`] took. The
+    /// default treats it as a completion, which releases that accounting
+    /// in every policy; a completion on a crashed node queues no
+    /// message.
+    fn abort_assigned(&mut self, now: SimTime, service: NodeId, file: FileId) {
+        self.complete(now, service, file);
     }
 }
 
@@ -394,8 +387,8 @@ mod tests {
             let mut in_flight: Vec<(NodeId, FileId)> = Vec::new();
             for file in 0..50u32 {
                 let initial = policy.arrival_node().expect("healthy cluster accepts");
-                let a = policy.assign(now, initial, (file % 7).into());
-                in_flight.push((a.service, (file % 7).into()));
+                let service = policy.assign(now, initial, (file % 7).into());
+                in_flight.push((service, (file % 7).into()));
             }
             let total: u32 = (0..n).map(|i| policy.open_connections(i)).sum();
             assert_eq!(total, 50, "{}: open != assigned", kind.name());
@@ -415,14 +408,8 @@ mod tests {
             for file in 0..30u32 {
                 let initial = policy.arrival_node().expect("healthy cluster accepts");
                 assert!(initial < n);
-                let a = policy.assign(SimTime::ZERO, initial, file.into());
-                assert!(a.service < n, "{}: service out of range", kind.name());
-                assert_eq!(
-                    a.forwarded,
-                    a.service != initial,
-                    "{}: forwarded flag inconsistent",
-                    kind.name()
-                );
+                let service = policy.assign(SimTime::ZERO, initial, file.into());
+                assert!(service < n, "{}: service out of range", kind.name());
             }
         }
     }

@@ -43,7 +43,7 @@ const ABSENT: u64 = u64::MAX;
 ///
 /// Leaves sit in node-id order; each internal node stores the minimum
 /// packed key and the count of present leaves in its subtree. Absent
-/// nodes (dead, or not part of the candidate set) hold [`ABSENT`] and
+/// nodes (dead, or not part of the candidate set) hold `ABSENT` and
 /// count 0, so they never win a minimum and are skipped by the order
 /// statistics used for rotation.
 #[derive(Clone, Debug)]

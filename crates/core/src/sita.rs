@@ -196,11 +196,11 @@ mod tests {
     #[test]
     fn owner_is_sticky_per_file() {
         let mut s = hinted(4);
-        let first = s.assign(SimTime::ZERO, 0, 3.into()).service;
+        let first = s.assign(SimTime::ZERO, 0, 3.into());
         for _ in 0..10 {
             let initial = s.arrival_node().unwrap();
-            let a = s.assign(SimTime::ZERO, initial, 3.into());
-            assert_eq!(a.service, first, "same file, same owner");
+            let service = s.assign(SimTime::ZERO, initial, 3.into());
+            assert_eq!(service, first, "same file, same owner");
         }
     }
 
@@ -231,13 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn forwarding_flag_tracks_ownership() {
+    fn requests_are_served_at_the_band_owner() {
         let mut s = hinted(2);
         let owner = s.owner(0u32);
-        let a = s.assign(SimTime::ZERO, owner, 0.into());
-        assert!(!a.forwarded);
+        assert_eq!(s.assign(SimTime::ZERO, owner, 0.into()), owner);
         let other = 1 - owner;
-        let b = s.assign(SimTime::ZERO, other, 0.into());
-        assert!(b.forwarded);
+        assert_eq!(s.assign(SimTime::ZERO, other, 0.into()), owner);
     }
 }

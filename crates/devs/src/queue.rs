@@ -93,9 +93,9 @@ fn epoch(t: SimTime) -> u64 {
 ///   0.15 at 16), while the ring's memmoves are sequential and k is
 ///   bounded by one epoch's worth of events (tens, not the admission
 ///   window), so an insert shifts a couple hundred bytes. Cheap deep
-///   lanes also let the buckets be wide ([`BUCKET_SHIFT`]), halving
+///   lanes also let the buckets be wide (`BUCKET_SHIFT`), halving
 ///   the random calendar traffic the heap's depth bound forced.
-/// * the *calendar* — [`BUCKET_COUNT`] unsorted buckets for events at or
+/// * the *calendar* — `BUCKET_COUNT` unsorted buckets for events at or
 ///   beyond the horizon. A bucket is an intrusive singly-linked list
 ///   threaded through one slab of slots (`heads[b]` is its first slot),
 ///   and a free list recycles the slots sweeps release, so the calendar

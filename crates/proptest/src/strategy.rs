@@ -169,7 +169,7 @@ tuple_strategy! {
     (A, B, C, D, E, F)
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -10,17 +10,19 @@
 //! Two execution modes share one configuration:
 //!
 //! * **Timed replay** ([`replay_stream`] / [`replay_trace_timed`]): one
-//!   loop over the [`PolicyDriver`] API. For a CLF stream, a reader
-//!   thread parses the log alongside it and hands over each kept
-//!   request through a bounded channel; the loop, its clock and its
-//!   snapshots stay on the caller's thread, and every result equals
-//!   parsing and replaying one request at a time. Virtual time
+//!   loop over the [`PolicyDriver`](l2s::PolicyDriver) API. For a CLF
+//!   stream, a reader thread parses the log alongside it and hands over
+//!   each kept request through a bounded channel; the loop, its clock
+//!   and its snapshots stay on the caller's thread, and every result
+//!   equals parsing and replaying one request at a time. Virtual time
 //!   comes from the log's own timestamps (or a Poisson arrival process
 //!   for synthetic traces); an injectable [`Clock`] paces the loop —
-//!   [`WallClock`] sleeps until each arrival is due, [`VirtualClock`]
-//!   jumps. Per-node service is modeled with the same
-//!   [`NodeHardware`] stations and [`NodeCosts`] Table 1 service times
-//!   the DES uses, in a simplified FIFO pipeline (NI-in, CPU parse
+//!   [`WallClock`](l2s_sim::WallClock) sleeps until each arrival is
+//!   due, [`VirtualClock`](l2s_sim::VirtualClock) jumps. Per-node
+//!   service is modeled with the same
+//!   [`NodeHardware`](l2s_cluster::NodeHardware) stations and
+//!   [`NodeCosts`](l2s_cluster::NodeCosts) Table 1 service times the
+//!   DES uses, in a simplified FIFO pipeline (NI-in, CPU parse
 //!   [+forward], disk on a cache miss, CPU reply, NI-out). Memory is
 //!   bounded by distinct files + in-flight requests, never log length.
 //! * **Infinite-speed replay** ([`replay_trace_fast`]): drives the DES
@@ -31,7 +33,7 @@
 //!
 //! Both modes report through the engine's [`SimReport`], emitted as
 //! periodic snapshots and a final CSV written with the same
-//! [`CsvTable`](l2s_util::csv::CsvTable) machinery as the experiment
+//! [`CsvTable`] machinery as the experiment
 //! writers.
 
 #![warn(missing_docs)]
@@ -42,7 +44,9 @@ mod timed;
 pub use timed::{ReplayConfig, ReplayEngine};
 
 use l2s::PolicyKind;
-use l2s_sim::{simulate_observed, Clock, PlacementRecord, SimConfig, SimReport};
+use l2s_sim::{
+    simulate_workload_observed, Clock, PlacementRecord, SimConfig, SimReport, TraceWorkload,
+};
 use l2s_trace::{ClfStream, Trace};
 use l2s_util::csv::CsvTable;
 use l2s_util::{cast, DetRng, SimTime};
@@ -65,7 +69,8 @@ pub fn replay_trace_fast(
 ) -> (Vec<PlacementRecord>, SimReport) {
     let mut placements = Vec::new();
     let mut observer = |r: PlacementRecord| placements.push(r);
-    let report = simulate_observed(config, kind, trace, &mut observer);
+    let mut workload = TraceWorkload::new(trace);
+    let report = simulate_workload_observed(config, kind, &mut workload, &mut observer);
     (placements, report)
 }
 
@@ -235,7 +240,7 @@ fn snapshot_period_ns(every_s: f64) -> u64 {
 }
 
 /// Renders a report as one CSV table, using the same
-/// [`CsvTable`](l2s_util::csv::CsvTable) writer as the experiment
+/// [`CsvTable`] writer as the experiment
 /// binaries: identical quoting, float rendering (`{:.6}`, matching
 /// `row_f64`), and `none` for an absent p99 — so downstream tooling
 /// consumes replay output and experiment output interchangeably.

@@ -18,7 +18,7 @@
 
 use l2s::{Placement, PolicyDriver, PolicyKind};
 use l2s_cluster::{build_nodes, CachePolicy, NodeCosts, NodeHardware};
-use l2s_sim::{NodeReport, SimConfig, SimReport};
+use l2s_sim::{ratio, SimConfig, SimReport};
 use l2s_util::stats::RunningQuantile;
 use l2s_util::{cast, SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -128,33 +128,6 @@ impl ReplayEngine {
         self.driver.hint_file_sizes(sizes_kb);
     }
 
-    /// Marks `node` down (crash semantics: cache wiped, stations
-    /// cleared, in-flight work on it lost) at `now`.
-    pub fn node_down(&mut self, now: SimTime, node: usize) {
-        self.advance(now);
-        self.driver.node_down(now.as_nanos(), node);
-        self.nodes[node].crash(now);
-        // Work queued on the dead node never completes; requests lost
-        // this way count as failed, mirroring the engine's abort path
-        // (the policy's completion hook settles its load accounting).
-        let drained: Vec<_> = self.inflight.drain().collect();
-        for Reverse(e) in drained {
-            if e.2 == node {
-                self.failed += 1;
-                self.driver.complete(now.as_nanos(), e.2, e.3);
-            } else {
-                self.inflight.push(Reverse(e));
-            }
-        }
-        self.collect_messages();
-    }
-
-    /// Marks `node` back up at `now`.
-    pub fn node_up(&mut self, now: SimTime, node: usize) {
-        self.advance(now);
-        self.driver.node_up(now.as_nanos(), node);
-    }
-
     /// Offers one request for `file` (`size_kb` KB) arriving at `at`.
     /// Returns the serving node, or `None` when every candidate was
     /// down and the request failed.
@@ -221,10 +194,8 @@ impl ReplayEngine {
         }
     }
 
-    /// Drains the policy's control-message buffer into the counter —
-    /// the single accounting point, so place/complete return values and
-    /// the drain can never double-count (and the buffer stays bounded
-    /// over an endless tail).
+    /// Counts the policy's queued control messages, draining the buffer
+    /// so it stays bounded over an endless tail.
     fn collect_messages(&mut self) {
         self.control_msgs += cast::len_u64(self.driver.drain_messages().len());
     }
@@ -262,73 +233,26 @@ impl ReplayEngine {
     /// segments, fault phases, event-queue statistics) report zero.
     pub fn report(&self) -> SimReport {
         let elapsed = SimDuration::from_nanos(self.now.as_nanos());
-        let elapsed_s = elapsed.as_secs_f64();
-        let completed: u64 = self.nodes.iter().map(|n| n.completed).sum();
-        let serving = self.driver.serving_nodes();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let per_node: Vec<NodeReport> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let s = n.cache.stats();
-                hits += s.hits;
-                misses += s.misses;
-                NodeReport {
-                    node: i,
-                    cpu_utilization: n.cpu.utilization(elapsed),
-                    disk_utilization: n.disk.utilization(elapsed),
-                    completed: n.completed,
-                    cache_hits: s.hits,
-                    cache_misses: s.misses,
-                }
-            })
-            .collect();
-        let frac = |num: u64, den: u64| {
-            if den == 0 {
-                0.0
-            } else {
-                cast::exact_f64(num) / cast::exact_f64(den)
-            }
-        };
-        SimReport {
-            policy: self.cfg.policy.name(),
-            nodes: self.cfg.nodes,
-            completed,
+        let served = self.injected - self.failed;
+        let base = SimReport::from_hardware(
+            self.cfg.policy,
+            &self.nodes,
+            &self.driver.serving_nodes(),
             elapsed,
-            throughput_rps: if elapsed_s > 0.0 {
-                cast::exact_f64(completed) / elapsed_s
-            } else {
-                0.0
-            },
-            miss_rate: frac(misses, hits + misses),
-            forwarded_fraction: frac(self.forwarded, self.injected - self.failed),
-            cpu_idle: if serving.is_empty() {
-                0.0
-            } else {
-                serving
-                    .iter()
-                    .map(|&n| self.nodes[n].cpu_idle_fraction(elapsed))
-                    .sum::<f64>()
-                    / cast::len_f64(serving.len())
-            },
-            router_utilization: 0.0,
-            control_msgs_per_request: frac(self.control_msgs, completed),
-            mean_response_s: if self.injected > self.failed {
-                self.response_sum_s / cast::exact_f64(self.injected - self.failed)
+        );
+        SimReport {
+            forwarded_fraction: ratio(self.forwarded, served),
+            control_msgs_per_request: ratio(self.control_msgs, base.completed),
+            mean_response_s: if served > 0 {
+                self.response_sum_s / cast::exact_f64(served)
             } else {
                 0.0
             },
             p99_response_s: self.p99.value(),
-            segment_means_s: [0.0; 3],
             failed: self.failed,
-            retried: 0,
-            unavailability: 0.0,
-            phase_rps: [0.0; 3],
-            events_handled: self.injected + completed,
+            events_handled: self.injected + base.completed,
             peak_fel_depth: self.peak_inflight,
-            fel_ops: Default::default(),
-            per_node,
+            ..base
         }
     }
 }
@@ -355,38 +279,5 @@ mod tests {
             r.per_node.iter().map(|n| n.completed).sum::<u64>(),
             r.completed
         );
-    }
-
-    #[test]
-    fn all_down_cluster_fails_requests_instead_of_serving() {
-        let mut e = ReplayEngine::new(ReplayConfig::new(PolicyKind::Jsq, 3));
-        e.hint_sizes(&[4.0]);
-        let t = SimTime::from_secs_f64(1.0);
-        for n in 0..3 {
-            e.node_down(t, n);
-        }
-        for i in 0..5u32 {
-            let at = SimTime::from_secs_f64(2.0 + f64::from(i));
-            assert_eq!(e.offer(at, 0, 4.0), None, "all-down cluster must fail");
-        }
-        let r = e.finish();
-        assert_eq!(r.failed, 5);
-        assert_eq!(r.completed, 0);
-        assert_eq!(r.per_node[0].completed, 0, "nothing routed to node 0");
-    }
-
-    #[test]
-    fn node_down_fails_in_flight_work_on_that_node() {
-        let mut e = ReplayEngine::new(ReplayConfig::new(PolicyKind::RoundRobin, 2));
-        e.hint_sizes(&[50.0]);
-        // Two arrivals land on nodes 0 and 1 (round-robin), then node 0
-        // dies before either completes.
-        let a = e.offer(SimTime::from_secs_f64(0.001), 0, 50.0).unwrap();
-        let b = e.offer(SimTime::from_secs_f64(0.002), 0, 50.0).unwrap();
-        assert_ne!(a, b);
-        e.node_down(SimTime::from_secs_f64(0.003), 0);
-        let r = e.finish();
-        assert_eq!(r.failed, 1, "node 0's request died with it");
-        assert_eq!(r.completed, 1);
     }
 }

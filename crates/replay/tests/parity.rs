@@ -9,7 +9,7 @@
 
 use l2s::PolicyKind;
 use l2s_replay::{placement_checksum, replay_trace_fast};
-use l2s_sim::{simulate_observed, PlacementRecord, SimConfig};
+use l2s_sim::{simulate_workload_observed, PlacementRecord, SimConfig, TraceWorkload};
 use l2s_trace::{Trace, TraceSpec};
 use proptest::prelude::*;
 
@@ -52,7 +52,8 @@ proptest! {
 
         let mut direct: Vec<PlacementRecord> = Vec::new();
         let mut observer = |r: PlacementRecord| direct.push(r);
-        let direct_report = simulate_observed(&cfg, kind, &trace, &mut observer);
+        let mut workload = TraceWorkload::new(&trace);
+        let direct_report = simulate_workload_observed(&cfg, kind, &mut workload, &mut observer);
 
         prop_assert_eq!(replayed.len(), direct.len());
         for (i, (a, b)) in replayed.iter().zip(direct.iter()).enumerate() {

@@ -97,12 +97,11 @@ pub struct SimConfig {
     /// 10⁸+ requests disable this: the report then carries a streaming
     /// mean (identical workload, O(1) memory) and no p99.
     pub response_samples: bool,
-    /// Optional heterogeneous hardware mix. `None` (the default) builds
-    /// the paper's identical nodes and is byte-for-byte the historical
-    /// behavior; `Some(spec)` expands the spec into per-node CPU speeds,
-    /// cache sizes, and NI buffers (scaling `cache_kb` / `ni_buffer` as
-    /// the baseline).
-    pub hetero: Option<HeteroSpec>,
+    /// The hardware mix, expanded into per-node CPU speeds, cache sizes,
+    /// and NI buffers (scaling `cache_kb` / `ni_buffer` as the baseline).
+    /// The default, [`HeteroSpec::uniform`], builds the paper's identical
+    /// nodes.
+    pub hetero: HeteroSpec,
     /// Number of nodes JSQ(d) samples per arrival (default 2, the
     /// power-of-two-choices operating point). Ignored by other policies.
     pub jsq_d: u32,
@@ -138,7 +137,7 @@ impl SimConfig {
             faults: FaultPlan::none(),
             fault_retries: 1,
             response_samples: true,
-            hetero: None,
+            hetero: HeteroSpec::uniform(),
             jsq_d: policy.jsq_d,
             workload_mod: WorkloadMod::none(),
         }
@@ -161,7 +160,7 @@ impl SimConfig {
             lard: self.lard,
             jsq_d: self.jsq_d,
             seed: self.seed,
-            speeds: self.hetero.as_ref().map(|h| h.speeds(self.nodes)),
+            speeds: Some(self.hetero.speeds(self.nodes)),
         }
     }
 
@@ -198,11 +197,9 @@ impl SimConfig {
         if self.jsq_d == 0 {
             return Err("jsq_d must be >= 1".into());
         }
-        if let Some(hetero) = &self.hetero {
-            // Construction already validated the classes; re-validating
-            // here catches specs mutated through Clone + field access.
-            HeteroSpec::new(hetero.classes().to_vec())?;
-        }
+        // Construction already validated the classes; re-validating here
+        // catches specs mutated through Clone + field access.
+        HeteroSpec::new(self.hetero.classes().to_vec())?;
         self.faults.validate(self.nodes)?;
         self.workload_mod.validate()?;
         Ok(())
@@ -275,9 +272,13 @@ mod tests {
     #[test]
     fn hetero_and_jsq_knobs_are_validated() {
         let mut c = SimConfig::paper_default(8);
-        assert!(c.hetero.is_none(), "default cluster is homogeneous");
+        assert_eq!(
+            c.hetero,
+            HeteroSpec::uniform(),
+            "default cluster is homogeneous"
+        );
         assert_eq!(c.jsq_d, 2, "power-of-two choices by default");
-        c.hetero = Some(HeteroSpec::extreme());
+        c.hetero = HeteroSpec::extreme();
         c.validate().unwrap();
         c.jsq_d = 0;
         assert!(c.validate().is_err(), "JSQ(0) samples nothing");

@@ -2,9 +2,9 @@
 
 use crate::arena::{Flow, ReqArena, ReqId, Route, Timing};
 use crate::workload::{ModulatedWorkload, TraceWorkload, Workload};
-use crate::{ArrivalMode, FaultKind, NodeReport, SimConfig, SimReport};
+use crate::{ratio, ArrivalMode, FaultKind, SimConfig, SimReport};
 use l2s::{Distributor, NodeId, PolicyKind};
-use l2s_cluster::{build_nodes, build_nodes_profiled, FileId, NodeHardware};
+use l2s_cluster::{build_nodes_profiled, FileId, NodeHardware};
 use l2s_devs::EventQueue;
 use l2s_net::Fabric;
 use l2s_trace::{FileSet, Trace};
@@ -175,9 +175,9 @@ impl CostCache {
 }
 
 /// One distribution decision, in the order the engine made them — the
-/// placement stream `simulate_observed` feeds to its observer and the
-/// byte-compared artifact of the replay-parity tests. Records every
-/// decision of the run, warm-up pass included (replay runs disable
+/// placement stream [`simulate_workload_observed`] feeds to its observer
+/// and the byte-compared artifact of the replay-parity tests. Records
+/// every decision of the run, warm-up pass included (replay runs disable
 /// warm-up, so the streams line up one-to-one).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlacementRecord {
@@ -195,7 +195,7 @@ pub struct PlacementRecord {
     pub at: SimTime,
 }
 
-/// Observer callback for [`simulate_observed`].
+/// Observer callback for [`simulate_workload_observed`].
 pub type PlacementObserver<'o> = dyn FnMut(PlacementRecord) + 'o;
 
 struct Engine<'t> {
@@ -241,7 +241,7 @@ struct Engine<'t> {
     /// running), so the injector offsets them by this base.
     pass_base_s: f64,
     /// Callback invoked on every distribution decision (see
-    /// [`PlacementRecord`]); `None` on the historical paths.
+    /// [`PlacementRecord`]); `None` for an unobserved run.
     observer: Option<&'t mut PlacementObserver<'t>>,
     /// Decisions observed so far (feeds [`PlacementRecord::seq`]; never
     /// reset, unlike the per-pass measurement counters).
@@ -262,24 +262,6 @@ pub fn simulate(config: &SimConfig, policy_kind: PolicyKind, trace: &Trace) -> S
     simulate_workload(config, policy_kind, &mut workload)
 }
 
-/// [`simulate`] with a placement observer: `observer` is invoked once
-/// per distribution decision, in decision order, with the same
-/// [`PlacementRecord`] stream a live replay of the same trace and seed
-/// must reproduce. The observer is pure instrumentation — reports are
-/// byte-identical to the unobserved run.
-pub fn simulate_observed(
-    config: &SimConfig,
-    policy_kind: PolicyKind,
-    trace: &Trace,
-    observer: &mut PlacementObserver<'_>,
-) -> SimReport {
-    let mut workload = TraceWorkload::new(trace);
-    // Fresh closure so the trait object's lifetime narrows to the local
-    // workload borrow (a `&mut dyn` is invariant in its inner lifetime).
-    let mut forward = |r: PlacementRecord| observer(r);
-    simulate_workload_observed(config, policy_kind, &mut workload, &mut forward)
-}
-
 /// Runs one simulation drawing requests from `workload` — the
 /// trace-free entry point scaling sweeps use with a streaming
 /// [`SynthWorkload`](crate::SynthWorkload), where memory stays flat in
@@ -291,53 +273,41 @@ pub fn simulate_workload(
     policy_kind: PolicyKind,
     workload: &mut dyn Workload,
 ) -> SimReport {
-    run_maybe_modulated(config, policy_kind, workload, None)
+    run(config, policy_kind, workload, None)
 }
 
-/// [`simulate_workload`] with a placement observer (see
-/// [`simulate_observed`]).
+/// [`simulate_workload`] with a placement observer: `observer` is
+/// invoked once per distribution decision, in decision order, with the
+/// same [`PlacementRecord`] stream a live replay of the same trace and
+/// seed must reproduce. The observer is pure instrumentation — reports
+/// are byte-identical to the unobserved run.
 pub fn simulate_workload_observed<'t>(
     config: &SimConfig,
     policy_kind: PolicyKind,
     workload: &'t mut dyn Workload,
     observer: &'t mut PlacementObserver<'t>,
 ) -> SimReport {
-    run_maybe_modulated(config, policy_kind, workload, Some(observer))
+    run(config, policy_kind, workload, Some(observer))
 }
 
-/// Applies the configured workload modulation, if any, then runs.
-fn run_maybe_modulated<'t>(
+/// The engine proper: every entry point runs through here.
+fn run(
     config: &SimConfig,
     policy_kind: PolicyKind,
-    workload: &'t mut dyn Workload,
-    observer: Option<&'t mut PlacementObserver<'t>>,
-) -> SimReport {
-    if config.workload_mod.is_none() {
-        // The identity spec takes the historical path with no wrapper in
-        // the loop at all — stationary runs stay byte-identical.
-        return run_simulation(config, policy_kind, workload, observer);
-    }
-    let mut modulated = ModulatedWorkload::new(workload, config.workload_mod.clone(), config.seed);
-    match observer {
-        Some(observer) => {
-            // Fresh closure: the modulated wrapper is a local borrow, so
-            // the observer's trait-object lifetime must narrow with it.
-            let mut forward = |r: PlacementRecord| observer(r);
-            run_simulation(config, policy_kind, &mut modulated, Some(&mut forward))
-        }
-        None => run_simulation(config, policy_kind, &mut modulated, None),
-    }
-}
-
-/// The engine proper, over whatever (possibly wrapped) source
-/// `run_maybe_modulated` settled on.
-fn run_simulation<'t>(
-    config: &SimConfig,
-    policy_kind: PolicyKind,
-    workload: &'t mut dyn Workload,
-    observer: Option<&'t mut PlacementObserver<'t>>,
+    workload: &mut dyn Workload,
+    observer: Option<&mut PlacementObserver<'_>>,
 ) -> SimReport {
     config.validate().expect("invalid simulation configuration");
+    // Fast path: the identity spec leaves the wrapper out of the loop.
+    // The wrapper would replay the base stream unchanged, so results do
+    // not depend on this branch; it saves the wrapper's per-request work.
+    let mut modulated;
+    let workload: &mut dyn Workload = if config.workload_mod.is_none() {
+        workload
+    } else {
+        modulated = ModulatedWorkload::new(workload, config.workload_mod.clone(), config.seed);
+        &mut modulated
+    };
     l2s_util::invariant!(!workload.is_empty(), "cannot simulate an empty workload");
     let limit = config
         .max_requests
@@ -355,12 +325,9 @@ fn run_simulation<'t>(
         let sizes: Vec<f64> = workload.files().iter().map(|(_, kb)| kb).collect();
         policy.hint_file_sizes(&sizes);
     }
-    // A heterogeneous mix expands into per-node profiles; `None` takes
-    // the historical identical-nodes path byte for byte.
     let profiles = config
         .hetero
-        .as_ref()
-        .map(|h| h.profiles(config.nodes, config.cache_kb, config.ni_buffer));
+        .profiles(config.nodes, config.cache_kb, config.ni_buffer);
     let window = config.total_window();
     let cc = CostCache::new(config, workload.files());
     // Per-request samples are the default; scaling sweeps run lean and
@@ -372,19 +339,8 @@ fn run_simulation<'t>(
         workload,
         limit,
         policy,
-        nodes: match &profiles {
-            Some(p) => build_nodes_profiled(p, config.cache_policy),
-            None => build_nodes(
-                config.nodes,
-                config.cache_policy,
-                config.cache_kb,
-                config.ni_buffer,
-            ),
-        },
-        cpu_speed: profiles
-            .as_ref()
-            .map(|p| p.iter().map(|q| q.cpu_speed).collect())
-            .unwrap_or_else(|| vec![1.0; config.nodes]),
+        nodes: build_nodes_profiled(&profiles, config.cache_policy),
+        cpu_speed: profiles.iter().map(|p| p.cpu_speed).collect(),
         fabric: Fabric::new(config.net),
         // Every in-flight request holds at most one pending event, plus
         // one slot for the open-loop arrival timer.
@@ -407,7 +363,7 @@ fn run_simulation<'t>(
         down_since: vec![SimTime::ZERO; config.nodes],
         down_count: 0,
         pass_base_s: 0.0,
-        observer,
+        observer: observer.map(|o| o as &mut PlacementObserver<'_>),
         observed_seq: 0,
     };
 
@@ -427,24 +383,21 @@ impl<'t> Engine<'t> {
     /// Drives one full pass over the (possibly capped) workload: injects
     /// as arrivals dictate and drains every event.
     fn run_pass(&mut self) {
-        match self.config.arrivals {
-            ArrivalMode::ClosedLoop => {
+        // The closed loop injects whenever an event frees room; open-loop
+        // arrivals are events of their own.
+        let closed = matches!(self.config.arrivals, ArrivalMode::ClosedLoop);
+        if closed {
+            self.try_inject();
+        } else {
+            self.pass_base_s = self.queue.now().as_secs_f64();
+            self.schedule_next_arrival();
+        }
+        while let Some((now, ev)) = self.queue.pop() {
+            self.events_handled += 1;
+            self.peak_fel = self.peak_fel.max(self.queue.len() + 1);
+            self.handle(now, ev);
+            if closed {
                 self.try_inject();
-                while let Some((now, ev)) = self.queue.pop() {
-                    self.events_handled += 1;
-                    self.peak_fel = self.peak_fel.max(self.queue.len() + 1);
-                    self.handle(now, ev);
-                    self.try_inject();
-                }
-            }
-            ArrivalMode::Poisson { .. } => {
-                self.pass_base_s = self.queue.now().as_secs_f64();
-                self.schedule_next_arrival();
-                while let Some((now, ev)) = self.queue.pop() {
-                    self.events_handled += 1;
-                    self.peak_fel = self.peak_fel.max(self.queue.len() + 1);
-                    self.handle(now, ev);
-                }
             }
         }
         invariant!(
@@ -652,33 +605,33 @@ impl<'t> Engine<'t> {
                     (r.initial(), r.file)
                 };
                 let continuation = self.arena.flow(id).continuation;
-                let assignment = if continuation {
+                let service = if continuation {
                     self.policy.assign_continuation(now, initial, file)
                 } else {
                     self.policy.assign(now, initial, file)
                 };
+                let forwarded = service != initial;
                 self.charge_messages(now);
                 self.measure.decided += 1;
-                self.measure.control_msgs += u64::from(assignment.control_msgs);
                 if let Some(observer) = self.observer.as_deref_mut() {
                     observer(PlacementRecord {
                         seq: self.observed_seq,
                         file,
                         initial,
-                        service: assignment.service,
-                        forwarded: assignment.forwarded,
+                        service,
+                        forwarded,
                         at: now,
                     });
                     self.observed_seq += 1;
                 }
-                self.arena.route_mut(id).set_service(assignment.service);
+                self.arena.route_mut(id).set_service(service);
                 self.arena.timing_mut(id).decided = now;
                 {
                     let flow = self.arena.flow_mut(id);
-                    flow.forwarded = assignment.forwarded;
+                    flow.forwarded = forwarded;
                     flow.assigned = true;
                 }
-                if assignment.forwarded {
+                if forwarded {
                     self.measure.forwarded += 1;
                     let svc = self.cpu_time(initial, self.cc.forward);
                     let done = self.nodes[initial].cpu.schedule(now, svc);
@@ -838,9 +791,8 @@ impl<'t> Engine<'t> {
                         .push(now.saturating_since(t.served).as_secs_f64());
                     t.injected
                 };
-                let msgs = self.policy.complete(now, node, file);
+                self.policy.complete(now, node, file);
                 self.charge_messages(now);
-                self.measure.control_msgs += u64::from(msgs);
                 self.nodes[node].completed += 1;
                 self.measure.completed += 1;
                 self.measure.phase_completed[self.measure.phase] += 1;
@@ -942,9 +894,8 @@ impl<'t> Engine<'t> {
             (f.assigned, f.retries_left)
         };
         if assigned {
-            let msgs = self.policy.abort_assigned(now, service, file);
+            self.policy.abort_assigned(now, service, file);
             self.charge_messages(now);
-            self.measure.control_msgs += u64::from(msgs);
         } else {
             self.policy.abort_undecided(now, initial);
         }
@@ -1000,15 +951,16 @@ impl<'t> Engine<'t> {
     }
 
     /// Scales a CPU service demand by `node`'s speed multiplier: a 2×
-    /// node finishes the same work in half the wall-clock time. The
-    /// homogeneous case (speed 1.0, the default) returns `base`
-    /// untouched, keeping those runs bit-identical to the pre-hetero
-    /// engine. Only CPU demands scale — disk, NI, and router times are
-    /// hardware the speed multiplier does not model.
+    /// node finishes the same work in half the wall-clock time. Only CPU
+    /// demands scale — disk, NI, and router times are hardware the speed
+    /// multiplier does not model.
     #[inline]
     fn cpu_time(&self, node: NodeId, base: SimDuration) -> SimDuration {
         let speed = self.cpu_speed[node];
         if speed == 1.0 {
+            // Fast path for the paper's nodes: dividing by 1.0 returns
+            // `base` too, but through a float round trip on every CPU
+            // charge (tens per request).
             base
         } else {
             SimDuration::from_nanos(cast::round_u64(cast::exact_f64(base.as_nanos()) / speed))
@@ -1046,8 +998,9 @@ impl<'t> Engine<'t> {
         }
     }
 
-    /// Charges every control message the policy just emitted: 3 µs CPU +
-    /// 6 µs NI on the sender, and 6 µs NI + 3 µs CPU on the receiver.
+    /// Counts and charges every control message the policy just emitted:
+    /// 3 µs CPU + 6 µs NI on the sender, and 6 µs NI + 3 µs CPU on the
+    /// receiver. This is the only place the run's message count grows.
     ///
     /// All four legs are charged at the current event time. Charging a
     /// leg at its downstream arrival time would violate the FIFO
@@ -1060,11 +1013,12 @@ impl<'t> Engine<'t> {
     fn charge_messages(&mut self, now: SimTime) {
         let mut buf = std::mem::take(&mut self.msg_buf);
         self.policy.drain_messages(&mut buf);
+        self.measure.control_msgs += cast::len_u64(buf.len());
         for &(from, to) in &buf {
-            // A dead endpoint's legs are skipped: the policies suppress
-            // messages involving down nodes, but a node can die between
-            // a message being emitted and this charge. Work must never
-            // accrue on a crashed node's stations.
+            // A dead endpoint's legs are skipped. Policies queue no
+            // message that names a down node, and the queue is drained
+            // in the event that filled it, so this is a guard: work must
+            // never accrue on a crashed node's stations.
             if self.alive[from] {
                 let svc = self.cpu_time(from, self.cc.msg_cpu);
                 self.nodes[from].cpu.schedule(now, svc);
@@ -1084,7 +1038,6 @@ impl<'t> Engine<'t> {
         let now = self.queue.now();
         let elapsed = now.saturating_since(self.measure.started_at);
         let elapsed_s = elapsed.as_secs_f64();
-        let serving: Vec<NodeId> = self.policy.serving_nodes();
 
         // Close the current phase and tally downtime for nodes the
         // plan left dead at the end of the run.
@@ -1110,35 +1063,6 @@ impl<'t> Engine<'t> {
             }
         }
 
-        let per_node: Vec<NodeReport> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| NodeReport {
-                node: i,
-                cpu_utilization: n.cpu.utilization(elapsed),
-                disk_utilization: n.disk.utilization(elapsed),
-                completed: n.completed,
-                cache_hits: n.cache.stats().hits,
-                cache_misses: n.cache.stats().misses,
-            })
-            .collect();
-
-        let (hits, misses) = per_node.iter().fold((0u64, 0u64), |(h, m), n| {
-            (h + n.cache_hits, m + n.cache_misses)
-        });
-        let lookups = hits + misses;
-
-        let idle: f64 = if serving.is_empty() {
-            0.0
-        } else {
-            serving
-                .iter()
-                .map(|&i| 1.0 - per_node[i].cpu_utilization)
-                .sum::<f64>()
-                / serving.len() as f64
-        };
-
         let mut sorted = std::mem::take(&mut self.measure.response_s);
         sorted.sort_unstable_by(f64::total_cmp);
         // With per-request samples the mean is the exact sorted sum (the
@@ -1152,32 +1076,9 @@ impl<'t> Engine<'t> {
         };
 
         SimReport {
-            policy: kind.name(),
-            nodes: self.config.nodes,
-            completed: self.measure.completed,
-            elapsed,
-            throughput_rps: if elapsed_s > 0.0 {
-                self.measure.completed as f64 / elapsed_s
-            } else {
-                0.0
-            },
-            miss_rate: if lookups == 0 {
-                0.0
-            } else {
-                misses as f64 / lookups as f64
-            },
-            forwarded_fraction: if self.measure.decided == 0 {
-                0.0
-            } else {
-                self.measure.forwarded as f64 / self.measure.decided as f64
-            },
-            cpu_idle: idle,
+            forwarded_fraction: ratio(self.measure.forwarded, self.measure.decided),
             router_utilization: self.fabric.router_utilization(elapsed),
-            control_msgs_per_request: if self.measure.completed == 0 {
-                0.0
-            } else {
-                self.measure.control_msgs as f64 / self.measure.completed as f64
-            },
+            control_msgs_per_request: ratio(self.measure.control_msgs, self.measure.completed),
             mean_response_s: mean_response,
             p99_response_s: quantile(&sorted, 0.99),
             segment_means_s: [
@@ -1192,7 +1093,7 @@ impl<'t> Engine<'t> {
             events_handled: self.events_handled,
             peak_fel_depth: self.peak_fel,
             fel_ops: self.queue.stats(),
-            per_node,
+            ..SimReport::from_hardware(kind, &self.nodes, &self.policy.serving_nodes(), elapsed)
         }
     }
 }
@@ -1610,12 +1511,21 @@ mod tests {
     fn hetero_uniform_matches_the_homogeneous_run_exactly() {
         let trace = small_trace(30);
         let base = small_config(4);
-        let mut uni = base.clone();
-        uni.hetero = Some(l2s_cluster::HeteroSpec::uniform());
+        assert_eq!(base.hetero, l2s_cluster::HeteroSpec::uniform());
+        // The paper's node, split over three classes: the same hardware
+        // through a different spec.
+        let paper_node = l2s_cluster::NodeClass {
+            weight: 1.0,
+            cpu_speed: 1.0,
+            cache_factor: 1.0,
+            ni_buffer_factor: 1.0,
+        };
+        let mut split = base.clone();
+        split.hetero = l2s_cluster::HeteroSpec::new(vec![paper_node; 3]).unwrap();
         for kind in [PolicyKind::L2s, PolicyKind::Jsq, PolicyKind::Sita] {
             let a = simulate(&base, kind, &trace);
-            let b = simulate(&uni, kind, &trace);
-            assert_eq!(a, b, "{} diverged under the uniform spec", kind.name());
+            let b = simulate(&split, kind, &trace);
+            assert_eq!(a, b, "{} diverged under the split spec", kind.name());
         }
     }
 
@@ -1623,7 +1533,7 @@ mod tests {
     fn hetero_fast_nodes_absorb_more_load_under_jsq() {
         let trace = small_trace(31);
         let mut cfg = small_config(8);
-        cfg.hetero = Some(l2s_cluster::HeteroSpec::extreme());
+        cfg.hetero = l2s_cluster::HeteroSpec::extreme();
         let r = simulate(&cfg, PolicyKind::Jsq, &trace);
         assert_eq!(r.completed, trace.len() as u64);
         // The extreme mix puts two 4× nodes in front of six 0.5× ones;
@@ -1800,7 +1710,8 @@ mod tests {
         for kind in [PolicyKind::L2s, PolicyKind::Lard, PolicyKind::Jsq] {
             let mut placements = Vec::new();
             let mut observer = |r: PlacementRecord| placements.push(r);
-            let r = simulate_observed(&cfg, kind, &trace, &mut observer);
+            let mut workload = TraceWorkload::new(&trace);
+            let r = simulate_workload_observed(&cfg, kind, &mut workload, &mut observer);
             assert_eq!(
                 r.failed,
                 trace.len() as u64,
@@ -1837,5 +1748,30 @@ mod tests {
         let r = simulate(&cfg, PolicyKind::Lard, &trace);
         assert_eq!(r.completed + r.failed, trace.len() as u64);
         assert!(r.completed > 0);
+    }
+
+    #[test]
+    fn lard_dispatcher_fails_new_connections_while_its_dispatcher_is_down() {
+        // Node 0 is the dispatcher. Once it is down nobody answers the
+        // accepting node's query, so every later connection fails, as
+        // behind LARD's dead front-end, instead of being distributed
+        // (and charged two messages) anyway.
+        let trace = small_trace(19);
+        let mut cfg = small_config(4);
+        let healthy = simulate(&cfg, PolicyKind::LardDispatcher, &trace);
+        cfg.faults = crate::FaultPlan::scheduled(vec![crate::FaultEvent {
+            at: SimDuration::from_secs_f64(0.25 * healthy.elapsed.as_secs_f64()),
+            node: 0,
+            kind: FaultKind::Crash,
+        }]);
+        let r = simulate(&cfg, PolicyKind::LardDispatcher, &trace);
+        let total = trace.len() as u64;
+        assert_eq!(r.completed + r.failed, total);
+        assert!(r.completed > 0, "requests before the crash complete");
+        assert!(
+            r.failed > total / 2,
+            "only {} of {total} requests failed with the dispatcher down",
+            r.failed
+        );
     }
 }

@@ -41,11 +41,10 @@ mod workload;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use config::{ArrivalMode, SimConfig};
 pub use engine::{
-    simulate, simulate_observed, simulate_workload, simulate_workload_observed, PlacementObserver,
-    PlacementRecord,
+    simulate, simulate_workload, simulate_workload_observed, PlacementObserver, PlacementRecord,
 };
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
-pub use report::{NodeReport, SimReport};
+pub use report::{ratio, NodeReport, SimReport};
 pub use workload::{ModulatedWorkload, SynthWorkload, TraceWorkload, Workload};
 // Re-export the modulation spec types so callers can build a
 // `SimConfig::workload_mod` without naming the workload crate.

@@ -1,6 +1,17 @@
 //! Simulation results.
 
+use l2s::{NodeId, PolicyKind};
+use l2s_cluster::NodeHardware;
 use l2s_util::{cast, SimDuration};
+
+/// `num / den` as a fraction, 0 when `den` is 0.
+pub fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        cast::exact_f64(num) / cast::exact_f64(den)
+    }
+}
 
 /// Per-node measurements over the measurement window.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,18 +33,13 @@ pub struct NodeReport {
 impl NodeReport {
     /// This node's cache miss rate (0 when it saw no lookups).
     pub fn miss_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            cast::exact_f64(self.cache_misses) / cast::exact_f64(total)
-        }
+        ratio(self.cache_misses, self.cache_hits + self.cache_misses)
     }
 }
 
 /// Results of one simulation run (measurement window only — the warm-up
 /// pass is excluded).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimReport {
     /// Policy name the run used.
     pub policy: &'static str,
@@ -109,6 +115,58 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// The fields every engine derives from its node hardware over a
+    /// measurement window of `elapsed`: the per-node rows, the completed
+    /// count and throughput, the aggregate miss rate, and the CPU idle
+    /// fraction averaged over the `serving` nodes. Every other field is
+    /// zero, for the engine to fill in with what it measured.
+    pub fn from_hardware(
+        policy: PolicyKind,
+        hardware: &[NodeHardware],
+        serving: &[NodeId],
+        elapsed: SimDuration,
+    ) -> SimReport {
+        let per_node: Vec<NodeReport> = hardware
+            .iter()
+            .enumerate()
+            .map(|(node, hw)| NodeReport {
+                node,
+                cpu_utilization: hw.cpu.utilization(elapsed),
+                disk_utilization: hw.disk.utilization(elapsed),
+                completed: hw.completed,
+                cache_hits: hw.cache.stats().hits,
+                cache_misses: hw.cache.stats().misses,
+            })
+            .collect();
+        let completed = per_node.iter().map(|n| n.completed).sum();
+        let hits = per_node.iter().map(|n| n.cache_hits).sum::<u64>();
+        let misses = per_node.iter().map(|n| n.cache_misses).sum::<u64>();
+        let elapsed_s = elapsed.as_secs_f64();
+        SimReport {
+            policy: policy.name(),
+            nodes: hardware.len(),
+            completed,
+            elapsed,
+            throughput_rps: if elapsed_s > 0.0 {
+                cast::exact_f64(completed) / elapsed_s
+            } else {
+                0.0
+            },
+            miss_rate: ratio(misses, hits + misses),
+            cpu_idle: if serving.is_empty() {
+                0.0
+            } else {
+                serving
+                    .iter()
+                    .map(|&n| 1.0 - per_node[n].cpu_utilization)
+                    .sum::<f64>()
+                    / cast::len_f64(serving.len())
+            },
+            per_node,
+            ..SimReport::default()
+        }
+    }
+
     /// Coefficient of variation (standard deviation over mean) of
     /// per-node completed-request counts — a load-imbalance indicator:
     /// 0 means every active node completed the same number of requests.
@@ -164,27 +222,8 @@ mod tests {
     #[test]
     fn imbalance_zero_when_balanced() {
         let r = SimReport {
-            policy: "test",
-            nodes: 2,
-            completed: 20,
-            elapsed: SimDuration::from_millis(1),
-            throughput_rps: 0.0,
-            miss_rate: 0.0,
-            forwarded_fraction: 0.0,
-            cpu_idle: 0.0,
-            router_utilization: 0.0,
-            control_msgs_per_request: 0.0,
-            mean_response_s: 0.0,
-            p99_response_s: None,
-            segment_means_s: [0.0; 3],
-            failed: 0,
-            retried: 0,
-            unavailability: 0.0,
-            phase_rps: [0.0; 3],
-            events_handled: 0,
-            peak_fel_depth: 0,
-            fel_ops: Default::default(),
             per_node: vec![node(10), node(10)],
+            ..SimReport::default()
         };
         assert_eq!(r.completion_imbalance(), 0.0);
     }
@@ -192,27 +231,8 @@ mod tests {
     #[test]
     fn imbalance_positive_when_skewed() {
         let r = SimReport {
-            policy: "test",
-            nodes: 2,
-            completed: 20,
-            elapsed: SimDuration::from_millis(1),
-            throughput_rps: 0.0,
-            miss_rate: 0.0,
-            forwarded_fraction: 0.0,
-            cpu_idle: 0.0,
-            router_utilization: 0.0,
-            control_msgs_per_request: 0.0,
-            mean_response_s: 0.0,
-            p99_response_s: None,
-            segment_means_s: [0.0; 3],
-            failed: 0,
-            retried: 0,
-            unavailability: 0.0,
-            phase_rps: [0.0; 3],
-            events_handled: 0,
-            peak_fel_depth: 0,
-            fel_ops: Default::default(),
             per_node: vec![node(19), node(1)],
+            ..SimReport::default()
         };
         assert!(r.completion_imbalance() > 0.5);
     }

@@ -39,12 +39,12 @@ fn quick_config(seed: u64) -> SimConfig {
     cfg
 }
 
-/// Maps a draw to one of the hardware mixes (or a homogeneous cluster).
-fn pick_mix(which: usize) -> Option<HeteroSpec> {
+/// Maps a draw to one of the hardware mixes (the first is homogeneous).
+fn pick_mix(which: usize) -> HeteroSpec {
     match which {
-        0 => None,
-        1 => Some(HeteroSpec::mild()),
-        _ => Some(HeteroSpec::extreme()),
+        0 => HeteroSpec::uniform(),
+        1 => HeteroSpec::mild(),
+        _ => HeteroSpec::extreme(),
     }
 }
 

@@ -3,8 +3,8 @@
 //! The simulator's correctness arguments (event-queue monotonicity, cache
 //! byte-accounting conservation, per-node load conservation, clean drains)
 //! were previously encoded as ad-hoc `debug_assert!`s, which vanish in the
-//! `--release` builds that produce every figure. The [`invariant!`] macro
-//! gives those checks two modes:
+//! `--release` builds that produce every figure. The
+//! [`invariant!`](crate::invariant!) macro gives those checks two modes:
 //!
 //! - **default**: compiled as `debug_assert!` — zero release-mode cost;
 //! - **`strict-invariants` feature**: compiled as an unconditional check in
@@ -45,8 +45,8 @@ macro_rules! invariant {
 }
 
 /// Aborts the simulation with a diagnostic; the out-of-line cold path of
-/// [`invariant!`], kept separate so the check itself inlines to a compare
-/// and a jump.
+/// [`invariant!`](crate::invariant!), kept separate so the check itself
+/// inlines to a compare and a jump.
 #[cold]
 #[inline(never)]
 #[track_caller]

@@ -176,7 +176,14 @@ USAGE:
 ";
 
 fn main() {
-    let parsed = match args::parse(std::env::args().skip(1)) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `--help` asks for the usage wherever it appears, before or after
+    // a subcommand.
+    if argv.iter().any(|a| a == "--help") {
+        println!("{USAGE}");
+        return;
+    }
+    let parsed = match args::parse(argv) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -188,7 +195,7 @@ fn main() {
         "simulate" => cmd_simulate(&parsed),
         "trace" => cmd_trace(&parsed),
         "compare" => cmd_compare(&parsed),
-        "help" | "-h" | "--help" => {
+        "help" | "-h" => {
             println!("{USAGE}");
             Ok(())
         }

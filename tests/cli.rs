@@ -132,11 +132,17 @@ fn bare_option_names_the_offending_flag() {
 
 #[test]
 fn help_prints_usage() {
-    let out = clusterlab(&["help"]);
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("USAGE"), "{text}");
-    assert!(text.contains("clusterlab simulate"), "{text}");
+    for args in [&["help"][..], &["--help"], &["simulate", "--help"]] {
+        let out = clusterlab(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("USAGE"), "{args:?}: {text}");
+        assert!(text.contains("clusterlab simulate"), "{args:?}: {text}");
+    }
 }
 
 #[test]

@@ -110,9 +110,9 @@ proptest! {
                 policy.complete(now, node, f.into());
             } else {
                 let initial = policy.arrival_node().unwrap();
-                let a = policy.assign(now, initial, file.into());
-                prop_assert!(a.service < n);
-                in_flight.push((a.service, file));
+                let service = policy.assign(now, initial, file.into());
+                prop_assert!(service < n);
+                in_flight.push((service, file));
             }
             let total: u32 = (0..n).map(|i| policy.open_connections(i)).sum();
             prop_assert_eq!(total as usize, in_flight.len());
