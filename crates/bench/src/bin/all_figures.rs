@@ -15,8 +15,7 @@
 //! measurement *about* the suite — every figure's content is
 //! byte-identical for any worker count.
 
-use l2s_bench::{experiments, RunCtx, SuiteTiming};
-use std::fmt::Write as _;
+use l2s_bench::{experiments, perf, RunCtx, SuiteTiming};
 
 fn main() {
     if let Err(e) = run() {
@@ -51,49 +50,16 @@ fn write_suite_json(ctx: &RunCtx, timing: &SuiteTiming) -> Result<(), String> {
         timing.wall_s
     } else {
         old.as_deref()
-            .and_then(|j| l2s_bench::extract_json_num(j, "baseline_wall_s_1worker"))
+            .and_then(|j| perf::extract_json_num(j, "baseline_wall_s_1worker"))
             .unwrap_or(timing.wall_s)
     };
-    let speedup = baseline_wall_s / timing.wall_s.max(1e-9);
     println!(
         "suite: {} experiments in {:.2}s with {} worker(s) on {cores} core(s); \
-         {speedup:.2}x vs the 1-worker baseline of {baseline_wall_s:.2}s",
+         {:.2}x vs the 1-worker baseline of {baseline_wall_s:.2}s",
         timing.per_experiment.len(),
         timing.wall_s,
         ctx.workers,
+        baseline_wall_s / timing.wall_s.max(1e-9),
     );
-
-    let workload = match ctx.cap {
-        None => "full fidelity (Table 2 request counts)".to_string(),
-        Some(cap) => format!("quick mode ({cap} requests/cell cap)"),
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": 1,");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"all_figures suite: {} experiments, {workload}\",",
-        timing.per_experiment.len()
-    );
-    let _ = writeln!(json, "  \"workers\": {},", ctx.workers);
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"wall_s_total\": {:.3},", timing.wall_s);
-    let _ = writeln!(json, "  \"baseline_wall_s_1worker\": {baseline_wall_s:.3},");
-    let _ = writeln!(json, "  \"speedup_vs_1worker\": {speedup:.3},");
-    json.push_str("  \"experiments\": [\n");
-    for (i, (name, wall_s)) in timing.per_experiment.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{name}\", \"wall_s\": {wall_s:.3}}}"
-        );
-        json.push_str(if i + 1 < timing.per_experiment.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&path, json).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    perf::write_record(&path, &timing.record(ctx, cores, baseline_wall_s))
 }

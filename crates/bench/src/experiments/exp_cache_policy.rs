@@ -4,7 +4,7 @@
 //! experiment swaps the per-node policy and reports the effect per
 //! server organization.
 
-use crate::{paper_config, run_cells_parallel, RunCtx};
+use crate::{cache_name, paper_config, run_cells_parallel, RunCtx};
 use l2s::PolicyKind;
 use l2s_cluster::CachePolicy;
 use l2s_trace::TraceSpec;
@@ -50,21 +50,17 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             );
             last_spec = *si;
         }
-        let cache_name = match cache {
-            CachePolicy::Lru => "lru",
-            CachePolicy::GreedyDualSize => "gds",
-        };
         println!(
             "{:>14} {:>10} {:>8.0} r/s {:>9.1}%",
             kind.name(),
-            cache_name,
+            cache_name(*cache),
             r.throughput_rps,
             r.miss_rate * 100.0
         );
         table.row([
             spec.name.clone(),
             kind.name().to_string(),
-            cache_name.to_string(),
+            cache_name(*cache).to_string(),
             format!("{:.1}", r.throughput_rps),
             format!("{:.5}", r.miss_rate),
         ]);

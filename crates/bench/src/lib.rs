@@ -7,7 +7,9 @@
 //! named by `--only`. This
 //! library holds the common machinery: the run context ([`RunCtx`]), the
 //! deterministic parallel cell executor ([`run_cells_parallel`]), the
-//! analytic "model" line of Figures 7–10, and output helpers.
+//! analytic "model" line of Figures 7–10, and output helpers. The
+//! [`perf`] module is the instrument of the `perf_baseline` and
+//! `perf_scaling` harnesses.
 //!
 //! # Run context
 //!
@@ -47,8 +49,10 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod perf;
 
 use l2s::PolicyKind;
+use l2s_cluster::CachePolicy;
 use l2s_model::{ModelParams, QueueModel, ServerKind};
 use l2s_sim::{SimConfig, SimReport};
 use l2s_trace::{Trace, TraceSpec, TraceStats};
@@ -448,21 +452,13 @@ pub fn cell<'a>(
         })
 }
 
-/// Extracts the first `"key": <number>` occurrence from a JSON string.
-///
-/// Hand-rolled because the workspace deliberately has no serde; the
-/// `BENCH_*.json` files this reads are machine-written by the binaries
-/// in this crate, so the format is known.
-pub fn extract_json_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
+/// The short name of a cache replacement policy, as tables and records
+/// print it.
+pub fn cache_name(cache: CachePolicy) -> &'static str {
+    match cache {
+        CachePolicy::Lru => "lru",
+        CachePolicy::GreedyDualSize => "gds",
+    }
 }
 
 /// Wall-clock accounting for one figure-suite run, recorded by
@@ -500,6 +496,44 @@ pub fn run_all_figures_timed(
         wall_s: suite_start.elapsed().as_secs_f64(),
         per_experiment,
     })
+}
+
+impl SuiteTiming {
+    /// The `BENCH_suite.json` record of this run of `ctx` on `cores`
+    /// cores, with `baseline_wall_s` as the 1-worker baseline.
+    pub fn record(&self, ctx: &RunCtx, cores: usize, baseline_wall_s: f64) -> String {
+        let workload = match ctx.cap {
+            None => "full fidelity (Table 2 request counts)".to_string(),
+            Some(cap) => format!("quick mode ({cap} requests/cell cap)"),
+        };
+        let experiments = self.per_experiment.len();
+        let speedup = baseline_wall_s / self.wall_s.max(1e-9);
+        let fields = [
+            ("schema", "1".to_string()),
+            (
+                "workload",
+                perf::quote(&format!(
+                    "all_figures suite: {experiments} experiments, {workload}"
+                )),
+            ),
+            ("workers", ctx.workers.to_string()),
+            ("cores", cores.to_string()),
+            ("wall_s_total", format!("{:.3}", self.wall_s)),
+            ("baseline_wall_s_1worker", format!("{baseline_wall_s:.3}")),
+            ("speedup_vs_1worker", format!("{speedup:.3}")),
+        ];
+        let rows: Vec<String> = self
+            .per_experiment
+            .iter()
+            .map(|(name, wall_s)| {
+                perf::object(&[
+                    ("name", perf::quote(name)),
+                    ("wall_s", format!("{wall_s:.3}")),
+                ])
+            })
+            .collect();
+        perf::render_record(&fields, "experiments", &rows)
+    }
 }
 
 #[cfg(test)]
@@ -739,9 +773,9 @@ mod tests {
         let (spec, config) = store_cell();
         let key = |c: &SimConfig| cell_key(&spec, PolicyKind::L2s, c);
         let mut negative_zero = config.clone();
-        negative_zero.costs.switch_s = -0.0;
+        negative_zero.costs.msg_ni_s = -0.0;
         let mut positive_zero = config.clone();
-        positive_zero.costs.switch_s = 0.0;
+        positive_zero.costs.msg_ni_s = 0.0;
         assert_ne!(key(&negative_zero), key(&positive_zero));
         // Fault times are durations; one nanosecond apart is another cell.
         let mut early = config.clone();

@@ -8,7 +8,8 @@ use l2s_util::SimDuration;
 ///
 /// Message costs follow the paper's M-VIA measurement: a 4-byte message
 /// takes 19 µs one way — 3 µs of CPU on each end, 6 µs in each network
-/// interface, and 1 µs in the switch.
+/// interface, and 1 µs in the switch, which belongs to the shared fabric
+/// (`l2s_net::NetConfig::switch_s`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeCosts {
     /// `1/µp` — CPU time to read and parse one request (158.7 µs).
@@ -33,8 +34,6 @@ pub struct NodeCosts {
     pub msg_cpu_s: f64,
     /// NI cost to send or receive one small cluster message (6 µs).
     pub msg_ni_s: f64,
-    /// Switch traversal latency (1 µs, contention-free).
-    pub switch_s: f64,
 }
 
 impl Default for NodeCosts {
@@ -51,7 +50,6 @@ impl Default for NodeCosts {
             ni_out_kb_per_s: 128_000.0,
             msg_cpu_s: 0.000_003,
             msg_ni_s: 0.000_006,
-            switch_s: 0.000_001,
         }
     }
 }
@@ -104,19 +102,6 @@ impl NodeCosts {
     pub fn msg_ni(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.msg_ni_s)
     }
-
-    /// Switch traversal latency.
-    #[inline]
-    pub fn switch(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.switch_s)
-    }
-
-    /// One-way latency of a small cluster message on an idle cluster:
-    /// send CPU + send NI + switch + receive NI + receive CPU. The paper
-    /// quotes 19 µs for a 4-byte message; the default costs reproduce it.
-    pub fn one_way_message(&self) -> SimDuration {
-        self.msg_cpu() + self.msg_ni() + self.switch() + self.msg_ni() + self.msg_cpu()
-    }
 }
 
 #[cfg(test)]
@@ -131,12 +116,6 @@ mod tests {
         assert_eq!(c.disk_overhead_s, 0.028);
         assert_eq!(c.disk_kb_per_s, 10_000.0);
         assert_eq!(c.ni_out_kb_per_s, 128_000.0);
-    }
-
-    #[test]
-    fn m_via_message_is_19_microseconds() {
-        let c = NodeCosts::default();
-        assert_eq!(c.one_way_message().as_nanos(), 19_000);
     }
 
     #[test]

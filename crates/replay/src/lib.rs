@@ -244,10 +244,6 @@ fn snapshot_period_ns(every_s: f64) -> u64 {
 /// binaries: identical quoting, float rendering (`{:.6}`, matching
 /// `row_f64`), and `none` for an absent p99 — so downstream tooling
 /// consumes replay output and experiment output interchangeably.
-///
-/// The `p99_response_s` column carries whichever definition produced the
-/// report: nearest-rank for timed replay, linearly interpolated for
-/// DES-backed runs (see [`SimReport::p99_response_s`]).
 pub fn report_table(report: &SimReport) -> CsvTable {
     let mut table = CsvTable::new([
         "policy",

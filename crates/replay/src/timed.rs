@@ -43,8 +43,8 @@ pub struct ReplayConfig {
     pub max_requests: Option<usize>,
     /// Record individual response times (needed for the p99 column;
     /// costs O(completed) memory, like the engine's `response_samples`).
-    /// The replay p99 is nearest-rank, kept exactly as samples arrive so
-    /// a snapshot reads it in O(1).
+    /// The p99 is the DES's interpolated one, kept exactly as samples
+    /// arrive so a snapshot reads it in O(1).
     pub response_samples: bool,
 }
 

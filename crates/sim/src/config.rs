@@ -224,6 +224,17 @@ mod tests {
     }
 
     #[test]
+    fn m_via_message_is_19_microseconds() {
+        // Section 5.1: a 4-byte message takes 19 µs one way, CPU and NI
+        // at each end plus the fabric's switch hop.
+        let c = SimConfig::paper_default(2);
+        let end = c.costs.msg_cpu() + c.costs.msg_ni();
+        let start = l2s_util::SimTime::ZERO;
+        let switched = l2s_net::Fabric::new(c.net).switch_transit(start + end);
+        assert_eq!((switched + end).as_nanos(), 19_000);
+    }
+
+    #[test]
     fn quick_disables_warmup() {
         let c = SimConfig::quick(4, 1024.0);
         assert!(!c.warmup);

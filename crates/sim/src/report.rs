@@ -70,12 +70,10 @@ pub struct SimReport {
     /// off (lean scaling sweeps) or no request completed at all — so an
     /// absent percentile can never masquerade as a 0.0 s one.
     ///
-    /// Two definitions fill this field. The DES interpolates linearly
-    /// between the sorted samples at position `0.99·(n−1)`
-    /// ([`l2s_util::stats::quantile`]); timed replay (`l2s-replay`)
-    /// reports the nearest-rank sample `clamp(⌈0.99·n⌉, 1, n)`
-    /// ([`l2s_util::stats::RunningQuantile`]). They can differ by up to
-    /// one gap between adjacent samples.
+    /// The value interpolates linearly between the sorted samples at
+    /// position `0.99·(n−1)` ([`l2s_util::stats::quantile`]); timed
+    /// replay keeps the same value as samples arrive
+    /// ([`l2s_util::stats::RunningQuantile`]).
     pub p99_response_s: Option<f64>,
     /// Mean time per lifecycle segment in seconds: `[ingress, handoff,
     /// service]` — client arrival through distribution decision, decision

@@ -141,15 +141,29 @@ impl fmt::Display for Summary {
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `sorted` using linear
 /// interpolation. `sorted` must be ascending; returns `None` when empty.
 pub fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
+    interpolate(sorted.len(), q, |i| sorted.get(i).copied())
+}
+
+/// Where the interpolated `q`-quantile of `n` ascending samples sits:
+/// the position `q·(n−1)`, with `q` clamped to `[0, 1]`.
+fn position(n: usize, q: f64) -> f64 {
+    q.clamp(0.0, 1.0) * cast::len_f64(n.saturating_sub(1))
+}
+
+/// The `q`-quantile of `n` samples, interpolated linearly between the
+/// two samples around [`position`]; `nth(i)` is the `i`-th smallest.
+/// `None` when `n` is 0. [`quantile`] and [`RunningQuantile`] both read
+/// through here, so they agree bit for bit.
+fn interpolate(n: usize, q: f64, nth: impl Fn(usize) -> Option<f64>) -> Option<f64> {
+    if n == 0 {
         return None;
     }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * cast::len_f64(sorted.len() - 1);
+    let pos = position(n, q);
     let lo = cast::floor_index(pos.floor());
     let hi = cast::floor_index(pos.ceil());
     let frac = pos - cast::len_f64(lo);
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    let (below, above) = (nth(lo)?, nth(hi)?);
+    Some(below + (above - below) * frac)
 }
 
 /// `x`'s bits remapped so that unsigned integer order is
@@ -170,20 +184,16 @@ fn from_total_order_key(key: u64) -> f64 {
     f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
 }
 
-/// The exact running nearest-rank `q`-quantile of a sample stream: after
-/// `n` pushes, [`RunningQuantile::value`] is the `rank`-th smallest sample
-/// under [`f64::total_cmp`], with `rank = clamp(ceil(q·n), 1, n)`.
+/// The exact running `q`-quantile of a sample stream: after `n` pushes,
+/// [`RunningQuantile::value`] is [`quantile`] of every sample so far,
+/// sorted by [`f64::total_cmp`] — bit for bit, at O(log n) per push and
+/// O(1) per read.
 ///
-/// This is the same value as sorting every sample so far and indexing
-/// the rank — bit for bit, since `total_cmp` equality implies identical
-/// bits — at O(log n) per push and O(1) per read. Samples are kept as
-/// integer keys in `total_cmp` order: a max-heap holds the `rank`
-/// smallest and a min-heap the rest; each push rebalances to the new
-/// rank, so the answer is the max-heap's top.
-///
-/// Note the definition differs from [`quantile`], which interpolates
-/// linearly between neighbors: the two agree only where the rank lands
-/// on a knot.
+/// Samples are kept as integer keys in `total_cmp` order: a max-heap
+/// holds the `floor(q·(n−1)) + 1` smallest and a min-heap the rest, and
+/// each push rebalances to the new split. The two samples the quantile
+/// interpolates between are then the max-heap's top and, when the
+/// position is not whole, the min-heap's.
 #[derive(Clone, Debug)]
 pub struct RunningQuantile {
     q: f64,
@@ -209,14 +219,13 @@ impl RunningQuantile {
         } else {
             self.low.push(x);
         }
-        let n = self.len();
-        let rank = cast::floor_index((cast::len_f64(n) * self.q).ceil()).clamp(1, n);
-        while self.low.len() > rank {
+        let low_len = cast::floor_index(position(self.len(), self.q).floor()) + 1;
+        while self.low.len() > low_len {
             if let Some(top) = self.low.pop() {
                 self.high.push(Reverse(top));
             }
         }
-        while self.low.len() < rank {
+        while self.low.len() < low_len {
             if let Some(Reverse(bottom)) = self.high.pop() {
                 self.low.push(bottom);
             }
@@ -233,9 +242,17 @@ impl RunningQuantile {
         self.len() == 0
     }
 
-    /// The nearest-rank quantile of the samples so far; `None` when empty.
+    /// The `q`-quantile of the samples so far, as [`quantile`] computes
+    /// it; `None` when empty.
     pub fn value(&self) -> Option<f64> {
-        self.low.peek().copied().map(from_total_order_key)
+        interpolate(self.len(), self.q, |i| {
+            let key = if i < self.low.len() {
+                self.low.peek()
+            } else {
+                self.high.peek().map(|Reverse(key)| key)
+            };
+            key.copied().map(from_total_order_key)
+        })
     }
 }
 
@@ -421,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn running_quantile_is_nearest_rank() {
+    fn running_quantile_interpolates_like_quantile() {
         let mut p99 = RunningQuantile::new(0.99);
         assert!(p99.is_empty());
         assert_eq!(p99.value(), None);
@@ -432,9 +449,18 @@ mod tests {
             p99.push(f64::from(x));
         }
         assert_eq!(p99.len(), 100);
-        assert_eq!(p99.value(), Some(99.0));
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(p99.value(), quantile(&sorted, 0.99));
+        assert!((p99.value().unwrap() - 99.01).abs() < 1e-9);
+        // At n = 101 the position 0.99·100 = 99 is whole: the 100th
+        // smallest sample exactly.
         p99.push(100.5);
-        assert_eq!(p99.value(), Some(100.0), "rank steps to 100 at n = 101");
+        assert_eq!(p99.value(), Some(100.0));
+        let mut median = RunningQuantile::new(0.5);
+        for x in [4.0, 1.0, 3.0, 2.0] {
+            median.push(x);
+        }
+        assert_eq!(median.value(), Some(2.5));
     }
 
     #[test]

@@ -4,16 +4,12 @@ use l2s_util::stats::{quantile, RunningQuantile};
 use l2s_util::{DetRng, OnlineStats, SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// The sort-based oracle for [`RunningQuantile`]: sort every sample by
-/// `total_cmp` and take the 1-based rank `clamp(ceil(q·n), 1, n)`.
-fn nearest_rank_by_sorting(samples: &[f64], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
+/// The sort-based oracle for [`RunningQuantile`]: [`quantile`] over
+/// every sample sorted by `total_cmp`.
+fn quantile_by_sorting(samples: &[f64], q: f64) -> Option<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
+    quantile(&sorted, q)
 }
 
 /// Samples that stress a total-order heap: signed zeros, subnormals,
@@ -34,9 +30,9 @@ fn awkward_f64() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
-    /// The streaming nearest-rank quantile equals sorting after every
-    /// single push, bit for bit, over lengths that cross the rank steps
-    /// at multiples of 100.
+    /// The streaming quantile equals sorting after every single push,
+    /// bit for bit, over lengths that cross the whole positions at
+    /// 1 + multiples of 100.
     #[test]
     fn running_p99_matches_sorting_after_every_push(
         samples in prop::collection::vec(awkward_f64(), 0..450),
@@ -45,7 +41,7 @@ proptest! {
         prop_assert_eq!(p99.value(), None);
         for (i, &x) in samples.iter().enumerate() {
             p99.push(x);
-            let want = nearest_rank_by_sorting(&samples[..=i], 0.99);
+            let want = quantile_by_sorting(&samples[..=i], 0.99);
             prop_assert_eq!(
                 p99.value().map(f64::to_bits),
                 want.map(f64::to_bits),
@@ -67,7 +63,7 @@ proptest! {
                 running.push(x);
                 prop_assert_eq!(
                     running.value().map(f64::to_bits),
-                    nearest_rank_by_sorting(&samples[..=i], q).map(f64::to_bits),
+                    quantile_by_sorting(&samples[..=i], q).map(f64::to_bits),
                     "q = {}", q
                 );
             }

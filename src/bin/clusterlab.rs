@@ -26,7 +26,13 @@ use args::{policy_by_name, trace_by_name};
 fn build_trace(p: &args::Parsed) -> Result<Trace, String> {
     if let Some(log) = p.value("log")? {
         let text = std::fs::read_to_string(log).map_err(|e| format!("reading {log}: {e}"))?;
-        return Ok(clf::parse_log(log, &text));
+        let trace = clf::parse_log(log, &text);
+        if trace.is_empty() {
+            return Err(format!(
+                "--log {log} keeps no request: the log is empty or every line was dropped"
+            ));
+        }
+        return Ok(trace);
     }
     let spec = trace_by_name(&p.get_str("trace", "calgary"))?;
     let files = p.count("files", spec.num_files.min(8_000))?;

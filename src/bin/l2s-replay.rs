@@ -41,19 +41,23 @@ USAGE:
              [--speed X | --as-fast-as-possible] [--snapshot-secs S]
              [--requests N] [--csv FILE]
   l2s-replay --trace calgary|clarknet|nasa|rutgers [--policy NAME] [--nodes N]
-             [--cache-mb MB] [--files N] [--requests N] [--seed S] [--rate RPS]
-             [--speed X | --as-fast-as-possible] [--snapshot-secs S]
-             [--csv FILE] [--checksum]
+             [--cache-mb MB] [--files N] [--requests N] [--seed S] [--csv FILE]
+             ([--rate RPS] [--speed X] [--snapshot-secs S]
+              | --as-fast-as-possible [--checksum])
 
 MODES:
   --speed X              scaled wall-clock pacing (1.0 = real time; default)
   --as-fast-as-possible  no pacing; with --trace this drives the DES engine
                          and reproduces its placement sequence exactly
 
+A flag the chosen mode does not use is an error.
+
 Every run prints periodic SimReport snapshots (timed modes) and a final
 report; --csv writes it in the experiment writers' CSV format.
 ";
 
+/// The parsed flags. A number the mode does not read (see
+/// [`parse_opts`]) holds 0 and is never used.
 struct Opts {
     log: Option<String>,
     trace: Option<String>,
@@ -71,42 +75,69 @@ struct Opts {
     checksum: bool,
 }
 
-/// Reads every option the tool knows; any other fails the run.
+/// Reads each option only in the modes where it acts, so
+/// [`args::Parsed::finish`] fails the run on any other, naming it:
+///
+/// * `--files`, `--seed`: with `--trace`;
+/// * `--rate`: with `--trace` when paced;
+/// * `--speed`: when paced;
+/// * `--snapshot-secs`: in every mode but `--trace --as-fast-as-possible`;
+/// * `--checksum`: only with `--trace --as-fast-as-possible`.
 fn parse_opts(p: &args::Parsed) -> Result<Opts, String> {
-    let snapshot_secs = p.get("snapshot-secs", 10.0f64)?;
+    let log = p.value("log")?.map(String::from);
+    let trace = p.value("trace")?.map(String::from);
+    match (&log, &trace) {
+        (None, None) => return Err("one of --log or --trace is required".into()),
+        (Some(_), Some(_)) => return Err("--log and --trace are mutually exclusive".into()),
+        _ => {}
+    }
+    // `|`, not `||`: both spellings must count as read.
+    let fast = p.flag("as-fast-as-possible") | p.flag("fast");
+    let synthetic = trace.is_some();
+    // A synthetic trace as fast as possible runs on the DES, which takes
+    // no snapshots.
+    let des = synthetic && fast;
+    let snapshot_secs = if des {
+        0.0
+    } else {
+        p.get("snapshot-secs", 10.0f64)?
+    };
     if !(snapshot_secs.is_finite() && snapshot_secs >= 0.0) {
         return Err(format!(
             "--snapshot-secs must be finite and at least 0, got {snapshot_secs}"
         ));
     }
     let opts = Opts {
-        log: p.value("log")?.map(String::from),
-        trace: p.value("trace")?.map(String::from),
+        log,
+        trace,
         policy: policy_by_name(&p.get_str("policy", "l2s"))?,
         nodes: p.count("nodes", 8)?,
         cache_mb: p.positive("cache-mb", 32.0)?,
-        files: p.count("files", 2_000)?,
+        files: if synthetic {
+            p.count("files", 2_000)?
+        } else {
+            0
+        },
         requests: p
             .value("requests")?
             .map(|_| p.count("requests", 1))
             .transpose()?,
-        seed: p.get("seed", 42u64)?,
+        seed: if synthetic { p.get("seed", 42u64)? } else { 0 },
         // A zero rate puts the first arrival centuries away, and the
         // wall clock would wait for it.
-        rate_rps: p.positive("rate", 500.0)?,
-        speed: p.positive("speed", 1.0)?,
-        // `|`, not `||`: both spellings must count as read.
-        fast: p.flag("as-fast-as-possible") | p.flag("fast"),
+        rate_rps: if synthetic && !fast {
+            p.positive("rate", 500.0)?
+        } else {
+            0.0
+        },
+        speed: if fast { 0.0 } else { p.positive("speed", 1.0)? },
+        fast,
         snapshot_secs,
         csv: p.value("csv")?.map(PathBuf::from),
-        checksum: p.flag("checksum"),
+        checksum: des && p.flag("checksum"),
     };
     p.finish()?;
-    match (&opts.log, &opts.trace) {
-        (None, None) => Err("one of --log or --trace is required".into()),
-        (Some(_), Some(_)) => Err("--log and --trace are mutually exclusive".into()),
-        _ => Ok(opts),
-    }
+    Ok(opts)
 }
 
 fn replay_config(opts: &Opts) -> ReplayConfig {

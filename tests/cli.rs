@@ -169,6 +169,25 @@ fn clusterlab_rejects_bad_flags_with_exit_2() {
 }
 
 #[test]
+fn a_log_that_keeps_no_request_exits_2() {
+    // An empty log used to panic in a debug build (exit 101) and print an
+    // all-zero report in a release build (exit 0).
+    let dir = std::env::temp_dir().join(format!("clusterlab-empty-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (empty, junk) = (dir.join("empty.log"), dir.join("junk.log"));
+    std::fs::write(&empty, "").unwrap();
+    std::fs::write(&junk, "not a log line\n").unwrap();
+    for log in [&empty, &junk] {
+        let log = log.to_str().unwrap();
+        for command in ["simulate", "compare", "trace"] {
+            let args = [command, "--log", log];
+            assert_rejects(&clusterlab(&args), log, &args);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn l2s_replay_rejects_bad_flags_with_exit_2() {
     for (flag, args) in [
         (
@@ -202,6 +221,40 @@ fn l2s_replay_rejects_bad_flags_with_exit_2() {
         ("--nodes", &["--trace", "calgary", "--nodes", "1e12"]),
         ("--requests", &["--trace", "calgary", "--requests", "1e30"]),
         ("--nodse", &["--trace", "calgary", "--nodse", "4"]),
+        // Each flag is read only in the modes where it acts.
+        ("--files", &["--log", "two.log", "--files", "3"]),
+        ("--seed", &["--log", "two.log", "--seed", "9"]),
+        ("--rate", &["--log", "two.log", "--rate", "5"]),
+        (
+            "--rate",
+            &[
+                "--trace",
+                "calgary",
+                "--as-fast-as-possible",
+                "--rate",
+                "100",
+            ],
+        ),
+        (
+            "--speed",
+            &["--log", "two.log", "--as-fast-as-possible", "--speed", "7"],
+        ),
+        ("--speed", &["--trace", "calgary", "--fast", "--speed", "7"]),
+        (
+            "--snapshot-secs",
+            &[
+                "--trace",
+                "calgary",
+                "--as-fast-as-possible",
+                "--snapshot-secs",
+                "1",
+            ],
+        ),
+        ("--checksum", &["--trace", "calgary", "--checksum"]),
+        (
+            "--checksum",
+            &["--log", "two.log", "--as-fast-as-possible", "--checksum"],
+        ),
     ] {
         assert_rejects(&l2s_replay(args), flag, args);
     }
