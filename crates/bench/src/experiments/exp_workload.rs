@@ -107,7 +107,7 @@ fn model_crowds(horizon_s: f64) -> Vec<FlashCrowd> {
 /// and crowd windows are fractions of each scenario's expected run
 /// length on its own clock: `n` request-seconds under the fluid clock,
 /// `Λ⁻¹(n)` real seconds under the diurnal schedule (which compresses
-/// `n` arrivals into `n / mean_rps` seconds).
+/// `n` arrivals into `n / 200` seconds at its mean rate of 200 req/s).
 fn scenarios(n: f64) -> Result<Vec<Scenario>, String> {
     let diurnal = RateSchedule::diurnal(200.0, 0.8, n / 800.0)?;
     let scheduled_horizon = diurnal.invert(n);

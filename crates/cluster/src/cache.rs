@@ -38,18 +38,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Miss fraction over all lookups (0 when none were made).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            cast::exact_f64(self.misses) / cast::exact_f64(total)
-        }
-    }
-}
-
 /// An LRU cache of whole files with a byte (KB) capacity — the main
 /// memory of one cluster node.
 ///
@@ -241,17 +229,6 @@ impl LruCache {
         self.evicted.clear();
     }
 
-    /// Removes `file` if resident; returns whether it was.
-    pub fn remove(&mut self, file: impl Into<FileId>) -> bool {
-        match self.slot_of(file.into()) {
-            Some(slot) => {
-                self.remove_slot(slot);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Resident files from most- to least-recently used (stamp
     /// descending). Materializes and sorts a snapshot — O(n log n), for
     /// inspection and tests, not the simulation hot path.
@@ -409,17 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_space() {
-        let mut c = LruCache::new(100.0);
-        c.insert(1, 60.0);
-        assert!(c.remove(1));
-        assert!(!c.remove(1));
-        assert_eq!(c.used_kb(), 0.0);
-        assert!(c.is_empty());
-        assert!(c.insert(2, 100.0).is_empty());
-    }
-
-    #[test]
     fn mru_iteration_order() {
         let mut c = LruCache::new(1000.0);
         c.insert(1, 10.0);
@@ -458,15 +424,6 @@ mod tests {
         // The cache works normally after the wipe.
         assert!(c.insert(3, 100.0).is_empty());
         assert!(c.touch(3));
-    }
-
-    #[test]
-    fn miss_rate_computation() {
-        let mut s = CacheStats::default();
-        assert_eq!(s.miss_rate(), 0.0);
-        s.hits = 3;
-        s.misses = 1;
-        assert!((s.miss_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

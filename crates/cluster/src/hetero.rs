@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates identical nodes; real clusters mix generations
 //! of hardware. A [`HeteroSpec`] describes the mix as a small list of
-//! node classes — each with a population weight, a CPU speed multiplier,
-//! and cache / NI-buffer scale factors — and expands deterministically
+//! node classes — each with a population weight, a CPU speed multiplier
+//! and a cache scale factor — and expands deterministically
 //! into per-node [`NodeProfile`]s for any cluster size. Van der Boor &
 //! Comte's product-form analysis of load balancing on heterogeneous
 //! clusters (see PAPERS.md) is the analytic companion: in the fluid
@@ -30,9 +30,6 @@ pub struct NodeClass {
     /// Main-memory cache scale factor applied to the configured per-node
     /// cache size.
     pub cache_factor: f64,
-    /// Inbound-NI buffer scale factor applied to the configured buffer
-    /// depth (rounded, floor 1 message).
-    pub ni_buffer_factor: f64,
 }
 
 /// Concrete hardware of one node, expanded from a [`HeteroSpec`].
@@ -42,8 +39,6 @@ pub struct NodeProfile {
     pub cpu_speed: f64,
     /// Cache capacity in KB.
     pub cache_kb: f64,
-    /// Inbound-NI buffer depth in messages.
-    pub ni_buffer: usize,
 }
 
 /// A validated description of a heterogeneous cluster as a mix of node
@@ -71,11 +66,6 @@ impl HeteroSpec {
                     "class {i}: cache_factor must be positive and finite"
                 ));
             }
-            if !(c.ni_buffer_factor.is_finite() && c.ni_buffer_factor > 0.0) {
-                return Err(format!(
-                    "class {i}: ni_buffer_factor must be positive and finite"
-                ));
-            }
         }
         Ok(HeteroSpec { classes })
     }
@@ -88,7 +78,6 @@ impl HeteroSpec {
                 weight: 1.0,
                 cpu_speed: 1.0,
                 cache_factor: 1.0,
-                ni_buffer_factor: 1.0,
             }],
         }
     }
@@ -103,20 +92,18 @@ impl HeteroSpec {
                     weight: 1.0,
                     cpu_speed: 1.5,
                     cache_factor: 1.5,
-                    ni_buffer_factor: 1.0,
                 },
                 NodeClass {
                     weight: 1.0,
                     cpu_speed: 0.75,
                     cache_factor: 0.75,
-                    ni_buffer_factor: 1.0,
                 },
             ],
         }
     }
 
-    /// An extreme mix: one quarter big machines (4× CPU, 4× memory,
-    /// doubled NI buffers), three quarters half-speed stragglers — the
+    /// An extreme mix: one quarter big machines (4× CPU, 4× memory),
+    /// three quarters half-speed stragglers — the
     /// few-fast-many-slow regime van der Boor & Comte's heterogeneous
     /// model targets. Aggregate CPU capacity ≈ 1.375× homogeneous.
     pub fn extreme() -> Self {
@@ -126,13 +113,11 @@ impl HeteroSpec {
                     weight: 1.0,
                     cpu_speed: 4.0,
                     cache_factor: 4.0,
-                    ni_buffer_factor: 2.0,
                 },
                 NodeClass {
                     weight: 3.0,
                     cpu_speed: 0.5,
                     cache_factor: 0.5,
-                    ni_buffer_factor: 1.0,
                 },
             ],
         }
@@ -171,27 +156,18 @@ impl HeteroSpec {
     }
 
     /// Expands the spec into one [`NodeProfile`] per node for an
-    /// `n`-node cluster with `base_cache_kb` of cache and `base_ni_buffer`
-    /// inbound-NI messages on the baseline class. Classes occupy
-    /// contiguous node-id blocks in declaration order.
-    pub fn profiles(
-        &self,
-        n: usize,
-        base_cache_kb: f64,
-        base_ni_buffer: usize,
-    ) -> Vec<NodeProfile> {
+    /// `n`-node cluster with `base_cache_kb` of cache on the baseline
+    /// class. Classes occupy contiguous node-id blocks in declaration
+    /// order.
+    pub fn profiles(&self, n: usize, base_cache_kb: f64) -> Vec<NodeProfile> {
         invariant!(n >= 1, "need at least one node");
         let counts = self.class_counts(n);
         let mut profiles = Vec::with_capacity(n);
         for (class, &count) in self.classes.iter().zip(&counts) {
-            let ni =
-                cast::floor_index((cast::len_f64(base_ni_buffer) * class.ni_buffer_factor).round())
-                    .max(1);
             for _ in 0..count {
                 profiles.push(NodeProfile {
                     cpu_speed: class.cpu_speed,
                     cache_kb: base_cache_kb * class.cache_factor,
-                    ni_buffer: ni,
                 });
             }
         }
@@ -199,19 +175,9 @@ impl HeteroSpec {
     }
 
     /// Per-node CPU speed multipliers for an `n`-node cluster (the
-    /// cache/buffer parameters do not affect speeds).
+    /// cache size does not affect speeds).
     pub fn speeds(&self, n: usize) -> Vec<f64> {
-        self.profiles(n, 1.0, 1)
-            .iter()
-            .map(|p| p.cpu_speed)
-            .collect()
-    }
-
-    /// Aggregate CPU capacity of an `n`-node cluster in baseline-node
-    /// units: `Σᵢ sᵢ` — the quantity the heterogeneous closed form's
-    /// CPU station is sized by.
-    pub fn total_speed(&self, n: usize) -> f64 {
-        self.speeds(n).iter().sum()
+        self.profiles(n, 1.0).iter().map(|p| p.cpu_speed).collect()
     }
 }
 
@@ -221,12 +187,11 @@ mod tests {
 
     #[test]
     fn uniform_expands_to_the_homogeneous_cluster() {
-        let profiles = HeteroSpec::uniform().profiles(4, 1000.0, 64);
+        let profiles = HeteroSpec::uniform().profiles(4, 1000.0);
         assert_eq!(profiles.len(), 4);
         for p in &profiles {
             assert_eq!(p.cpu_speed, 1.0);
             assert_eq!(p.cache_kb, 1000.0);
-            assert_eq!(p.ni_buffer, 64);
         }
     }
 
@@ -237,21 +202,18 @@ mod tests {
             weight: 1.0,
             cpu_speed: 0.0,
             cache_factor: 1.0,
-            ni_buffer_factor: 1.0,
         };
         assert!(HeteroSpec::new(vec![bad]).is_err());
         let nan = NodeClass {
             weight: f64::NAN,
             cpu_speed: 1.0,
             cache_factor: 1.0,
-            ni_buffer_factor: 1.0,
         };
         assert!(HeteroSpec::new(vec![nan]).is_err());
         HeteroSpec::new(vec![NodeClass {
             weight: 2.0,
             cpu_speed: 1.5,
             cache_factor: 1.0,
-            ni_buffer_factor: 1.0,
         }])
         .unwrap();
     }
@@ -260,13 +222,13 @@ mod tests {
     fn apportionment_is_exact_and_deterministic() {
         let spec = HeteroSpec::extreme(); // weights 1 : 3
         for n in [1, 2, 4, 7, 8, 12, 16, 1024] {
-            let profiles = spec.profiles(n, 100.0, 8);
+            let profiles = spec.profiles(n, 100.0);
             assert_eq!(profiles.len(), n, "n={n}");
-            let again = spec.profiles(n, 100.0, 8);
+            let again = spec.profiles(n, 100.0);
             assert_eq!(profiles, again, "expansion must be deterministic");
         }
         // At 8 nodes, 1:3 gives exactly 2 fast and 6 slow.
-        let p8 = spec.profiles(8, 100.0, 8);
+        let p8 = spec.profiles(8, 100.0);
         assert_eq!(p8.iter().filter(|p| p.cpu_speed == 4.0).count(), 2);
         assert_eq!(p8.iter().filter(|p| p.cpu_speed == 0.5).count(), 6);
         // Fast nodes sit in a contiguous leading block.
@@ -276,18 +238,16 @@ mod tests {
     }
 
     #[test]
-    fn factors_scale_cache_and_buffers() {
-        let p = HeteroSpec::extreme().profiles(8, 1000.0, 8);
+    fn factors_scale_cache() {
+        let p = HeteroSpec::extreme().profiles(8, 1000.0);
         assert_eq!(p[0].cache_kb, 4000.0);
-        assert_eq!(p[0].ni_buffer, 16);
         assert_eq!(p[7].cache_kb, 500.0);
-        assert_eq!(p[7].ni_buffer, 8, "slow class keeps the baseline buffer");
     }
 
     #[test]
     fn tiny_clusters_still_get_every_profile_count_right() {
         // 1 node under a 1:3 mix: the slow class has the larger quota.
-        let p = HeteroSpec::extreme().profiles(1, 100.0, 8);
+        let p = HeteroSpec::extreme().profiles(1, 100.0);
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].cpu_speed, 0.5);
     }
@@ -296,19 +256,8 @@ mod tests {
     fn aggregate_speed_matches_the_mix() {
         let spec = HeteroSpec::mild();
         // 8 nodes at 1:1 → 4 × 1.5 + 4 × 0.75 = 9.
-        assert!((spec.total_speed(8) - 9.0).abs() < 1e-12);
-        assert_eq!(spec.speeds(8).len(), 8);
-    }
-
-    #[test]
-    fn ni_buffer_never_rounds_to_zero() {
-        let spec = HeteroSpec::new(vec![NodeClass {
-            weight: 1.0,
-            cpu_speed: 1.0,
-            cache_factor: 1.0,
-            ni_buffer_factor: 0.01,
-        }])
-        .unwrap();
-        assert_eq!(spec.profiles(2, 100.0, 4)[0].ni_buffer, 1);
+        let speeds = spec.speeds(8);
+        assert_eq!(speeds.len(), 8);
+        assert!((speeds.iter().sum::<f64>() - 9.0).abs() < 1e-12);
     }
 }

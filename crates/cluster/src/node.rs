@@ -2,7 +2,7 @@
 
 use crate::{CachePolicy, FileCache, FileId};
 use l2s_devs::FifoResource;
-use l2s_util::{SimDuration, SimTime};
+use l2s_util::SimTime;
 
 /// The hardware of one cluster node: the four contended FIFO stations
 /// (CPU, disk, inbound NI, outbound NI) plus the main-memory file cache.
@@ -27,14 +27,8 @@ pub struct NodeHardware {
 }
 
 impl NodeHardware {
-    /// A node with `cache_kb` of LRU-managed main memory and an
-    /// inbound-NI buffer of `ni_buffer` requests (the admission bound of
-    /// Section 5.1).
-    pub fn new(cache_kb: f64, ni_buffer: usize) -> Self {
-        Self::with_policy(CachePolicy::Lru, cache_kb, ni_buffer)
-    }
-
-    /// A node whose cache runs the given replacement policy.
+    /// A node with `cache_kb` of main memory run by the given
+    /// replacement policy and an inbound NI of capacity `ni_buffer`.
     pub fn with_policy(policy: CachePolicy, cache_kb: f64, ni_buffer: usize) -> Self {
         NodeHardware {
             cpu: FifoResource::new(),
@@ -58,18 +52,6 @@ impl NodeHardware {
         }
     }
 
-    /// Warms the cache with one file reference without touching hit/miss
-    /// statistics (used for the pre-measurement warm-up pass).
-    pub fn warm_file(&mut self, file: impl Into<FileId>, kb: f64) {
-        // Insert refreshes replacement state when already resident.
-        self.cache.insert(file, kb);
-    }
-
-    /// CPU idle fraction over a measurement window.
-    pub fn cpu_idle_fraction(&self, window: SimDuration) -> f64 {
-        1.0 - self.cpu.utilization(window)
-    }
-
     /// Zeroes all statistics (stations, cache, completion counter)
     /// without disturbing in-flight state or cache contents.
     pub fn reset_stats(&mut self) {
@@ -79,12 +61,6 @@ impl NodeHardware {
         self.ni_out.reset_stats();
         self.cache.reset_stats();
         self.completed = 0;
-    }
-
-    /// Whether the inbound NI would accept one more request at `now`.
-    /// Pure query.
-    pub fn accepts_request(&self, now: SimTime) -> bool {
-        self.ni_in.would_accept(now)
     }
 
     /// The node crashes at `now`: main memory (the file cache) is wiped
@@ -120,10 +96,11 @@ pub fn build_nodes(
 pub fn build_nodes_profiled(
     profiles: &[crate::NodeProfile],
     policy: CachePolicy,
+    ni_buffer: usize,
 ) -> Vec<NodeHardware> {
     profiles
         .iter()
-        .map(|p| NodeHardware::with_policy(policy, p.cache_kb, p.ni_buffer))
+        .map(|p| NodeHardware::with_policy(policy, p.cache_kb, ni_buffer))
         .collect()
 }
 
@@ -132,9 +109,13 @@ mod tests {
     use super::*;
     use l2s_util::SimDuration;
 
+    fn lru_node(cache_kb: f64) -> NodeHardware {
+        NodeHardware::with_policy(CachePolicy::Lru, cache_kb, 8)
+    }
+
     #[test]
     fn access_records_hits_and_misses() {
-        let mut n = NodeHardware::new(100.0, 8);
+        let mut n = lru_node(100.0);
         assert!(!n.access_file(1, 10.0), "first access misses");
         assert!(n.access_file(1, 10.0), "second access hits");
         let s = n.cache.stats();
@@ -144,17 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_does_not_touch_stats() {
-        let mut n = NodeHardware::new(100.0, 8);
-        n.warm_file(1, 10.0);
-        n.warm_file(2, 10.0);
-        assert_eq!(n.cache.stats().hits + n.cache.stats().misses, 0);
-        assert!(n.access_file(1, 10.0), "warmed file hits");
-    }
-
-    #[test]
     fn reset_preserves_cache_contents() {
-        let mut n = NodeHardware::new(100.0, 8);
+        let mut n = lru_node(100.0);
         n.access_file(1, 10.0);
         n.completed = 5;
         n.reset_stats();
@@ -164,48 +136,23 @@ mod tests {
     }
 
     #[test]
-    fn idle_fraction_complements_utilization() {
-        let mut n = NodeHardware::new(100.0, 8);
-        let now = SimTime::ZERO;
-        n.cpu.schedule(now, SimDuration::from_millis(250));
-        let idle = n.cpu_idle_fraction(SimDuration::from_millis(1000));
-        assert!((idle - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ni_buffer_limits_admission() {
-        let mut n = NodeHardware::new(100.0, 2);
-        let now = SimTime::ZERO;
-        let svc = SimDuration::from_millis(10);
-        assert!(n.accepts_request(now));
-        n.ni_in.try_schedule(now, svc).unwrap();
-        n.ni_in.try_schedule(now, svc).unwrap();
-        assert!(!n.accepts_request(now), "buffer of 2 is full");
-    }
-
-    #[test]
     fn crash_wipes_cache_and_in_flight_work_but_keeps_stats() {
-        let mut n = NodeHardware::new(100.0, 2);
+        let mut n = lru_node(100.0);
         n.access_file(1, 10.0);
         n.completed = 3;
         let t = SimTime::from_nanos(500);
         n.cpu.schedule(t, SimDuration::from_millis(10));
-        n.ni_in
-            .try_schedule(t, SimDuration::from_millis(10))
-            .unwrap();
-        n.ni_in
-            .try_schedule(t, SimDuration::from_millis(10))
-            .unwrap();
-        assert!(!n.accepts_request(t));
+        n.ni_in.schedule(t, SimDuration::from_millis(10));
+        n.ni_in.schedule(t, SimDuration::from_millis(10));
+        assert_eq!(n.ni_in.queue_len(t), 2);
         let crash_at = SimTime::from_nanos(600);
         n.crash(crash_at);
         assert!(n.cache.is_empty(), "main memory wiped");
-        assert!(n.accepts_request(crash_at), "NI backlog dropped");
+        assert_eq!(n.ni_in.queue_len(crash_at), 0, "NI backlog dropped");
         assert_eq!(n.cpu.free_at(), crash_at);
         assert_eq!(n.completed, 3, "window stats survive the crash");
         assert_eq!(n.cache.stats().misses, 1);
     }
-
     #[test]
     fn build_nodes_makes_identical_nodes() {
         let nodes = build_nodes(4, CachePolicy::Lru, 64.0, 16);
@@ -224,8 +171,8 @@ mod tests {
 
     #[test]
     fn profiled_nodes_follow_their_profiles() {
-        let profiles = crate::HeteroSpec::extreme().profiles(4, 1000.0, 8);
-        let nodes = build_nodes_profiled(&profiles, CachePolicy::Lru);
+        let profiles = crate::HeteroSpec::extreme().profiles(4, 1000.0);
+        let nodes = build_nodes_profiled(&profiles, CachePolicy::Lru, 8);
         assert_eq!(nodes.len(), 4);
         for (node, profile) in nodes.iter().zip(&profiles) {
             assert_eq!(node.cache.capacity_kb(), profile.cache_kb);

@@ -46,7 +46,6 @@ impl Placement {
 /// A [`Distributor`] behind a runtime-agnostic API. See the module docs.
 pub struct PolicyDriver {
     policy: Box<dyn Distributor>,
-    nodes: usize,
     msg_buf: Vec<(NodeId, NodeId)>,
 }
 
@@ -56,19 +55,8 @@ impl PolicyDriver {
     pub fn new(kind: PolicyKind, n: usize) -> Self {
         PolicyDriver {
             policy: kind.build(n, &PolicyParams::default()),
-            nodes: n,
             msg_buf: Vec::new(),
         }
-    }
-
-    /// The wrapped policy's kind.
-    pub fn kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
-
-    /// Cluster size the driver was built for.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Hints the number of distinct files (dense interned ids `0..n`).
@@ -140,7 +128,6 @@ impl std::fmt::Debug for PolicyDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicyDriver")
             .field("kind", &self.policy.kind())
-            .field("nodes", &self.nodes)
             .finish()
     }
 }
@@ -153,7 +140,6 @@ mod tests {
     fn drives_every_policy_without_engine_types() {
         for kind in PolicyKind::all() {
             let mut d = PolicyDriver::new(kind, 4);
-            assert_eq!(d.kind(), kind);
             d.hint_files(8);
             d.hint_file_sizes(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
             let mut open = Vec::new();

@@ -426,16 +426,6 @@ impl<E> EventQueue<E> {
         Some((time, event))
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        // Every near event precedes every bucketed event, and the lane
-        // is descending: its minimum is at the tail.
-        if let Some(&(time, _)) = self.near_key.last() {
-            return Some(time);
-        }
-        self.pending_times().min()
-    }
-
     /// Timestamps of every bucketed entry, in slab order.
     fn pending_times(&self) -> impl Iterator<Item = SimTime> + '_ {
         self.slab
@@ -529,14 +519,15 @@ mod tests {
     }
 
     #[test]
-    fn len_and_peek() {
+    fn len_and_pop() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         q.schedule(t(7), ());
         q.schedule(t(3), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(t(3)));
+        assert_eq!(q.pop(), Some((t(3), ())));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use std::collections::VecDeque;
 pub struct FifoResource {
     free_at: SimTime,
     busy: SimDuration,
-    served: u64,
     completions: VecDeque<SimTime>,
     capacity: Option<usize>,
 }
@@ -38,15 +37,14 @@ impl FifoResource {
         FifoResource {
             free_at: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            served: 0,
             completions: VecDeque::new(),
             capacity: None,
         }
     }
 
     /// A station whose buffer holds at most `capacity` jobs (including
-    /// the one in service). [`FifoResource::try_schedule`] refuses jobs
-    /// beyond that.
+    /// the one in service). [`FifoResource::next_admission`] reports when
+    /// a full buffer can admit the next job.
     pub fn with_capacity(capacity: usize) -> Self {
         l2s_util::invariant!(capacity >= 1, "capacity must hold at least one job");
         FifoResource {
@@ -72,20 +70,10 @@ impl FifoResource {
     /// This is a pure query: already-finished entries are counted out by
     /// binary search (`completions` is sorted — FIFO completion times are
     /// monotone) rather than drained, so `&self` suffices. The mutating
-    /// paths (`schedule`/`try_schedule`) still drain to bound memory.
+    /// path ([`FifoResource::schedule`]) still drains to bound memory.
     pub fn queue_len(&self, now: SimTime) -> usize {
         let finished = self.completions.partition_point(|&done| done <= now);
         self.completions.len() - finished
-    }
-
-    /// Whether a job submitted at `now` would be admitted. Pure query.
-    pub fn would_accept(&self, now: SimTime) -> bool {
-        match self.capacity {
-            None => true,
-            // `completions` only shrinks over time, so an under-cap raw
-            // count is conclusive without the binary search.
-            Some(cap) => self.completions.len() < cap || self.queue_len(now) < cap,
-        }
     }
 
     /// Earliest time a job could be admitted, as a lower bound computed
@@ -103,6 +91,8 @@ impl FifoResource {
     pub fn next_admission(&self, now: SimTime) -> Option<SimTime> {
         let cap = self.capacity?;
         let len = self.completions.len();
+        // `completions` only shrinks over time, so an under-cap raw count
+        // is conclusive without the binary search.
         if len < cap || self.queue_len(now) < cap {
             return None;
         }
@@ -110,31 +100,16 @@ impl FifoResource {
     }
 
     /// Submits a job at `now` needing `service` time; returns its
-    /// completion time, or `None` if the buffer is full.
-    pub fn try_schedule(&mut self, now: SimTime, service: SimDuration) -> Option<SimTime> {
-        if !self.would_accept(now) {
-            return None;
-        }
-        self.drain(now);
-        Some(self.schedule_unchecked(now, service))
-    }
-
-    /// Submits a job at `now` needing `service` time; returns its
-    /// completion time. Ignores any capacity bound — use for stations
-    /// where upstream admission already limits backlog.
+    /// completion time. Ignores any capacity bound: the caller admits
+    /// jobs by [`FifoResource::next_admission`], or not at all.
     pub fn schedule(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         if self.capacity.is_some() {
             self.drain(now);
         }
-        self.schedule_unchecked(now, service)
-    }
-
-    fn schedule_unchecked(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         let start = self.free_at.max(now);
         let done = start + service;
         self.free_at = done;
         self.busy += service;
-        self.served += 1;
         if self.capacity.is_some() {
             self.completions.push_back(done);
         }
@@ -151,11 +126,6 @@ impl FifoResource {
         self.busy
     }
 
-    /// Jobs completed or accepted since the last stats reset.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
     /// Fraction of the window `[window_start, window_end]` this server
     /// spent busy (0 when the window is empty). Assumes stats were reset
     /// at `window_start`.
@@ -167,19 +137,18 @@ impl FifoResource {
         }
     }
 
-    /// Zeroes busy-time and served-job accounting (used after cache
-    /// warm-up) without touching in-flight work.
+    /// Zeroes busy-time accounting (used after cache warm-up) without
+    /// touching in-flight work.
     pub fn reset_stats(&mut self) {
         self.busy = SimDuration::ZERO;
-        self.served = 0;
     }
 
     /// Discards all in-flight and queued work as of `now` (a node crash):
     /// the backlog is dropped, the server becomes free immediately, and
     /// the unperformed portion of already-accepted service time
     /// (`free_at - now`) is subtracted from the busy accounting so
-    /// utilization reflects work actually carried out. Completed history
-    /// (`served`, performed busy time) is kept.
+    /// utilization reflects work actually carried out. Busy time already
+    /// performed is kept.
     ///
     /// The rescinded span can exceed accrued busy time when work was
     /// scheduled to *start* in the future (the replay front-end books
@@ -216,11 +185,6 @@ impl DelayStation {
     #[inline]
     pub fn traverse(&self, now: SimTime) -> SimTime {
         now + self.delay
-    }
-
-    /// The configured delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delay
     }
 }
 
@@ -278,31 +242,31 @@ mod tests {
         r.schedule(t(0), d(100));
         r.schedule(t(0), d(100));
         assert_eq!(r.queue_len(t(50)), 0, "no tracking without a capacity");
-        assert!(r.would_accept(t(50)));
-        assert_eq!(r.served(), 2, "stats still accumulate");
+        assert_eq!(r.next_admission(t(50)), None);
+        assert_eq!(r.busy_time(), d(200), "stats still accumulate");
     }
 
     #[test]
     fn capacity_limits_admission() {
         let mut r = FifoResource::with_capacity(2);
-        assert!(r.try_schedule(t(0), d(100)).is_some());
-        assert!(r.try_schedule(t(0), d(100)).is_some());
-        assert!(r.try_schedule(t(0), d(100)).is_none(), "third job refused");
-        // After the first job finishes there is room again.
-        assert!(r.would_accept(t(100)));
-        assert_eq!(r.try_schedule(t(100), d(100)), Some(t(300)));
+        assert_eq!(r.next_admission(t(0)), None);
+        r.schedule(t(0), d(100));
+        assert_eq!(r.next_admission(t(0)), None);
+        r.schedule(t(0), d(100));
+        // Full: the next job waits for the first to finish.
+        assert_eq!(r.next_admission(t(0)), Some(t(100)));
+        assert_eq!(r.next_admission(t(100)), None);
+        assert_eq!(r.schedule(t(100), d(100)), t(300));
     }
 
     #[test]
-    fn busy_time_and_served_accumulate() {
+    fn busy_time_accumulates() {
         let mut r = FifoResource::new();
         r.schedule(t(0), d(30));
         r.schedule(t(100), d(70));
         assert_eq!(r.busy_time(), d(100));
-        assert_eq!(r.served(), 2);
         r.reset_stats();
         assert_eq!(r.busy_time(), SimDuration::ZERO);
-        assert_eq!(r.served(), 0);
         // In-flight state survives the reset.
         assert_eq!(r.free_at(), t(170));
     }
@@ -334,10 +298,9 @@ mod tests {
         r.reset_in_flight(t(150));
         assert_eq!(r.free_at(), t(150));
         assert_eq!(r.queue_len(t(150)), 0);
-        assert!(r.would_accept(t(150)));
+        assert_eq!(r.next_admission(t(150)), None);
         // 300 ns were accepted; 150 ns of server time were unperformed.
         assert_eq!(r.busy_time(), d(150));
-        assert_eq!(r.served(), 3, "accepted-job count is history, kept");
         // The station schedules normally afterwards.
         assert_eq!(r.schedule(t(150), d(10)), t(160));
     }
@@ -364,7 +327,6 @@ mod tests {
         // Two simultaneous traversals both finish after exactly the delay.
         assert_eq!(s.traverse(t(5)), t(1005));
         assert_eq!(s.traverse(t(5)), t(1005));
-        assert_eq!(s.delay(), d(1000));
     }
 
     #[test]

@@ -354,12 +354,13 @@ fn matching(sig: &[Token], src: &str, at: usize, open: &str, close: &str) -> Opt
     None
 }
 
-/// Marks significant tokens inside `#[cfg(test)]`-gated items (attribute
+/// Marks significant tokens (`sig`: the file's tokens with comments
+/// dropped) inside `#[cfg(test)]`- and `#[test]`-gated items (attribute
 /// through the end of the item: the matching `}` of its body, or the `;`
 /// of a bodiless item). Attributes stacked between the gate and the item
 /// are included. This is precise where the old line scanner was not: code
 /// *after* a test module is scanned again.
-fn test_regions(sig: &[Token], src: &str) -> Vec<bool> {
+pub fn test_regions(sig: &[Token], src: &str) -> Vec<bool> {
     let mut flags = vec![false; sig.len()];
     let mut i = 0;
     while i < sig.len() {

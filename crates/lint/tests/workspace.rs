@@ -1,10 +1,13 @@
 //! Integration tests over the real repository: every source file must
 //! lex, the committed tree must be clean at deny level with no baseline
-//! growth, the JSON report must be byte-stable, and the installed binary
-//! must honor the documented exit-code contract.
+//! growth, every public library item must have a caller outside tests,
+//! the JSON report must be byte-stable, and the installed binary must
+//! honor the documented exit-code contract.
 
-use l2s_lint::lexer::lex;
+use l2s_lint::lexer::{lex, Token, TokenKind};
+use l2s_lint::rules::test_regions;
 use l2s_lint::{run, Allowlist, Format, Options, Severity};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -18,10 +21,11 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Every `.rs` file under the workspace's crate sources and test trees.
+/// Every `.rs` file under the workspace's crates (the benchmark package
+/// included), the root package's sources and the examples.
 fn all_rust_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    let mut stack = vec![root.join("crates"), root.join("src")];
+    let mut stack = vec![root.join("crates"), root.join("src"), root.join("examples")];
     while let Some(dir) = stack.pop() {
         let Ok(entries) = fs::read_dir(&dir) else {
             continue;
@@ -100,6 +104,264 @@ fn committed_tree_is_deny_clean_with_no_growth_or_stale_allows() {
         "committed tree must pass the ratchet:\n{}{}",
         String::from_utf8_lossy(&out),
         String::from_utf8_lossy(&err)
+    );
+}
+
+/// Public library items that only tests name, kept because the tests use
+/// them to inspect or cross-check live code: `(file, item, reason)`.
+const TEST_ONLY_KEEP: &[(&str, &str, &str)] = &[
+    (
+        "crates/cluster/src/cache.rs",
+        "iter_mru",
+        "lists the resident set, which the LRU proptests sum against `used_kb`",
+    ),
+    (
+        "crates/core/src/l2s_policy.rs",
+        "server_set",
+        "shows the L2S replica sets that placement tests check",
+    ),
+    (
+        "crates/core/src/l2s_policy.rs",
+        "viewed_load",
+        "shows one node's view of another's load, which the overload tests check",
+    ),
+    (
+        "crates/core/src/lard.rs",
+        "server_set",
+        "shows the LARD replica sets that placement tests check",
+    ),
+    (
+        "crates/devs/src/resource.rs",
+        "busy_time",
+        "the busy total the work-conservation tests compare with the service times",
+    ),
+    (
+        "crates/model/src/model.rs",
+        "saturation_throughput",
+        "bisects the M/M/1 solution to cross-check the closed-form bound",
+    ),
+    (
+        "crates/sim/src/config.rs",
+        "quick",
+        "the small configuration that simulator, replay and bench tests and the facade's doctest run",
+    ),
+    (
+        "crates/trace/src/clf.rs",
+        "into_paths",
+        "the interned paths, which the interner proptest compares with first appearance",
+    ),
+    (
+        "crates/trace/src/clf.rs",
+        "parse_line",
+        "the reference parser `ClfStream` is compared against",
+    ),
+    (
+        "crates/workload/src/schedule.rs",
+        "cumulative",
+        "the rate integral, the oracle the time inversion is round-tripped against",
+    ),
+    (
+        "crates/zipf/src/lib.rs",
+        "probability",
+        "one rank's probability in the sampler's table, which sampling tests check",
+    ),
+];
+
+/// Keywords that open an item whose name follows them.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// A `pub` item defined in library code.
+struct PubItem {
+    path: String,
+    line: usize,
+    name: String,
+}
+
+/// True for a library crate's source, other than the lint's own and the
+/// proptest shim's: `crates/<name>/src/**` or the root `src/**`, minus
+/// binary targets.
+fn is_library_source(rel: &str) -> bool {
+    let src = match rel.strip_prefix("crates/") {
+        Some(rest) => match rest.split_once("/src/") {
+            Some((name, src)) if name != "lint" && name != "proptest" => src,
+            _ => return false,
+        },
+        None => match rel.strip_prefix("src/") {
+            Some(src) => src,
+            None => return false,
+        },
+    };
+    src != "main.rs" && !src.starts_with("bin/")
+}
+
+/// The index of the item name defined by the keyword at `i`, if any:
+/// the identifier after `fn`, `struct`, …. The `const` of a `const fn`
+/// defines nothing itself.
+fn defined_name(sig: &[Token], src: &str, i: usize) -> Option<usize> {
+    let kw = sig[i].text(src);
+    if sig[i].kind != TokenKind::Ident || !ITEM_KEYWORDS.contains(&kw) {
+        return None;
+    }
+    let next = sig.get(i + 1)?;
+    let defines = next.kind == TokenKind::Ident && !(kw == "const" && next.text(src) == "fn");
+    defines.then_some(i + 1)
+}
+
+/// For `pub` at `i` (not `pub(crate)` and the like), the index of the
+/// keyword of the item it publishes: `pub const fn` publishes a `fn`.
+fn published_keyword(sig: &[Token], src: &str, i: usize) -> Option<usize> {
+    let const_fn =
+        sig.get(i + 1)?.text(src) == "const" && sig.get(i + 2).is_some_and(|t| t.text(src) == "fn");
+    let kw = if const_fn { i + 2 } else { i + 1 };
+    (sig[kw].kind == TokenKind::Ident).then_some(kw)
+}
+
+/// For an `impl` block opening at `i`, the name of the type it implements
+/// for (the last identifier of the self type, outside brackets) and the
+/// index of the body's closing brace. `None` for `impl Trait` in type
+/// position, which follows `->`, `(`, `,` and the like.
+fn impl_block(sig: &[Token], src: &str, i: usize) -> Option<(String, usize)> {
+    if i > 0 && !matches!(sig[i - 1].text(src), "}" | ";" | "{" | "]") {
+        return None;
+    }
+    let open = (i..sig.len()).find(|&k| sig[k].text(src) == "{")?;
+    let mut depth = 0i32;
+    let mut self_type = None;
+    let mut k = i + 1;
+    while k < open {
+        let text = sig[k].text(src);
+        match text {
+            "<" | "(" | "[" => depth += 1,
+            ">" if sig[k - 1].text(src) != "-" => depth -= 1,
+            ")" | "]" => depth -= 1,
+            "for" if depth == 0 => self_type = None,
+            "where" if depth == 0 => break,
+            _ if depth == 0 && sig[k].kind == TokenKind::Ident => {
+                self_type = Some(text.to_string());
+            }
+            _ => {}
+        }
+        k += 1;
+    }
+    let mut depth = 0usize;
+    let close = (open..sig.len()).find(|&k| {
+        match sig[k].text(src) {
+            "{" => depth += 1,
+            "}" => depth -= 1,
+            _ => {}
+        }
+        depth == 0
+    })?;
+    Some((self_type?, close))
+}
+
+#[test]
+fn every_public_library_item_has_a_caller_outside_tests() {
+    let root = repo_root();
+    let mut items = Vec::new();
+    let mut callers = BTreeSet::new();
+    for file in all_rust_files(&root) {
+        let rel = file
+            .strip_prefix(&root)
+            .unwrap()
+            .to_string_lossy()
+            .replace('\\', "/");
+        let src = fs::read_to_string(&file).unwrap();
+        let sig: Vec<Token> = lex(&src)
+            .unwrap()
+            .into_iter()
+            .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
+            .collect();
+        let in_test = if rel.split('/').any(|part| part == "tests") {
+            vec![true; sig.len()]
+        } else {
+            test_regions(&sig, &src)
+        };
+        let library = is_library_source(&rel);
+        let mut definitions = BTreeSet::new();
+        let mut reexport = vec![false; sig.len()];
+        let mut impls = Vec::new();
+        for i in 0..sig.len() {
+            if in_test[i] {
+                continue;
+            }
+            if let Some(name) = defined_name(&sig, &src, i) {
+                definitions.insert(name);
+            }
+            if sig[i].text(&src) == "impl" {
+                impls.extend(impl_block(&sig, &src, i).map(|(ty, end)| (ty, i, end)));
+            }
+            if sig[i].text(&src) != "pub" {
+                continue;
+            }
+            if sig.get(i + 1).is_some_and(|t| t.text(&src) == "use") {
+                let end = (i..sig.len())
+                    .find(|&k| sig[k].text(&src) == ";")
+                    .unwrap_or(sig.len());
+                reexport[i..end].iter_mut().for_each(|r| *r = true);
+            } else if let Some(name) = published_keyword(&sig, &src, i)
+                .and_then(|kw| defined_name(&sig, &src, kw))
+                .filter(|_| library)
+            {
+                items.push(PubItem {
+                    path: rel.clone(),
+                    line: sig[name].line,
+                    name: sig[name].text(&src).to_string(),
+                });
+            }
+        }
+        // An occurrence of a name does not count where that name is
+        // defined: at the defining identifier, inside an `impl` block for
+        // a type of that name, or inside a `pub use` re-export that keeps
+        // the name.
+        for (i, tok) in sig.iter().enumerate() {
+            if tok.kind != TokenKind::Ident || in_test[i] || definitions.contains(&i) {
+                continue;
+            }
+            let text = tok.text(&src);
+            let renamed = sig.get(i + 1).is_some_and(|t| t.text(&src) == "as");
+            let in_own_impl = impls
+                .iter()
+                .any(|(ty, start, end)| ty == text && (*start..=*end).contains(&i));
+            if (!reexport[i] || renamed) && !in_own_impl {
+                callers.insert(text.to_string());
+            }
+        }
+    }
+    assert!(
+        items.len() > 200,
+        "found suspiciously few public items: {}",
+        items.len()
+    );
+
+    let uncalled: Vec<&PubItem> = items
+        .iter()
+        .filter(|it| !callers.contains(&it.name))
+        .collect();
+    let kept = |it: &PubItem| {
+        TEST_ONLY_KEEP
+            .iter()
+            .any(|(path, name, _)| *path == it.path && *name == it.name)
+    };
+    let unkept: Vec<String> = uncalled
+        .iter()
+        .filter(|it| !kept(it))
+        .map(|it| format!("{}:{} `{}`", it.path, it.line, it.name))
+        .collect();
+    let stale: Vec<String> = TEST_ONLY_KEEP
+        .iter()
+        .filter(|(path, name, _)| {
+            !uncalled
+                .iter()
+                .any(|it| it.path == *path && it.name == *name)
+        })
+        .map(|(path, name, _)| format!("{path} `{name}`"))
+        .collect();
+    assert!(
+        unkept.is_empty() && stale.is_empty(),
+        "public library items with no caller outside tests (delete them, or keep-list one that tests use to check live code):\n{}\nstale keep-list entries (the item is gone or has a caller):\n{}",
+        unkept.join("\n"),
+        stale.join("\n")
     );
 }
 

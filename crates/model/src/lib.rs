@@ -37,6 +37,5 @@ pub use model::{Demands, Derived, QueueModel, Solution, StationLoad};
 pub use nonstat::{lru_miss_rate, NonStatLruSpec};
 pub use params::{ModelParams, ServerKind};
 pub use surface::{
-    default_axes, memory_sweep, replication_sweep, throughput_increase_surface, throughput_surface,
-    Surface,
+    default_axes, memory_sweep, throughput_increase_surface, throughput_surface, Surface,
 };

@@ -1,9 +1,8 @@
 //! M/M/1 station mathematics.
 //!
 //! The paper's queuing network assumes every station is M/M/1. This module
-//! holds the textbook formulas used by the full-network solution in
-//! [`crate::QueueModel::solve`] and exposes them directly for analysis and
-//! tests.
+//! holds the textbook formulas the full-network solution in
+//! [`crate::QueueModel::solve`] uses.
 
 /// An M/M/1 station with Poisson arrivals at rate `lambda` and
 /// exponential service at rate `mu` (both per second).
@@ -36,39 +35,10 @@ impl Mm1 {
         self.utilization() < 1.0
     }
 
-    /// Mean number of jobs in the system `L = ρ/(1-ρ)`, or `None` when
-    /// saturated.
-    pub fn mean_jobs(&self) -> Option<f64> {
-        let rho = self.utilization();
-        self.is_stable().then(|| rho / (1.0 - rho))
-    }
-
-    /// Mean number of jobs waiting in queue `Lq = ρ²/(1-ρ)`, or `None`
-    /// when saturated.
-    pub fn mean_queue(&self) -> Option<f64> {
-        let rho = self.utilization();
-        self.is_stable().then(|| rho * rho / (1.0 - rho))
-    }
-
     /// Mean time in system (waiting + service) `W = 1/(µ-λ)`, or `None`
     /// when saturated.
     pub fn mean_response(&self) -> Option<f64> {
         self.is_stable().then(|| 1.0 / (self.mu - self.lambda))
-    }
-
-    /// Mean waiting time in queue `Wq = ρ/(µ-λ)`, or `None` when
-    /// saturated.
-    pub fn mean_wait(&self) -> Option<f64> {
-        self.is_stable()
-            .then(|| self.utilization() / (self.mu - self.lambda))
-    }
-
-    /// Steady-state probability of exactly `n` jobs in the system,
-    /// `P(n) = (1-ρ)ρⁿ`, or `None` when saturated.
-    pub fn prob_n(&self, n: u32) -> Option<f64> {
-        let rho = self.utilization();
-        self.is_stable()
-            .then(|| (1.0 - rho) * rho.powi(l2s_util::cast::small_i32(u64::from(n))))
     }
 }
 
@@ -78,52 +48,24 @@ mod tests {
 
     #[test]
     fn classic_example() {
-        // λ = 3/s, µ = 4/s: ρ = 0.75, L = 3, W = 1 s, Wq = 0.75 s.
+        // λ = 3/s, µ = 4/s: ρ = 0.75, W = 1 s.
         let q = Mm1::new(3.0, 4.0);
         assert!((q.utilization() - 0.75).abs() < 1e-12);
-        assert!((q.mean_jobs().unwrap() - 3.0).abs() < 1e-12);
+        assert!(q.is_stable());
         assert!((q.mean_response().unwrap() - 1.0).abs() < 1e-12);
-        assert!((q.mean_wait().unwrap() - 0.75).abs() < 1e-12);
-        assert!((q.mean_queue().unwrap() - 2.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn littles_law_holds() {
-        let q = Mm1::new(7.0, 11.0);
-        let l = q.mean_jobs().unwrap();
-        let w = q.mean_response().unwrap();
-        assert!((l - q.lambda * w).abs() < 1e-12, "L = λW violated");
-        let lq = q.mean_queue().unwrap();
-        let wq = q.mean_wait().unwrap();
-        assert!((lq - q.lambda * wq).abs() < 1e-12, "Lq = λWq violated");
     }
 
     #[test]
     fn saturated_queue_has_no_steady_state() {
         let q = Mm1::new(5.0, 5.0);
         assert!(!q.is_stable());
-        assert!(q.mean_jobs().is_none());
         assert!(q.mean_response().is_none());
-        assert!(q.prob_n(0).is_none());
-    }
-
-    #[test]
-    fn state_probabilities_sum_to_one() {
-        let q = Mm1::new(2.0, 5.0);
-        let sum: f64 = (0..200).map(|n| q.prob_n(n).unwrap()).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_queue_probability_is_idle_fraction() {
-        let q = Mm1::new(1.0, 4.0);
-        assert!((q.prob_n(0).unwrap() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn zero_arrivals_is_idle() {
         let q = Mm1::new(0.0, 3.0);
-        assert_eq!(q.mean_jobs().unwrap(), 0.0);
+        assert_eq!(q.utilization(), 0.0);
         assert!((q.mean_response().unwrap() - (1.0 / 3.0)).abs() < 1e-12);
     }
 

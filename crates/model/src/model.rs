@@ -99,11 +99,6 @@ impl QueueModel {
         Ok(QueueModel { params })
     }
 
-    /// The model parameters.
-    pub fn params(&self) -> &ModelParams {
-        &self.params
-    }
-
     /// Derives `H`, `h`, and `Q` from the *locality-oblivious* hit rate
     /// axis used throughout Section 3.
     ///
@@ -202,18 +197,7 @@ impl QueueModel {
 
     /// [`QueueModel::max_throughput`] for pre-computed derived quantities.
     pub fn max_throughput_derived(&self, derived: &Derived) -> f64 {
-        let demands = self.demands(derived);
-        demands
-            .stations(self.params.nodes)
-            .iter()
-            .map(|(_, d, count)| {
-                if *d <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    cast::len_f64(*count) / d
-                }
-            })
-            .fold(f64::INFINITY, f64::min)
+        self.bottleneck_bound(derived, cast::len_f64(self.params.nodes))
     }
 
     /// Closed-form saturation bound for a *heterogeneous* cluster whose
@@ -236,31 +220,26 @@ impl QueueModel {
             got = speeds.len(),
             n = self.params.nodes
         );
-        let demands = self.demands(derived);
-        let total_speed: f64 = speeds.iter().sum();
-        demands
+        self.bottleneck_bound(derived, speeds.iter().sum())
+    }
+
+    /// `min_k (capacity_k / demand_k)` over the five station classes:
+    /// the CPU class has `cpu_capacity` baseline nodes' worth of capacity
+    /// (`N` on identical nodes), every other class its copy count.
+    fn bottleneck_bound(&self, derived: &Derived, cpu_capacity: f64) -> f64 {
+        self.demands(derived)
             .stations(self.params.nodes)
             .iter()
-            .map(|(name, d, count)| {
-                if *d <= 0.0 {
+            .map(|&(name, d, count)| {
+                if d <= 0.0 {
                     f64::INFINITY
+                } else if name == "cpu" {
+                    cpu_capacity / d
                 } else {
-                    let capacity = if *name == "cpu" {
-                        total_speed
-                    } else {
-                        cast::len_f64(*count)
-                    };
-                    capacity / d
+                    cast::len_f64(count) / d
                 }
             })
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Ratio of locality-conscious to locality-oblivious throughput at a
-    /// given oblivious hit rate — the quantity plotted in Figures 5 and 6.
-    pub fn throughput_increase(&self, hlo: f64) -> f64 {
-        self.max_throughput(ServerKind::LocalityConscious, hlo)
-            / self.max_throughput(ServerKind::LocalityOblivious, hlo)
     }
 
     /// Solves the full M/M/1 network at total arrival rate `lambda`
@@ -359,6 +338,13 @@ mod tests {
         QueueModel::new(ModelParams::default()).unwrap()
     }
 
+    /// Conscious over oblivious throughput bound at one oblivious hit
+    /// rate: the quantity Figures 5 and 6 plot.
+    fn locality_gain(m: &QueueModel, hlo: f64) -> f64 {
+        m.max_throughput(ServerKind::LocalityConscious, hlo)
+            / m.max_throughput(ServerKind::LocalityOblivious, hlo)
+    }
+
     #[test]
     fn oblivious_hit_rate_round_trips_the_axis() {
         let m = model();
@@ -413,6 +399,29 @@ mod tests {
     }
 
     #[test]
+    fn replication_cuts_forwarding_monotonically() {
+        let q: Vec<f64> = [0.0, 0.15, 0.5, 1.0]
+            .into_iter()
+            .map(|replication| {
+                let p = ModelParams {
+                    replication,
+                    ..ModelParams::default()
+                };
+                let m = QueueModel::new(p).unwrap();
+                m.derived_from_hlo(ServerKind::LocalityConscious, 0.6)
+                    .forward_fraction
+            })
+            .collect();
+        for pair in q.windows(2) {
+            assert!(pair[1] <= pair[0] + 1e-12, "Q should fall with R: {q:?}");
+        }
+        // R = 0: Q = 15/16; R = 1: the hottest files are everywhere, so
+        // forwarding only happens for uncached files.
+        assert!((q[0] - 15.0 / 16.0).abs() < 1e-9);
+        assert!(q[3] < q[0]);
+    }
+
+    #[test]
     fn peak_locality_gain_is_several_fold() {
         // The headline modeling result: around Hlo ≈ 0.8 with small files
         // the conscious server wins by a large factor (the paper reports
@@ -422,7 +431,7 @@ mod tests {
             ..ModelParams::default()
         };
         let m = QueueModel::new(p).unwrap();
-        let gain = m.throughput_increase(0.8);
+        let gain = locality_gain(&m, 0.8);
         assert!(gain > 5.0, "gain = {gain}");
         assert!(gain < 12.0, "gain = {gain} suspiciously large");
     }
@@ -434,8 +443,8 @@ mod tests {
             ..ModelParams::default()
         };
         let m = QueueModel::new(p).unwrap();
-        let at_80 = m.throughput_increase(0.8);
-        let at_99 = m.throughput_increase(0.99);
+        let at_80 = locality_gain(&m, 0.8);
+        let at_99 = locality_gain(&m, 0.99);
         assert!(at_99 < at_80 / 2.0, "at_80={at_80} at_99={at_99}");
     }
 
@@ -448,7 +457,7 @@ mod tests {
             ..ModelParams::default()
         };
         let m = QueueModel::new(p).unwrap();
-        let gain = m.throughput_increase(1.0);
+        let gain = locality_gain(&m, 1.0);
         assert!(gain < 1.0, "gain = {gain}");
         assert!(gain > 0.7, "gain = {gain} unreasonably low");
     }
@@ -560,7 +569,7 @@ mod tests {
         for hlo in [0.2, 0.6, 0.95] {
             let d = m.derived_from_hlo(ServerKind::LocalityOblivious, hlo);
             let homo = m.max_throughput_derived(&d);
-            let hetero = m.max_throughput_hetero(&d, &vec![1.0; m.params().nodes]);
+            let hetero = m.max_throughput_hetero(&d, &vec![1.0; ModelParams::default().nodes]);
             assert_eq!(homo, hetero, "hlo={hlo}");
         }
     }
@@ -575,7 +584,7 @@ mod tests {
         };
         let m = QueueModel::new(p).unwrap();
         let d = m.derived_from_hlo(ServerKind::LocalityOblivious, 1.0);
-        let n = m.params().nodes;
+        let n = p.nodes;
         let base = m.max_throughput_hetero(&d, &vec![1.0; n]);
         // A 1:3 mix of 4× and 0.5× nodes: aggregate 1.375× capacity.
         let mut speeds = vec![0.5; n];
@@ -597,7 +606,7 @@ mod tests {
         // faster CPUs must not move the bound at all.
         let m = model();
         let d = m.derived_from_hlo(ServerKind::LocalityOblivious, 0.6);
-        let n = m.params().nodes;
+        let n = ModelParams::default().nodes;
         let base = m.max_throughput_hetero(&d, &vec![1.0; n]);
         let fast = m.max_throughput_hetero(&d, &vec![8.0; n]);
         assert_eq!(base, fast, "disk-bound cluster is CPU-speed-insensitive");

@@ -155,28 +155,6 @@ pub fn memory_sweep(
         .collect()
 }
 
-/// Section 3.2's replication study: for each replication fraction `R`,
-/// the forwarded fraction `Q` and conscious throughput at a given
-/// operating point, returned as `(replication, forward_fraction,
-/// throughput)` triples.
-pub fn replication_sweep(
-    base: &ModelParams,
-    replications: &[f64],
-    hlo: f64,
-) -> Vec<(f64, f64, f64)> {
-    replications
-        .iter()
-        .filter_map(|&r| {
-            let mut p = *base;
-            p.replication = r;
-            // Invalid sweep points are skipped rather than aborting.
-            let m = QueueModel::new(p).ok()?;
-            let d = m.derived_from_hlo(ServerKind::LocalityConscious, hlo);
-            Some((r, d.forward_fraction, m.max_throughput_derived(&d)))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,22 +221,6 @@ mod tests {
         );
         // At 512 MB the paper still reports a ~6.5x peak.
         assert!(sweep[2].1 > 4.0, "512 MB gain = {}", sweep[2].1);
-    }
-
-    #[test]
-    fn replication_cuts_forwarding_monotonically() {
-        let base = ModelParams::default();
-        let sweep = replication_sweep(&base, &[0.0, 0.15, 0.5, 1.0], 0.6);
-        for pair in sweep.windows(2) {
-            assert!(
-                pair[1].1 <= pair[0].1 + 1e-12,
-                "Q should fall with R: {sweep:?}"
-            );
-        }
-        // R = 0: Q = 15/16; R = 1: the hottest files are everywhere, so
-        // forwarding only happens for uncached files.
-        assert!((sweep[0].1 - 15.0 / 16.0).abs() < 1e-9);
-        assert!(sweep[3].1 < sweep[0].1);
     }
 
     #[test]

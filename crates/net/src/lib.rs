@@ -82,7 +82,6 @@ impl NetConfig {
 /// the contention-free switch.
 #[derive(Clone, Debug)]
 pub struct Fabric {
-    config: NetConfig,
     router: FifoResource,
     switch: DelayStation,
 }
@@ -93,19 +92,7 @@ impl Fabric {
         Fabric {
             router: FifoResource::with_capacity(config.router_buffer),
             switch: DelayStation::new(SimDuration::from_secs_f64(config.switch_s)),
-            config,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
-    }
-
-    /// Whether the router would accept one more inbound message at `now`
-    /// (the admission gate for new client requests). Pure query.
-    pub fn would_accept(&self, now: SimTime) -> bool {
-        self.router.would_accept(now)
     }
 
     /// Earliest time the router could admit another inbound message, as
@@ -116,27 +103,15 @@ impl Fabric {
         self.router.next_admission(now)
     }
 
-    /// Pushes `kb` KB through the router at `now`; returns the time the
-    /// transfer clears the router, under FIFO contention. Used for both
-    /// inbound requests and outbound replies (the same box carries both
+    /// Pushes a transfer needing `service` router time (the
+    /// [`NetConfig::router_service`] of its size; the simulator caches
+    /// these per file) through the router at `now`; returns the time it
+    /// clears the router, under FIFO contention. Used for both inbound
+    /// requests and outbound replies (the same box carries both
     /// directions, as in the paper's single `µr` station).
-    pub fn router_transit(&mut self, now: SimTime, kb: f64) -> SimTime {
-        self.router.schedule(now, self.config.router_service(kb))
-    }
-
-    /// [`Fabric::router_transit`] with a precomputed service time (the
-    /// simulator caches per-file router times; the value must equal
-    /// `config.router_service(kb)` for the transfer's size).
     #[inline]
     pub fn router_transit_service(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         self.router.schedule(now, service)
-    }
-
-    /// Inbound admission-checked variant of [`Fabric::router_transit`]:
-    /// `None` when the buffer is full.
-    pub fn try_router_transit(&mut self, now: SimTime, kb: f64) -> Option<SimTime> {
-        self.router
-            .try_schedule(now, self.config.router_service(kb))
     }
 
     /// Crosses the switch at `now` (pure delay, no contention).
@@ -148,11 +123,6 @@ impl Fabric {
     /// Router utilization over a measurement window.
     pub fn router_utilization(&self, window: SimDuration) -> f64 {
         self.router.utilization(window)
-    }
-
-    /// Messages the router carried since the last stats reset.
-    pub fn router_served(&self) -> u64 {
-        self.router.served()
     }
 
     /// Zeroes router statistics (after warm-up).
@@ -186,10 +156,11 @@ mod tests {
 
     #[test]
     fn router_contends_fifo() {
-        let mut f = Fabric::new(NetConfig::default());
+        let cfg = NetConfig::default();
+        let mut f = Fabric::new(cfg);
         // Two 500 KB replies at once: second waits for the first.
-        let first = f.router_transit(SimTime::ZERO, 500.0);
-        let second = f.router_transit(SimTime::ZERO, 500.0);
+        let first = f.router_transit_service(SimTime::ZERO, cfg.router_service(500.0));
+        let second = f.router_transit_service(SimTime::ZERO, cfg.router_service(500.0));
         assert_eq!(first.as_nanos(), 1_000_000);
         assert_eq!(second.as_nanos(), 2_000_000);
     }
@@ -201,14 +172,15 @@ mod tests {
             ..NetConfig::default()
         };
         let mut f = Fabric::new(cfg);
-        assert!(f.try_router_transit(SimTime::ZERO, 500.0).is_some());
-        assert!(f.try_router_transit(SimTime::ZERO, 500.0).is_some());
-        assert!(f.try_router_transit(SimTime::ZERO, 500.0).is_none());
-        assert!(!f.would_accept(SimTime::ZERO));
-        // After the first transfer clears, there is room again.
+        let svc = cfg.router_service(500.0); // 1 ms
+        assert_eq!(f.next_admission(SimTime::ZERO), None);
+        f.router_transit_service(SimTime::ZERO, svc);
+        assert_eq!(f.next_admission(SimTime::ZERO), None);
+        f.router_transit_service(SimTime::ZERO, svc);
+        // Full until the first transfer clears; then there is room again.
         let later = SimTime::from_nanos(1_000_000);
-        assert!(f.would_accept(later));
-        assert!(f.try_router_transit(later, 500.0).is_some());
+        assert_eq!(f.next_admission(SimTime::ZERO), Some(later));
+        assert_eq!(f.next_admission(later), None);
     }
 
     #[test]
@@ -233,28 +205,33 @@ mod tests {
     }
 
     #[test]
-    fn would_accept_is_a_pure_query() {
-        let mut f = Fabric::new(NetConfig {
+    fn next_admission_is_a_pure_query() {
+        let cfg = NetConfig {
             router_buffer: 1,
             ..NetConfig::default()
-        });
-        f.router_transit(SimTime::ZERO, 500.0); // clears at 1 ms
+        };
+        let mut f = Fabric::new(cfg);
+        f.router_transit_service(SimTime::ZERO, cfg.router_service(500.0)); // clears at 1 ms
         let shared: &Fabric = &f;
         // Asking never mutates: repeated queries at the same instant agree.
-        assert!(!shared.would_accept(t(500)));
-        assert!(!shared.would_accept(t(500)));
-        assert!(shared.would_accept(t(1_000_000)));
-        assert!(!shared.would_accept(t(500)), "query left state untouched");
+        assert_eq!(shared.next_admission(t(500)), Some(t(1_000_000)));
+        assert_eq!(shared.next_admission(t(500)), Some(t(1_000_000)));
+        assert_eq!(shared.next_admission(t(1_000_000)), None);
+        assert_eq!(
+            shared.next_admission(t(500)),
+            Some(t(1_000_000)),
+            "query left state untouched"
+        );
     }
 
     #[test]
     fn utilization_accounting() {
-        let mut f = Fabric::new(NetConfig::default());
-        f.router_transit(SimTime::ZERO, 500.0); // 1 ms busy
-        let util = f.router_utilization(SimDuration::from_millis(4));
-        assert!((util - 0.25).abs() < 1e-9);
-        assert_eq!(f.router_served(), 1);
+        let cfg = NetConfig::default();
+        let mut f = Fabric::new(cfg);
+        f.router_transit_service(SimTime::ZERO, cfg.router_service(500.0)); // 1 ms busy
+        let window = SimDuration::from_millis(4);
+        assert!((f.router_utilization(window) - 0.25).abs() < 1e-9);
         f.reset_stats();
-        assert_eq!(f.router_served(), 0);
+        assert_eq!(f.router_utilization(window), 0.0);
     }
 }

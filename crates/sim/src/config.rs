@@ -97,10 +97,9 @@ pub struct SimConfig {
     /// 10⁸+ requests disable this: the report then carries a streaming
     /// mean (identical workload, O(1) memory) and no p99.
     pub response_samples: bool,
-    /// The hardware mix, expanded into per-node CPU speeds, cache sizes,
-    /// and NI buffers (scaling `cache_kb` / `ni_buffer` as the baseline).
-    /// The default, [`HeteroSpec::uniform`], builds the paper's identical
-    /// nodes.
+    /// The hardware mix, expanded into per-node CPU speeds and cache
+    /// sizes (scaling `cache_kb` as the baseline). The default,
+    /// [`HeteroSpec::uniform`], builds the paper's identical nodes.
     pub hetero: HeteroSpec,
     /// Number of nodes JSQ(d) samples per arrival (default 2, the
     /// power-of-two-choices operating point). Ignored by other policies.

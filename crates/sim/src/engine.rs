@@ -87,7 +87,7 @@ struct Measure {
     decided: u64,
     control_msgs: u64,
     response_s: Vec<f64>,
-    /// Streaming response-time moments for runs that disable
+    /// Streaming response-time means for runs that disable
     /// per-request samples (`SimConfig::response_samples = false`).
     resp_stats: OnlineStats,
     seg_ingress: OnlineStats,
@@ -325,9 +325,7 @@ fn run(
         let sizes: Vec<f64> = workload.files().iter().map(|(_, kb)| kb).collect();
         policy.hint_file_sizes(&sizes);
     }
-    let profiles = config
-        .hetero
-        .profiles(config.nodes, config.cache_kb, config.ni_buffer);
+    let profiles = config.hetero.profiles(config.nodes, config.cache_kb);
     let window = config.total_window();
     let cc = CostCache::new(config, workload.files());
     // Per-request samples are the default; scaling sweeps run lean and
@@ -339,7 +337,7 @@ fn run(
         workload,
         limit,
         policy,
-        nodes: build_nodes_profiled(&profiles, config.cache_policy),
+        nodes: build_nodes_profiled(&profiles, config.cache_policy, config.ni_buffer),
         cpu_speed: profiles.iter().map(|p| p.cpu_speed).collect(),
         fabric: Fabric::new(config.net),
         // Every in-flight request holds at most one pending event, plus
@@ -521,7 +519,7 @@ impl<'t> Engine<'t> {
         // Below the cached admission bound the router is provably still
         // full — skip the (binary-search) admission query entirely. The
         // bound only moves later between checks, so this refuses exactly
-        // the injections `would_accept` would refuse.
+        // the injections a fresh `next_admission` query would refuse.
         if now < self.router_gate {
             return;
         }
@@ -1518,7 +1516,6 @@ mod tests {
             weight: 1.0,
             cpu_speed: 1.0,
             cache_factor: 1.0,
-            ni_buffer_factor: 1.0,
         };
         let mut split = base.clone();
         split.hetero = l2s_cluster::HeteroSpec::new(vec![paper_node; 3]).unwrap();

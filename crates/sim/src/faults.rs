@@ -3,11 +3,10 @@
 //! A [`FaultPlan`] is a fixed schedule of node crashes and recoveries,
 //! resolved *before* the measured pass begins: every fault event is an
 //! offset from the start of the measurement window. Plans are plain
-//! data — built explicitly ([`FaultPlan::scheduled`],
-//! [`FaultPlan::crash_recover`]) or drawn from a seeded RNG
-//! ([`FaultPlan::random`]) — so a run with a given plan is exactly as
-//! deterministic as a healthy run: same seed, same plan, same results,
-//! regardless of worker count.
+//! data, built explicitly ([`FaultPlan::scheduled`],
+//! [`FaultPlan::crash_recover`], [`FaultPlan::merged`]), so a run with a
+//! given plan is exactly as deterministic as a healthy run: same seed,
+//! same plan, same results, regardless of worker count.
 //!
 //! Crash semantics (enforced by the engine): the node's main memory is
 //! wiped and all queued/in-flight station work is discarded; every
@@ -16,7 +15,7 @@
 //! the node back idle and cold; the policies re-admit it to their
 //! candidate sets.
 
-use l2s_util::{invariant, DetRng, SimDuration};
+use l2s_util::{invariant, SimDuration};
 
 /// What happens to a node at a fault event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,75 +102,6 @@ impl FaultPlan {
         let mut events = self.events;
         events.extend(other.events);
         Self::scheduled(events)
-    }
-
-    /// A seeded random plan over `nodes` nodes for the first
-    /// `horizon_s` seconds of the measurement window: each node fails
-    /// independently with exponential time-between-failures `mtbf_s`
-    /// and exponential repair time `mttr_s`. Crashes that would leave
-    /// the cluster with no live node are dropped (together with their
-    /// paired recovery), so at least one node is always up. The same
-    /// seed always yields the same plan.
-    pub fn random(seed: u64, nodes: usize, horizon_s: f64, mtbf_s: f64, mttr_s: f64) -> Self {
-        invariant!(nodes >= 1, "need at least one node");
-        invariant!(
-            horizon_s > 0.0 && horizon_s.is_finite(),
-            "fault horizon must be positive"
-        );
-        invariant!(mtbf_s > 0.0 && mtbf_s.is_finite(), "MTBF must be positive");
-        invariant!(mttr_s > 0.0 && mttr_s.is_finite(), "MTTR must be positive");
-        let mut rng = DetRng::new(seed);
-        let mut raw: Vec<FaultEvent> = Vec::new();
-        for node in 0..nodes {
-            // Per-node alternating renewal process: up (mean MTBF),
-            // down (mean MTTR), up, ... Crashes are drawn within the
-            // horizon; a repair may complete beyond it.
-            let mut t = rng.exponential(mtbf_s);
-            while t < horizon_s {
-                let up_at = t + rng.exponential(mttr_s);
-                raw.push(FaultEvent {
-                    at: SimDuration::from_secs_f64(t),
-                    node,
-                    kind: FaultKind::Crash,
-                });
-                raw.push(FaultEvent {
-                    at: SimDuration::from_secs_f64(up_at),
-                    node,
-                    kind: FaultKind::Recover,
-                });
-                t = up_at + rng.exponential(mtbf_s);
-            }
-        }
-        raw.sort_by_key(order_key);
-        // Liveness filter: a crash that would take the last live node
-        // down is dropped along with its paired recovery.
-        let mut alive = vec![true; nodes];
-        let mut alive_count = nodes;
-        let mut skip_recover = vec![false; nodes];
-        let mut events = Vec::with_capacity(raw.len());
-        for e in raw {
-            match e.kind {
-                FaultKind::Crash => {
-                    if alive_count == 1 {
-                        skip_recover[e.node] = true;
-                        continue;
-                    }
-                    alive[e.node] = false;
-                    alive_count -= 1;
-                    events.push(e);
-                }
-                FaultKind::Recover => {
-                    if skip_recover[e.node] {
-                        skip_recover[e.node] = false;
-                        continue;
-                    }
-                    alive[e.node] = true;
-                    alive_count += 1;
-                    events.push(e);
-                }
-            }
-        }
-        FaultPlan { events }
     }
 
     /// Checks the plan against a cluster of `nodes` nodes: every event
@@ -297,26 +227,6 @@ mod tests {
         ]);
         p.validate(2).unwrap();
         p.validate(3).unwrap();
-    }
-
-    #[test]
-    fn random_plans_are_deterministic_per_seed() {
-        let a = FaultPlan::random(42, 8, 100.0, 50.0, 5.0);
-        let b = FaultPlan::random(42, 8, 100.0, 50.0, 5.0);
-        assert_eq!(a, b);
-        let c = FaultPlan::random(43, 8, 100.0, 50.0, 5.0);
-        assert_ne!(a, c, "different seeds draw different plans");
-    }
-
-    #[test]
-    fn random_plans_always_validate() {
-        for seed in 0..20 {
-            // Brutal parameters: short MTBF, long MTTR, so the liveness
-            // filter actually has to intervene.
-            let p = FaultPlan::random(seed, 3, 200.0, 10.0, 50.0);
-            p.validate(3).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert!(!p.is_empty(), "seed {seed} drew no faults");
-        }
     }
 
     #[test]

@@ -30,13 +30,6 @@ pub struct NodeReport {
     pub cache_misses: u64,
 }
 
-impl NodeReport {
-    /// This node's cache miss rate (0 when it saw no lookups).
-    pub fn miss_rate(&self) -> f64 {
-        ratio(self.cache_misses, self.cache_hits + self.cache_misses)
-    }
-}
-
 /// Results of one simulation run (measurement window only — the warm-up
 /// pass is excluded).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -203,18 +196,6 @@ mod tests {
             cache_hits: 8,
             cache_misses: 2,
         }
-    }
-
-    #[test]
-    fn node_miss_rate() {
-        let n = node(10);
-        assert!((n.miss_rate() - 0.2).abs() < 1e-12);
-        let empty = NodeReport {
-            cache_hits: 0,
-            cache_misses: 0,
-            ..n
-        };
-        assert_eq!(empty.miss_rate(), 0.0);
     }
 
     #[test]

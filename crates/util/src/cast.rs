@@ -84,14 +84,6 @@ pub fn index_usize(i: u64) -> usize {
     i as usize
 }
 
-/// Narrows a small count to `i32` (for `powi`-style exponents).
-/// Precondition: `n ≤ i32::MAX`.
-#[inline]
-pub fn small_i32(n: u64) -> i32 {
-    invariant!(i32::try_from(n).is_ok(), "count {n} overflows i32");
-    n as i32
-}
-
 /// Truncates a non-negative finite `f64` to a bucket/position index —
 /// the checked spelling of `(x) as usize` in quantile and histogram
 /// arithmetic. Precondition: `x` is finite and `x ≥ 0` (callers have
@@ -132,7 +124,6 @@ mod tests {
         assert_eq!(wide_usize(u32::MAX), u32::MAX as usize);
         assert_eq!(index_u32(41), 41);
         assert_eq!(index_usize(99), 99);
-        assert_eq!(small_i32(12), 12);
         assert_eq!(floor_index(3.999), 3);
         assert_eq!(floor_index(0.0), 0);
         assert_eq!(round_u64(2.4), 2);

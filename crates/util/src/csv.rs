@@ -4,7 +4,6 @@
 //! justified. Fields containing commas, quotes, or newlines are quoted per
 //! RFC 4180 so the output stays loadable by standard tools.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -42,7 +41,7 @@ impl CsvTable {
     /// (`{x:.6}`), the byte-stable format every golden result file is
     /// pinned to. Values ≥ 1e7 therefore carry more than 6 significant
     /// digits and values below 5e-7 print `0.000000`; when magnitudes
-    /// vary that widely, format the fields with [`fmt_sig`] and use
+    /// vary that widely, format the fields to suit and use
     /// [`CsvTable::row`] instead.
     pub fn row_f64<I: IntoIterator<Item = f64>>(&mut self, fields: I) {
         self.row(fields.into_iter().map(|x| format!("{x:.6}")));
@@ -91,50 +90,6 @@ fn write_record(out: &mut String, fields: &[String]) {
         }
     }
     out.push('\n');
-}
-
-/// Formats `x` with `sig` significant digits in plain decimal notation,
-/// rounding the value itself: `fmt_sig(12_345_678.0, 6)` is `"12345700"`,
-/// not the 8-digit raw integer, and `fmt_sig(1.2345678e-5, 6)` is
-/// `"0.0000123457"`, not `"0.000012"`. Zero prints as `"0"`; non-finite
-/// values fall back to Rust's default float formatting. `sig == 0` is a
-/// caller bug rejected by `invariant!` (one digit is used instead when
-/// the invariant is compiled out).
-pub fn fmt_sig(x: f64, sig: usize) -> String {
-    crate::invariant!(sig > 0, "fmt_sig needs at least one significant digit");
-    let sig = sig.max(1);
-    if !x.is_finite() {
-        return format!("{x}");
-    }
-    if x == 0.0 {
-        return "0".to_string();
-    }
-    // Round to `sig` digits first, then derive how many decimal places the
-    // *rounded* value needs — rounding can carry into a new decade
-    // (999.9996 at 6 digits becomes 1000.00).
-    let exp = x.abs().log10().floor() as i32;
-    let scale = 10f64.powi(exp + 1 - sig as i32);
-    let rounded = (x / scale).round() * scale;
-    if rounded == 0.0 {
-        return "0".to_string();
-    }
-    let exp = rounded.abs().log10().floor() as i32;
-    let decimals = (sig as i32 - 1 - exp).max(0) as usize;
-    format!("{rounded:.decimals$}")
-}
-
-/// Formats a float compactly for human-facing tables (3 significant
-/// decimals, dropping the fraction for large magnitudes).
-pub fn fmt_compact(x: f64) -> String {
-    let mut s = String::new();
-    if x.abs() >= 1000.0 {
-        let _ = write!(s, "{x:.0}");
-    } else if x.abs() >= 10.0 {
-        let _ = write!(s, "{x:.1}");
-    } else {
-        let _ = write!(s, "{x:.3}");
-    }
-    s
 }
 
 #[cfg(test)]
@@ -191,46 +146,5 @@ mod tests {
         let mut t = CsvTable::new(["big", "tiny"]);
         t.row_f64([12_345_678.0, 1e-8]);
         assert_eq!(t.to_csv_string(), "big,tiny\n12345678.000000,0.000000\n");
-    }
-
-    #[test]
-    fn sig_digit_formatting_rounds_the_value() {
-        assert_eq!(fmt_sig(12_345_678.0, 6), "12345700");
-        assert_eq!(fmt_sig(-12_345_678.0, 6), "-12345700");
-        assert_eq!(fmt_sig(1.2345678e-5, 6), "0.0000123457");
-        assert_eq!(fmt_sig(1.0, 6), "1.00000");
-        assert_eq!(fmt_sig(0.5, 6), "0.500000");
-        assert_eq!(fmt_sig(0.0, 6), "0");
-        assert_eq!(fmt_sig(-0.0, 6), "0");
-        assert_eq!(fmt_sig(123.456, 3), "123");
-        assert_eq!(fmt_sig(7.0, 1), "7");
-    }
-
-    #[test]
-    fn sig_digit_rounding_can_carry_into_a_new_decade() {
-        assert_eq!(fmt_sig(999.9996, 6), "1000.00");
-        assert_eq!(fmt_sig(0.99999995, 6), "1.00000");
-        assert_eq!(fmt_sig(9.99, 2), "10");
-    }
-
-    #[test]
-    fn sig_digit_formatting_is_total() {
-        assert_eq!(fmt_sig(f64::NAN, 6), "NaN");
-        assert_eq!(fmt_sig(f64::INFINITY, 6), "inf");
-        assert_eq!(fmt_sig(f64::NEG_INFINITY, 6), "-inf");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one significant digit")]
-    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-    fn sig_digit_zero_width_is_rejected() {
-        let _ = fmt_sig(1.0, 0);
-    }
-
-    #[test]
-    fn compact_formatting() {
-        assert_eq!(fmt_compact(12345.6), "12346");
-        assert_eq!(fmt_compact(12.34), "12.3");
-        assert_eq!(fmt_compact(0.1234), "0.123");
     }
 }

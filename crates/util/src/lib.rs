@@ -11,7 +11,7 @@
 //! * [`invariant!`](crate::invariant!) — simulation-correctness checks that
 //!   are `debug_assert!`s normally and always-on checks under the
 //!   `strict-invariants` feature.
-//! * [`stats`] — online summary statistics, percentiles, and histograms.
+//! * [`stats`] — an online mean and exact (streaming) quantiles.
 //! * [`csv`] — a minimal CSV writer used by the experiment harness.
 //! * [`ascii`] — terminal line charts and heat maps so every figure can
 //!   render the paper's plots without a plotting dependency.
@@ -31,5 +31,5 @@ pub mod stats;
 pub mod time;
 
 pub use rng::DetRng;
-pub use stats::{Histogram, OnlineStats, Summary};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! xoshiro256++ implementation (public domain algorithm by Blackman &
 //! Vigna) seeded through SplitMix64, with no dependency on external RNG
 //! crates. [`DetRng`] provides the distributions the simulator needs
-//! directly (uniform, exponential, normal, lognormal, bounded Pareto).
+//! directly (uniform, exponential, normal, lognormal).
 
 /// A deterministic xoshiro256++ generator.
 ///
@@ -95,12 +95,6 @@ impl DetRng {
         self.below(len as u64) as usize
     }
 
-    /// A uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -127,34 +121,11 @@ impl DetRng {
         (mu + sigma * self.standard_normal()).exp()
     }
 
-    /// A bounded Pareto sample on `[lo, hi]` with shape `alpha`.
-    /// Non-positive shape or a non-ascending positive range is rejected
-    /// by `invariant!`.
-    pub fn bounded_pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {
-        crate::invariant!(
-            lo > 0.0 && hi > lo && alpha > 0.0,
-            "bounded_pareto needs 0 < lo < hi and alpha > 0 (alpha={alpha}, lo={lo}, hi={hi})"
-        );
-        let u = self.f64_open();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        // Inverse CDF of the bounded Pareto distribution.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.index(i + 1);
             slice.swap(i, j);
-        }
-    }
-
-    /// Fills `dest` with pseudorandom bytes (little-endian u64 chunks).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
     }
 }
@@ -243,15 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pareto_respects_bounds() {
-        let mut r = DetRng::new(19);
-        for _ in 0..10_000 {
-            let x = r.bounded_pareto(1.1, 1.0, 1000.0);
-            assert!((1.0..=1000.0).contains(&x), "x = {x}");
-        }
-    }
-
-    #[test]
     fn shuffle_is_a_permutation() {
         let mut r = DetRng::new(23);
         let mut v: Vec<u32> = (0..100).collect();
@@ -274,13 +236,5 @@ mod tests {
             .filter(|_| parent.next_u64() == child.next_u64())
             .count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = DetRng::new(37);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the util substrate.
 
 use l2s_util::stats::{quantile, RunningQuantile};
-use l2s_util::{DetRng, OnlineStats, SimDuration, SimTime};
+use l2s_util::{DetRng, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// The sort-based oracle for [`RunningQuantile`]: [`quantile`] over
@@ -97,32 +97,6 @@ proptest! {
         prop_assert!((t.as_secs_f64() - secs).abs() < 1e-6);
     }
 
-    /// Welford merging is order-insensitive (associativity within
-    /// floating-point tolerance).
-    #[test]
-    fn stats_merge_any_split(
-        data in prop::collection::vec(-1e6f64..1e6, 2..200),
-        split in 0usize..200,
-    ) {
-        let split = split % data.len();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..split] {
-            a.push(x);
-        }
-        for &x in &data[split..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-3 * (1.0 + whole.variance()));
-    }
-
     /// Quantiles of a sorted vector are bounded by its extremes and
     /// monotone in q.
     #[test]
@@ -138,48 +112,6 @@ proptest! {
             prop_assert!(v >= prev - 1e-9);
             prev = v;
         }
-    }
-
-    /// Merging a two-way split reproduces the sequential accumulator to
-    /// 1e-9 relative tolerance on mean/m2 and *exactly* on count/min/max —
-    /// including the splits the looser test above never exercises: an
-    /// empty left side, an empty right side, and single-element sides.
-    #[test]
-    fn stats_merge_split_matches_sequential_tightly(
-        data in prop::collection::vec(-1e3f64..1e3, 1..64),
-        split_sel in 0usize..66,
-    ) {
-        // Bias the split toward the edges so empty and single-element
-        // sides come up every run, not once in a blue moon.
-        let split = match split_sel {
-            0 => 0,
-            1 => data.len(),
-            2 => 1.min(data.len()),
-            3 => data.len() - 1,
-            s => s % (data.len() + 1),
-        };
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..split] {
-            a.push(x);
-        }
-        for &x in &data[split..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert_eq!(a.min().to_bits(), whole.min().to_bits());
-        prop_assert_eq!(a.max().to_bits(), whole.max().to_bits());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-9 * (1.0 + whole.mean().abs()));
-        // m2 = population variance * count; compare it through the only
-        // public accessor.
-        let m2_merged = a.variance() * a.count() as f64;
-        let m2_whole = whole.variance() * whole.count() as f64;
-        prop_assert!((m2_merged - m2_whole).abs() <= 1e-9 * (1.0 + m2_whole.abs()));
     }
 
     /// Two-element quantiles interpolate linearly between the endpoints.

@@ -269,16 +269,6 @@ impl Modulator {
         }
     }
 
-    /// The spec in effect.
-    pub fn spec(&self) -> &WorkloadMod {
-        &self.spec
-    }
-
-    /// The population size transforms map within.
-    pub fn population(&self) -> u32 {
-        self.population
-    }
-
     /// Advances the modulation clock by one request and returns its
     /// arrival time in seconds.
     ///

@@ -28,16 +28,6 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// A flat phase at `rps` for `duration_s` seconds.
-    pub fn flat(duration_s: f64, rps: f64) -> Self {
-        Segment {
-            duration_s,
-            base_rps: rps,
-            amplitude: 0.0,
-            period_s: 1.0,
-        }
-    }
-
     /// Intensity at local time `u` (no range check; callers clamp).
     fn rate_at(&self, u: f64) -> f64 {
         if self.amplitude == 0.0 {
@@ -146,12 +136,6 @@ impl RateSchedule {
         })
     }
 
-    /// A flat schedule at `rps` (cycle length 1 s; the cycle is
-    /// irrelevant for a constant intensity).
-    pub fn constant(rps: f64) -> Result<Self, String> {
-        Self::new(vec![Segment::flat(1.0, rps)])
-    }
-
     /// A pure sinusoidal day: λ(t) = `base_rps` (1 + `amplitude`
     /// sin(2πt/`period_s`)).
     pub fn diurnal(base_rps: f64, amplitude: f64, period_s: f64) -> Result<Self, String> {
@@ -161,25 +145,6 @@ impl RateSchedule {
             amplitude,
             period_s,
         }])
-    }
-
-    /// Flat phases from `(duration_s, rps)` pairs.
-    pub fn piecewise(phases: &[(f64, f64)]) -> Result<Self, String> {
-        Self::new(phases.iter().map(|&(d, r)| Segment::flat(d, r)).collect())
-    }
-
-    /// A stylized rush-hour/overnight day of length `day_s`: overnight
-    /// at `low_rps`, shoulders at the midpoint rate, and a midday peak
-    /// at `peak_rps`.
-    pub fn rush_hour(day_s: f64, low_rps: f64, peak_rps: f64) -> Result<Self, String> {
-        let mid = 0.5 * (low_rps + peak_rps);
-        Self::piecewise(&[
-            (0.35 * day_s, low_rps),
-            (0.10 * day_s, mid),
-            (0.20 * day_s, peak_rps),
-            (0.10 * day_s, mid),
-            (0.25 * day_s, low_rps),
-        ])
     }
 
     /// The phases of one cycle.
@@ -195,11 +160,6 @@ impl RateSchedule {
     /// Expected requests per cycle (Λ over one cycle).
     pub fn cycle_mass(&self) -> f64 {
         self.cycle_mass
-    }
-
-    /// Cycle-average intensity in requests per second.
-    pub fn mean_rps(&self) -> f64 {
-        self.cycle_mass / self.cycle_s
     }
 
     /// Splits `t ≥ 0` into whole cycles and a position inside the
@@ -260,14 +220,24 @@ impl RateSchedule {
 mod tests {
     use super::*;
 
+    /// A schedule of flat phases from `(duration_s, rps)` pairs.
+    fn flat(phases: &[(f64, f64)]) -> Result<RateSchedule, String> {
+        let segment = |(duration_s, base_rps)| Segment {
+            duration_s,
+            base_rps,
+            amplitude: 0.0,
+            period_s: 1.0,
+        };
+        RateSchedule::new(phases.iter().copied().map(segment).collect())
+    }
+
     #[test]
     fn constant_schedule_is_linear() {
-        let s = RateSchedule::constant(250.0).unwrap();
+        let s = flat(&[(1.0, 250.0)]).unwrap();
         assert_eq!(s.rate_at(0.0), 250.0);
         assert_eq!(s.rate_at(17.3), 250.0);
         assert!((s.cumulative(4.0) - 1_000.0).abs() < 1e-9);
         assert!((s.invert(1_000.0) - 4.0).abs() < 1e-9);
-        assert!((s.mean_rps() - 250.0).abs() < 1e-12);
     }
 
     #[test]
@@ -278,12 +248,11 @@ mod tests {
         assert!((s.rate_at(300.0) - 50.0).abs() < 1e-9);
         // The sinusoid integrates to zero over a full cycle.
         assert!((s.cycle_mass() - 100.0 * 400.0).abs() < 1e-6);
-        assert!((s.mean_rps() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn piecewise_boundaries_are_exact_prefix_sums() {
-        let s = RateSchedule::piecewise(&[(10.0, 50.0), (5.0, 400.0), (20.0, 10.0)]).unwrap();
+        let s = flat(&[(10.0, 50.0), (5.0, 400.0), (20.0, 10.0)]).unwrap();
         assert_eq!(s.cumulative(10.0), 500.0);
         assert_eq!(s.cumulative(15.0), 2_500.0);
         assert_eq!(s.cumulative(35.0), 2_700.0);
@@ -297,7 +266,15 @@ mod tests {
 
     #[test]
     fn inversion_round_trips_and_is_monotone() {
-        let s = RateSchedule::rush_hour(1_000.0, 40.0, 900.0).unwrap();
+        // A rush-hour day: overnight, shoulders, midday peak.
+        let s = flat(&[
+            (350.0, 40.0),
+            (100.0, 470.0),
+            (200.0, 900.0),
+            (100.0, 470.0),
+            (250.0, 40.0),
+        ])
+        .unwrap();
         let mut prev = -1.0;
         for k in 0..200 {
             let target = 37.0 * f64::from(k);
@@ -327,14 +304,14 @@ mod tests {
     #[test]
     fn degenerate_schedules_are_rejected() {
         assert!(RateSchedule::new(vec![]).is_err());
-        assert!(RateSchedule::constant(0.0).is_err());
-        assert!(RateSchedule::constant(f64::NAN).is_err());
+        assert!(flat(&[(1.0, 0.0)]).is_err());
+        assert!(flat(&[(1.0, f64::NAN)]).is_err());
         assert!(
             RateSchedule::diurnal(100.0, 1.0, 60.0).is_err(),
             "amplitude 1 stalls λ"
         );
         assert!(RateSchedule::diurnal(100.0, -0.1, 60.0).is_err());
-        assert!(RateSchedule::piecewise(&[(0.0, 10.0)]).is_err());
+        assert!(flat(&[(0.0, 10.0)]).is_err());
         assert!(RateSchedule::diurnal(100.0, 0.5, 0.0).is_err());
     }
 }

@@ -10,23 +10,18 @@
 //! z(n, F) = H(n, α) / H(F, α)
 //! ```
 //!
-//! where `H` is the generalized harmonic number. The model also needs the
-//! *inverse* problem (given a hit rate and a cache size in files, recover
-//! the implied file population `f`), and the simulator needs fast sampling.
-//! This crate provides all three:
+//! where `H` is the generalized harmonic number. The simulator also needs
+//! fast sampling. This crate provides:
 //!
 //! * [`harmonic`] — a continuous, smooth extension of `H(n, α)` so cache
 //!   sizes measured in fractional files are meaningful,
-//! * [`ZipfLaw`] — `z(n, F)` plus [`ZipfLaw::invert_population`],
+//! * [`ZipfLaw`] — `z(n, F)` and per-rank probabilities,
 //! * [`ZipfSampler`] — CDF-table sampling of ranks.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use l2s_util::{cast, DetRng};
-
-/// Euler–Mascheroni constant, used by tests and the `α = 1` fast path.
-pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
 
 /// Number of leading terms summed exactly before switching to the
 /// Euler–Maclaurin tail expansion.
@@ -99,16 +94,6 @@ impl ZipfLaw {
         }
     }
 
-    /// The file population `F`.
-    pub fn files(&self) -> f64 {
-        self.files
-    }
-
-    /// The Zipf exponent `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Probability of a request hitting exactly rank `i` (1-based).
     pub fn rank_probability(&self, rank: u64) -> f64 {
         l2s_util::invariant!(rank >= 1, "ranks are 1-based");
@@ -124,71 +109,6 @@ impl ZipfLaw {
         let n = n.clamp(0.0, self.files);
         harmonic(n, self.alpha) / self.total
     }
-
-    /// Inverse of [`ZipfLaw::z`] in `n`: the number of hottest files that
-    /// accumulate probability `p`. Clamps `p` into `[0, 1]`.
-    pub fn inverse_z(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let target = p * self.total;
-        // harmonic(n) is monotone in n: bisect on [0, F]. No early exit —
-        // near n = 0 with large α the CDF is steep, so an absolute
-        // tolerance in n leaves visible error in z; 200 halvings resolve
-        // n to full f64 precision at negligible cost.
-        let (mut lo, mut hi) = (0.0, self.files);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if harmonic(mid, self.alpha) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-
-    /// Solves the model's calibration problem: find the population `f`
-    /// such that the `n` hottest files of a Zipf-`α` law over `f` files
-    /// accumulate probability `hit` — i.e. `z(n, f) = hit`.
-    ///
-    /// `z(n, f)` is strictly decreasing in `f` (for fixed `n`), from 1 at
-    /// `f = n` towards a limit as `f → ∞`. When `α ≤ 1` the harmonic sum
-    /// diverges and every `hit ∈ (0, 1]` is attainable; when `α > 1` very
-    /// small hit rates may be unattainable, in which case the population
-    /// is clamped to [`ZipfLaw::MAX_POPULATION`].
-    ///
-    /// `n <= 0` or `hit` outside `(0, 1]` is rejected by `invariant!`.
-    pub fn invert_population(n: f64, hit: f64, alpha: f64) -> f64 {
-        l2s_util::invariant!(n > 0.0, "cache capacity in files must be positive");
-        l2s_util::invariant!(hit > 0.0 && hit <= 1.0, "hit rate must be in (0, 1]");
-        let hn = harmonic(n, alpha);
-        let target = hn / hit; // we need harmonic(f) == target
-        if target <= hn {
-            return n;
-        }
-        let (mut lo, mut hi) = (n, n.max(1.0) * 2.0);
-        while harmonic(hi, alpha) < target {
-            hi *= 2.0;
-            if hi >= Self::MAX_POPULATION {
-                return Self::MAX_POPULATION;
-            }
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if harmonic(mid, alpha) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if hi - lo <= 1e-9 * hi.max(1.0) {
-                break;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-
-    /// Cap on populations returned by [`ZipfLaw::invert_population`] when
-    /// the requested hit rate is unattainable (`α > 1` tail limit).
-    pub const MAX_POPULATION: f64 = 1e15;
 
     /// Dense per-rank probability table `[P(1), …, P(n)]` — the form
     /// cache models integrate over. Ranks beyond the population get 0.
@@ -227,11 +147,6 @@ impl ZipfSampler {
             *last = 1.0;
         }
         ZipfSampler { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn files(&self) -> usize {
-        self.cdf.len()
     }
 
     /// Draws a 1-based rank.
@@ -308,6 +223,7 @@ mod tests {
 
     #[test]
     fn harmonic_alpha_one_matches_log_approximation() {
+        const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
         let n = 1_000_000.0;
         let got = harmonic(n, 1.0);
         let approx = n.ln() + EULER_GAMMA;
@@ -357,56 +273,11 @@ mod tests {
     }
 
     #[test]
-    fn inverse_z_round_trips() {
-        let law = ZipfLaw::new(35_885.0, 0.78);
-        for p in [0.05, 0.3, 0.72, 0.95] {
-            let n = law.inverse_z(p);
-            assert!((law.z(n) - p).abs() < 1e-6, "p={p}");
-        }
-    }
-
-    #[test]
     fn rank_probabilities_sum_to_one() {
         let law = ZipfLaw::new(500.0, 1.0);
         let sum: f64 = (1..=500).map(|i| law.rank_probability(i)).sum();
         assert!((sum - 1.0).abs() < 1e-8, "sum = {sum}");
         assert_eq!(law.rank_probability(501), 0.0);
-    }
-
-    #[test]
-    fn invert_population_round_trips() {
-        for alpha in [0.78, 0.91, 1.0, 1.08] {
-            for hit in [0.3, 0.6, 0.9, 0.99] {
-                let n = 2_000.0;
-                // For alpha > 1 the harmonic series converges, so very low
-                // hit rates may be unattainable; skip those combinations
-                // (covered by invert_population_unattainable_hit_clamps).
-                let floor = harmonic(n, alpha) / harmonic(ZipfLaw::MAX_POPULATION, alpha);
-                if hit <= floor {
-                    continue;
-                }
-                let f = ZipfLaw::invert_population(n, hit, alpha);
-                let law = ZipfLaw::new(f, alpha);
-                assert!(
-                    (law.z(n) - hit).abs() < 1e-6,
-                    "alpha={alpha} hit={hit}: z={}",
-                    law.z(n)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn invert_population_hit_one_means_everything_cached() {
-        let f = ZipfLaw::invert_population(100.0, 1.0, 0.9);
-        assert!((f - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn invert_population_unattainable_hit_clamps() {
-        // alpha = 2: tail sums converge, tiny hit rates are unattainable.
-        let f = ZipfLaw::invert_population(1.0, 0.01, 2.0);
-        assert_eq!(f, ZipfLaw::MAX_POPULATION);
     }
 
     #[test]

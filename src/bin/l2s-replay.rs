@@ -184,9 +184,12 @@ fn print_final(r: &SimReport) {
     );
 }
 
-/// Runs a timed replay over any CLF byte source.
+/// Runs a timed replay over any CLF byte source, named `log` in errors.
+/// A source that ends without having kept a request is an error, as it
+/// is for `clusterlab --log`: there is nothing to report.
 fn run_stream<R: BufRead + Send>(
     opts: &Opts,
+    log: &str,
     reader: R,
     clock: &mut dyn Clock,
 ) -> Result<SimReport, String> {
@@ -195,6 +198,12 @@ fn run_stream<R: BufRead + Send>(
     let report = replay_stream(&cfg, &mut stream, clock, print_snapshot)
         .map_err(|e| format!("reading log: {e}"))?;
     let stats = stream.stats();
+    if stats.kept == 0 {
+        return Err(format!(
+            "--log {log} keeps no request: {} lines read, {} dropped",
+            stats.lines, stats.dropped
+        ));
+    }
     println!(
         "log lines         : {} read, {} kept, {} dropped{}{}",
         stats.lines,
@@ -226,10 +235,10 @@ fn run(opts: &Opts) -> Result<(), String> {
                 // `Stdin` rather than its lock: the replay reads the log on
                 // a thread of its own, and `StdinLock` cannot be sent there.
                 let stdin = std::io::BufReader::new(std::io::stdin());
-                run_stream(opts, stdin, clock.as_mut())?
+                run_stream(opts, path, stdin, clock.as_mut())?
             } else {
                 let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                run_stream(opts, std::io::BufReader::new(file), clock.as_mut())?
+                run_stream(opts, path, std::io::BufReader::new(file), clock.as_mut())?
             }
         }
         (None, Some(name)) => {

@@ -170,18 +170,36 @@ fn clusterlab_rejects_bad_flags_with_exit_2() {
 
 #[test]
 fn a_log_that_keeps_no_request_exits_2() {
-    // An empty log used to panic in a debug build (exit 101) and print an
-    // all-zero report in a release build (exit 0).
+    // An empty log used to panic `clusterlab` in a debug build (exit 101);
+    // it printed an all-zero report and exited 0 from a release build of
+    // `clusterlab`, and from `l2s-replay` in both modes, which also wrote
+    // that report to `--csv`.
     let dir = std::env::temp_dir().join(format!("clusterlab-empty-log-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (empty, junk) = (dir.join("empty.log"), dir.join("junk.log"));
     std::fs::write(&empty, "").unwrap();
     std::fs::write(&junk, "not a log line\n").unwrap();
+    let csv = dir.join("report.csv");
+    let csv_arg = csv.to_str().unwrap();
     for log in [&empty, &junk] {
         let log = log.to_str().unwrap();
         for command in ["simulate", "compare", "trace"] {
             let args = [command, "--log", log];
             assert_rejects(&clusterlab(&args), log, &args);
+        }
+        for fast in [false, true] {
+            let mut args = vec!["--log", log, "--csv", csv_arg];
+            if fast {
+                args.push("--as-fast-as-possible");
+            }
+            let out = l2s_replay(&args);
+            assert_rejects(&out, log, &args);
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                !text.contains("throughput"),
+                "{args:?} printed a report: {text}"
+            );
+            assert!(!csv.exists(), "{args:?} wrote a CSV report");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
