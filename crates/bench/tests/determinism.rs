@@ -98,9 +98,9 @@ const CASES: &[Case] = &[
             );
         },
     },
-    // Each cell compares the l2s-replay fast path against the DES
-    // engine's placement stream, so this pins both placement parity
-    // under concurrent cells and the checksums themselves.
+    // Each cell checks the observed DES run against the unobserved one,
+    // so this pins the observer contract under concurrent cells and
+    // the placement checksums themselves.
     Case {
         name: "exp_replay",
         csvs: &["exp_replay.csv"],

@@ -3,38 +3,28 @@
 //! The DES engine answers "what would this cluster have done over the
 //! whole trace"; this crate answers the *online* question — tail a
 //! Common Log Format access log (a file being written, or stdin) and
-//! drive any [`PolicyKind`] request-distribution policy against it as
-//! the requests arrive, in real time, scaled time (`--speed`), or as
-//! fast as the log can be read.
+//! drive any [`PolicyKind`](l2s::PolicyKind) request-distribution
+//! policy against it as the requests arrive, in real time, scaled time
+//! (`--speed`), or as fast as the log can be read.
 //!
-//! Two execution modes share one configuration:
+//! Every run goes through one timed [`ReplayEngine`] loop, over either
+//! source: [`replay_stream`] for a CLF stream, [`replay_trace_timed`]
+//! for an in-memory trace. Virtual time comes from the log's own
+//! timestamps (or a Poisson arrival process for synthetic traces); an
+//! injectable [`Clock`] paces the loop and is the only thing a paced
+//! and an as-fast-as-possible run differ in —
+//! [`WallClock`](l2s_sim::WallClock) sleeps until each arrival is due,
+//! [`VirtualClock`](l2s_sim::VirtualClock) jumps — so both report the
+//! same numbers. Per-node service is modeled with the same
+//! [`NodeHardware`](l2s_cluster::NodeHardware) stations and
+//! [`NodeCosts`](l2s_cluster::NodeCosts) Table 1 service times the DES
+//! uses, in a simplified FIFO pipeline (NI-in, CPU parse [+forward],
+//! disk on a cache miss, CPU reply, NI-out). Memory is bounded by
+//! distinct files + in-flight requests, never log length.
 //!
-//! * **Timed replay** ([`replay_stream`] / [`replay_trace_timed`]): one
-//!   loop over the [`PolicyDriver`](l2s::PolicyDriver) API. For a CLF
-//!   stream, a reader thread parses the log alongside it and hands over
-//!   each kept request through a bounded channel; the loop, its clock
-//!   and its snapshots stay on the caller's thread, and every result
-//!   equals parsing and replaying one request at a time. Virtual time
-//!   comes from the log's own timestamps (or a Poisson arrival process
-//!   for synthetic traces); an injectable [`Clock`] paces the loop —
-//!   [`WallClock`](l2s_sim::WallClock) sleeps until each arrival is
-//!   due, [`VirtualClock`](l2s_sim::VirtualClock) jumps. Per-node
-//!   service is modeled with the same
-//!   [`NodeHardware`](l2s_cluster::NodeHardware) stations and
-//!   [`NodeCosts`](l2s_cluster::NodeCosts) Table 1 service times the
-//!   DES uses, in a simplified FIFO pipeline (NI-in, CPU parse
-//!   [+forward], disk on a cache miss, CPU reply, NI-out). Memory is
-//!   bounded by distinct files + in-flight requests, never log length.
-//! * **Infinite-speed replay** ([`replay_trace_fast`]): drives the DES
-//!   engine itself with a placement observer attached, so the placement
-//!   sequence is *identical by construction* to `simulate` on the same
-//!   trace, config, and seed — the parity contract the X10 experiment
-//!   pins in CI.
-//!
-//! Both modes report through the engine's [`SimReport`], emitted as
-//! periodic snapshots and a final CSV written with the same
-//! [`CsvTable`] machinery as the experiment
-//! writers.
+//! Runs report through the engine's [`SimReport`], emitted as periodic
+//! snapshots and a final CSV written with the same [`CsvTable`]
+//! machinery as the experiment writers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,57 +33,14 @@ mod timed;
 
 pub use timed::{ReplayConfig, ReplayEngine};
 
-use l2s::PolicyKind;
-use l2s_sim::{
-    simulate_workload_observed, Clock, PlacementRecord, SimConfig, SimReport, TraceWorkload,
-};
-use l2s_trace::{ClfStream, Trace};
+use l2s_sim::{Clock, SimReport};
+use l2s_trace::{ClfRecord, ClfStream, Trace};
 use l2s_util::csv::CsvTable;
 use l2s_util::{cast, DetRng, SimTime};
 use std::io::{self, BufRead};
 use std::path::Path;
 use std::sync::mpsc;
 use std::thread;
-
-/// Infinite-speed replay of a complete trace: runs the DES engine with
-/// a placement observer attached and returns every placement it made in
-/// decision order, plus the full measurement report.
-///
-/// This is the parity anchor: the placements are the engine's own, so
-/// replaying "as fast as possible" reproduces the simulator's placement
-/// sequence byte-for-byte on the same `(config, kind, trace)`.
-pub fn replay_trace_fast(
-    config: &SimConfig,
-    kind: PolicyKind,
-    trace: &Trace,
-) -> (Vec<PlacementRecord>, SimReport) {
-    let mut placements = Vec::new();
-    let mut observer = |r: PlacementRecord| placements.push(r);
-    let mut workload = TraceWorkload::new(trace);
-    let report = simulate_workload_observed(config, kind, &mut workload, &mut observer);
-    (placements, report)
-}
-
-/// FNV-1a digest of a placement sequence — the compact pin the X10
-/// parity experiment writes to CSV so CI byte-compares runs without
-/// shipping millions of records.
-pub fn placement_checksum(placements: &[PlacementRecord]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for p in placements {
-        eat(p.seq);
-        eat(u64::from(cast::index_u32(p.file.index())));
-        eat(cast::len_u64(p.initial));
-        eat(cast::len_u64(p.service));
-        eat(u64::from(p.forwarded));
-        eat(p.at.as_nanos());
-    }
-    h
-}
 
 /// Records the reader thread may parse ahead of the replay loop (24
 /// bytes each, 96 KB in all). A live reader blocked on input holds
@@ -129,7 +76,7 @@ pub fn replay_stream<R: BufRead + Send>(
     cfg: &ReplayConfig,
     stream: &mut ClfStream<R>,
     clock: &mut dyn Clock,
-    mut on_snapshot: impl FnMut(&SimReport),
+    on_snapshot: impl FnMut(&SimReport),
 ) -> io::Result<SimReport> {
     let limit = cfg
         .max_requests
@@ -148,40 +95,9 @@ pub fn replay_stream<R: BufRead + Send>(
             }
             Ok(())
         });
-        let mut engine = ReplayEngine::new(cfg.clone());
-        let snap_ns = snapshot_period_ns(cfg.snapshot_every_s);
-        let mut next_snap_ns = snap_ns;
-        let mut sizes_kb: Vec<f64> = Vec::new();
-        let mut hinted = 0usize;
-        for rec in rx {
-            if cfg
-                .max_requests
-                .is_some_and(|cap| engine.injected() >= cast::len_u64(cap))
-            {
-                break;
-            }
-            match sizes_kb.get_mut(rec.file.index()) {
-                Some(size) => *size = rec.size_kb,
-                None => sizes_kb.push(rec.size_kb),
-            }
-            // Re-hint the file population when it has doubled: size-aware
-            // policies (SITA) rebuild their bands from the hint, so doubling
-            // amortizes the rebuilds to O(F log F) over the whole run.
-            if hinted == 0 || sizes_kb.len() >= hinted * 2 {
-                engine.hint_sizes(&sizes_kb);
-                hinted = sizes_kb.len();
-            }
-            let at = SimTime::from_secs_f64(rec.at_s);
-            clock.wait_until_ns(at.as_nanos());
-            while snap_ns > 0 && at.as_nanos() >= next_snap_ns {
-                engine.drain_due(SimTime::from_nanos(next_snap_ns));
-                on_snapshot(&engine.report());
-                next_snap_ns += snap_ns;
-            }
-            engine.offer(at, cast::index_u32(rec.file.index()), rec.size_kb);
-        }
+        let report = replay_records(cfg, rx, Vec::new(), clock, on_snapshot);
         match reader.join() {
-            Ok(read) => read.map(|()| engine.finish()),
+            Ok(read) => read.map(|()| report),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     })
@@ -197,46 +113,76 @@ pub fn replay_trace_timed(
     rate_rps: f64,
     seed: u64,
     clock: &mut dyn Clock,
+    on_snapshot: impl FnMut(&SimReport),
+) -> SimReport {
+    let files = trace.files();
+    let mut rng = DetRng::new(seed);
+    let mut at_s = 0.0f64;
+    let records = trace.requests().iter().map(|&file| {
+        at_s += rng.exponential(1.0 / rate_rps.max(f64::MIN_POSITIVE));
+        ClfRecord {
+            file,
+            size_kb: files.size_kb(file),
+            at_s,
+        }
+    });
+    let sizes_kb = files.iter().map(|(_, kb)| kb).collect();
+    replay_records(cfg, records, sizes_kb, clock, on_snapshot)
+}
+
+/// The one timed replay loop. For each record, in order: stop once
+/// `cfg.max_requests` requests are in; hint the size table to the
+/// policy when the file population has doubled; wait on `clock` until
+/// the record is due; emit every snapshot due by then; offer the
+/// request. Then settle what is still in flight.
+///
+/// `sizes_kb` is the starting size table: empty for a log, whose files
+/// are learnt as they arrive, or the whole population for a trace.
+/// Each record's size replaces its file's entry, or appends it when the
+/// file is new (ids are dense in first-seen order, and a record carries
+/// its file's running maximum). Re-hinting only when the population has
+/// doubled amortizes the rebuilds of size-aware policies (SITA's bands)
+/// to O(F log F) over the run.
+fn replay_records(
+    cfg: &ReplayConfig,
+    records: impl IntoIterator<Item = ClfRecord>,
+    mut sizes_kb: Vec<f64>,
+    clock: &mut dyn Clock,
     mut on_snapshot: impl FnMut(&SimReport),
 ) -> SimReport {
     let mut engine = ReplayEngine::new(cfg.clone());
-    let sizes: Vec<f64> = (0..trace.files().len())
-        .map(|i| {
-            trace
-                .files()
-                .size_kb(l2s_trace::FileId::from_raw(cast::index_u32(i)))
-        })
-        .collect();
-    engine.hint_sizes(&sizes);
-    let snap_ns = snapshot_period_ns(cfg.snapshot_every_s);
+    let snap_ns = if cfg.snapshot_every_s > 0.0 {
+        SimTime::from_secs_f64(cfg.snapshot_every_s).as_nanos()
+    } else {
+        0
+    };
     let mut next_snap_ns = snap_ns;
-    let mut rng = DetRng::new(seed);
-    let mut at_s = 0.0f64;
-    let cap = cfg.max_requests.unwrap_or(usize::MAX);
-    for &file in trace.requests().iter().take(cap) {
-        at_s += rng.exponential(1.0 / rate_rps.max(f64::MIN_POSITIVE));
-        let at = SimTime::from_secs_f64(at_s);
+    let mut hinted = 0usize;
+    for rec in records {
+        if cfg
+            .max_requests
+            .is_some_and(|cap| engine.injected() >= cast::len_u64(cap))
+        {
+            break;
+        }
+        match sizes_kb.get_mut(rec.file.index()) {
+            Some(size) => *size = rec.size_kb,
+            None => sizes_kb.push(rec.size_kb),
+        }
+        if hinted == 0 || sizes_kb.len() >= hinted * 2 {
+            engine.hint_sizes(&sizes_kb);
+            hinted = sizes_kb.len();
+        }
+        let at = SimTime::from_secs_f64(rec.at_s);
         clock.wait_until_ns(at.as_nanos());
         while snap_ns > 0 && at.as_nanos() >= next_snap_ns {
             engine.drain_due(SimTime::from_nanos(next_snap_ns));
             on_snapshot(&engine.report());
             next_snap_ns += snap_ns;
         }
-        engine.offer(
-            at,
-            cast::index_u32(file.index()),
-            trace.files().size_kb(file),
-        );
+        engine.offer(at, rec.file.raw(), rec.size_kb);
     }
     engine.finish()
-}
-
-fn snapshot_period_ns(every_s: f64) -> u64 {
-    if every_s > 0.0 {
-        SimTime::from_secs_f64(every_s).as_nanos()
-    } else {
-        0
-    }
 }
 
 /// Renders a report as one CSV table, using the same
@@ -284,41 +230,9 @@ pub fn write_report_csv(report: &SimReport, path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use l2s_sim::{simulate, VirtualClock};
+    use l2s::PolicyKind;
+    use l2s_sim::{simulate, SimConfig, VirtualClock};
     use l2s_trace::TraceSpec;
-
-    fn quick_cfg(n: usize) -> SimConfig {
-        SimConfig {
-            warmup: false,
-            ..SimConfig::quick(n, 1_000.0)
-        }
-    }
-
-    #[test]
-    fn fast_replay_matches_the_engine_byte_for_byte() {
-        let trace = TraceSpec::calgary().scaled(120, 2_500).generate(7);
-        for kind in [PolicyKind::L2s, PolicyKind::Jsq, PolicyKind::Lard] {
-            let cfg = quick_cfg(4);
-            let (a, ra) = replay_trace_fast(&cfg, kind, &trace);
-            let (b, rb) = replay_trace_fast(&cfg, kind, &trace);
-            assert_eq!(a, b, "{}: placements not deterministic", kind.name());
-            assert_eq!(ra, rb);
-            assert_eq!(placement_checksum(&a), placement_checksum(&b));
-            // The observed run is the engine run: reports agree exactly.
-            let plain = simulate(&cfg, kind, &trace);
-            assert_eq!(ra, plain, "{}: observer perturbed the run", kind.name());
-            assert_eq!(a.len() as u64, ra.completed + ra.failed);
-        }
-    }
-
-    #[test]
-    fn checksum_separates_distinct_sequences() {
-        let trace = TraceSpec::calgary().scaled(80, 1_500).generate(3);
-        let cfg = quick_cfg(4);
-        let (a, _) = replay_trace_fast(&cfg, PolicyKind::L2s, &trace);
-        let (b, _) = replay_trace_fast(&cfg, PolicyKind::Traditional, &trace);
-        assert_ne!(placement_checksum(&a), placement_checksum(&b));
-    }
 
     #[test]
     fn timed_stream_replay_completes_every_request() {
@@ -381,8 +295,11 @@ mod tests {
     #[test]
     fn csv_matches_experiment_writer_bytes() {
         let trace = TraceSpec::calgary().scaled(50, 500).generate(1);
-        let cfg = quick_cfg(2);
-        let (_, report) = replay_trace_fast(&cfg, PolicyKind::L2s, &trace);
+        let cfg = SimConfig {
+            warmup: false,
+            ..SimConfig::quick(2, 1_000.0)
+        };
+        let report = simulate(&cfg, PolicyKind::L2s, &trace);
         let csv = report_table(&report).to_csv_string();
         let mut lines = csv.lines();
         assert_eq!(

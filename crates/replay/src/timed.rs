@@ -12,9 +12,10 @@
 //!
 //! This is deliberately a *lighter* contention model than the DES (no
 //! router, no switch hops, no per-message NI traffic, no closed-loop
-//! admission): the replay front-end's timed mode answers "how would
-//! this policy behave on my live log right now", while exact engine
-//! semantics remain the job of the infinite-speed DES-backed path.
+//! admission): the replay front-end answers "how would this policy
+//! behave on my live log right now", under either clock, while the
+//! closed-loop Section 5.1 experiment remains the DES's
+//! (`clusterlab simulate`).
 
 use l2s::{Placement, PolicyDriver, PolicyKind};
 use l2s_cluster::{build_nodes, CachePolicy, NodeCosts, NodeHardware};
@@ -33,39 +34,26 @@ pub struct ReplayConfig {
     pub nodes: usize,
     /// Per-node cache capacity in KB.
     pub cache_kb: f64,
-    /// Inbound-NI admission buffer (requests), as in the DES.
-    pub ni_buffer: usize,
-    /// Table 1 service times.
-    pub costs: NodeCosts,
     /// Snapshot period in virtual seconds (`<= 0` disables snapshots).
     pub snapshot_every_s: f64,
     /// Stop after this many injected requests (`None` = whole stream).
     pub max_requests: Option<usize>,
-    /// Record individual response times (needed for the p99 column;
-    /// costs O(completed) memory, like the engine's `response_samples`).
-    /// The p99 is the DES's interpolated one, kept exactly as samples
-    /// arrive so a snapshot reads it in O(1).
-    pub response_samples: bool,
 }
 
 impl ReplayConfig {
-    /// Paper-default hardware (Section 5.1 cache size, NI buffer, and
-    /// Table 1 costs) for `nodes` nodes under `policy`. Timed replay
-    /// runs the policy with its paper-default parameters
+    /// The Section 5.1 cache size for `nodes` nodes under `policy`, with
+    /// 10 s snapshots and no request cap. Timed replay runs the policy
+    /// with its paper-default parameters
     /// ([`PolicyParams::default`](l2s::PolicyParams)): the L2S and LARD
     /// thresholds, JSQ(d)'s sample size and seed, and equally powerful
     /// nodes for SITA.
     pub fn new(policy: PolicyKind, nodes: usize) -> Self {
-        let sim = SimConfig::paper_default(nodes);
         ReplayConfig {
             policy,
             nodes,
-            cache_kb: sim.cache_kb,
-            ni_buffer: sim.ni_buffer,
-            costs: sim.costs,
+            cache_kb: SimConfig::paper_default(nodes).cache_kb,
             snapshot_every_s: 10.0,
             max_requests: None,
-            response_samples: true,
         }
     }
 }
@@ -79,7 +67,8 @@ type InFlight = Reverse<(SimTime, u64, usize, u32)>;
 /// the module docs for the service model.
 #[derive(Debug)]
 pub struct ReplayEngine {
-    cfg: ReplayConfig,
+    policy: PolicyKind,
+    costs: NodeCosts,
     driver: PolicyDriver,
     nodes: Vec<NodeHardware>,
     inflight: BinaryHeap<InFlight>,
@@ -96,12 +85,17 @@ pub struct ReplayEngine {
 
 impl ReplayEngine {
     /// A fresh engine: cold caches, idle stations, policy at its
-    /// initial state.
+    /// initial state. Service times are the Table 1 costs of
+    /// [`SimConfig::paper_default`], and the response-time p99 is kept
+    /// exactly as samples arrive (the DES's interpolated one), so a
+    /// snapshot reads it in O(1).
     pub fn new(cfg: ReplayConfig) -> Self {
+        let sim = SimConfig::paper_default(cfg.nodes);
         let driver = PolicyDriver::new(cfg.policy, cfg.nodes);
-        let nodes = build_nodes(cfg.nodes, CachePolicy::Lru, cfg.cache_kb, cfg.ni_buffer);
+        let nodes = build_nodes(cfg.nodes, CachePolicy::Lru, cfg.cache_kb, sim.ni_buffer);
         ReplayEngine {
-            cfg,
+            policy: cfg.policy,
+            costs: sim.costs,
             driver,
             nodes,
             inflight: BinaryHeap::new(),
@@ -150,9 +144,7 @@ impl ReplayEngine {
         let done = self.schedule_service(at, node, file, size_kb, forwarded);
         let response_s = done.saturating_since(at).as_secs_f64();
         self.response_sum_s += response_s;
-        if self.cfg.response_samples {
-            self.p99.push(response_s);
-        }
+        self.p99.push(response_s);
         self.inflight.push(Reverse((done, self.seq, node, file)));
         self.seq += 1;
         self.peak_inflight = self.peak_inflight.max(self.inflight.len());
@@ -210,7 +202,7 @@ impl ReplayEngine {
         size_kb: f64,
         forwarded: bool,
     ) -> SimTime {
-        let costs = self.cfg.costs;
+        let costs = self.costs;
         let hw = &mut self.nodes[node];
         let t_in = hw.ni_in.schedule(at, costs.ni_in());
         let mut cpu_front = costs.parse();
@@ -235,7 +227,7 @@ impl ReplayEngine {
         let elapsed = SimDuration::from_nanos(self.now.as_nanos());
         let served = self.injected - self.failed;
         let base = SimReport::from_hardware(
-            self.cfg.policy,
+            self.policy,
             &self.nodes,
             &self.driver.serving_nodes(),
             elapsed,

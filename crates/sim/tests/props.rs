@@ -1,9 +1,9 @@
 //! Property tests for the modern dispatchers under the full engine.
 //!
 //! The unit tests in `engine.rs` pin specific seeds; these properties
-//! range over seeds, JSQ sample widths, hardware mixes, and fault
-//! timings, and assert the two contracts every policy must keep no
-//! matter the draw:
+//! range over seeds, JSQ sample widths, hardware mixes, fault timings,
+//! traces and cluster sizes, and assert the contracts every policy must
+//! keep no matter the draw:
 //!
 //! 1. **Determinism** — the same configuration simulated twice yields
 //!    the same `SimReport`, field for field. Any hidden entropy in
@@ -12,13 +12,19 @@
 //! 2. **Conservation** — under an arbitrary mid-run crash/recover
 //!    schedule, every request is accounted for: `completed + failed`
 //!    equals the trace length.
+//! 3. **Instrumentation changes nothing** — a run with a placement
+//!    observer attached reports exactly what the unobserved run does,
+//!    and the observer sees one placement per request.
 //!
 //! The cases are few (full simulations are not cheap) but each case
-//! exercises all three new dispatchers.
+//! exercises all three new dispatchers, or any of the ten policies.
 
 use l2s::PolicyKind;
 use l2s_cluster::HeteroSpec;
-use l2s_sim::{simulate, FaultPlan, SimConfig};
+use l2s_sim::{
+    simulate, simulate_workload, simulate_workload_observed, FaultPlan, PlacementRecord, SimConfig,
+    TraceWorkload,
+};
 use l2s_trace::{Trace, TraceSpec};
 use l2s_util::cast;
 use proptest::prelude::*;
@@ -107,5 +113,35 @@ proptest! {
             let again = simulate(&cfg, kind, &trace);
             prop_assert_eq!(&r, &again, "{} non-deterministic under faults", kind.name());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn an_observer_never_changes_the_run(
+        which in 0usize..4,
+        seed in 0u64..1_000_000,
+        policy in 0usize..10,
+        nodes in 2usize..6,
+    ) {
+        // A Table 2 workload, scaled down so a case (two full
+        // simulations) stays fast.
+        let trace = TraceSpec::paper_presets()[which].scaled(150, 2_000).generate(seed % 11);
+        let all = PolicyKind::all();
+        let kind = all[policy % all.len()];
+        let mut cfg = SimConfig::quick(nodes, 700.0);
+        cfg.seed = seed;
+
+        let mut placements: Vec<PlacementRecord> = Vec::new();
+        let mut observer = |r: PlacementRecord| placements.push(r);
+        let observed =
+            simulate_workload_observed(&cfg, kind, &mut TraceWorkload::new(&trace), &mut observer);
+        let plain = simulate_workload(&cfg, kind, &mut TraceWorkload::new(&trace));
+
+        prop_assert_eq!(&observed, &plain, "{} on {} nodes", kind.name(), nodes);
+        // Without warm-up every observed placement is a measured request.
+        prop_assert_eq!(cast::len_u64(placements.len()), observed.completed + observed.failed);
     }
 }

@@ -1,19 +1,20 @@
 //! Common Log Format parsing.
 //!
-//! The paper's traces are standard httpd access logs. When a real log is
-//! available it can be ingested with [`parse_log`]; the rest of the
-//! workspace then treats it identically to a synthetic trace. Following
-//! Section 5.1, incomplete transfers are dropped: only successful `GET`
-//! requests with a known, positive size are kept.
+//! The paper's traces are standard httpd access logs. Following Section
+//! 5.1, incomplete transfers are dropped: only successful `GET` requests
+//! with a known, positive size are kept.
 //!
-//! For *live* ingestion — tailing a log file or stdin — [`ClfStream`]
-//! pulls the same filtered request sequence one line at a time with
-//! memory bounded by the number of *distinct* files, not the log
-//! length, and carries each request's arrival time parsed from the CLF
-//! timestamp (`[dd/Mon/yyyy:hh:mm:ss ±zzzz]`).
+//! One reader, [`ClfStream`], applies that filter: it pulls the kept
+//! requests one line at a time from any [`BufRead`] with memory bounded
+//! by the number of *distinct* files, not the log length, and carries
+//! each request's arrival time parsed from the CLF timestamp
+//! (`[dd/Mon/yyyy:hh:mm:ss ±zzzz]`). Live replay tails a log through it;
+//! [`read_log`] drains it into a [`Trace`], which the rest of the
+//! workspace treats identically to a synthetic one.
 
 use crate::{FileId, FileSet, Trace};
 use l2s_util::cast;
+use std::fmt;
 use std::io::{self, BufRead};
 
 /// Interns URL paths as dense [`FileId`]s in first-seen order.
@@ -168,8 +169,8 @@ struct LogFields<'a> {
 }
 
 impl LogFields<'_> {
-    /// The Section 5.1 keep-filter shared by [`parse_log`] and
-    /// [`ClfStream`]: successful `GET`s with a reported, positive size.
+    /// The Section 5.1 keep-filter of [`ClfStream`]: successful `GET`s
+    /// with a reported, positive size.
     /// Returns the transfer size in bytes for kept entries.
     fn kept_bytes(&self) -> Option<u64> {
         if self.method != "GET" || self.status != 200 {
@@ -205,8 +206,8 @@ pub fn parse_line(line: &str) -> Option<LogEntry> {
     })
 }
 
-/// The one CLF line parser behind [`parse_line`], [`parse_log`] and
-/// [`ClfStream`]: the same fields, borrowed from `line`.
+/// The one CLF line parser behind [`parse_line`] and [`ClfStream`]: the
+/// same fields, borrowed from `line`.
 fn parse_fields(line: &str) -> Option<LogFields<'_>> {
     let line = line.trim();
     if line.is_empty() {
@@ -345,46 +346,22 @@ fn request_span(line: &str) -> Option<(usize, usize)> {
     }
 }
 
-/// Builds a [`Trace`] from Common Log Format text.
-///
-/// Keeps successful (`status 200`) `GET` requests whose size is reported
-/// and positive, mirroring the paper's elimination of incomplete
-/// requests. A file's size is the largest size ever reported for its
-/// path (logs record partial transfers as smaller byte counts).
-pub fn parse_log(name: &str, text: &str) -> Trace {
-    let mut interner = FileInterner::new();
-    let mut sizes_kb: Vec<f64> = Vec::new();
+/// Reads a whole Common Log Format log into a [`Trace`] named `name`,
+/// plus its line counters: a [`ClfStream`] drained to its end, so it
+/// keeps exactly the lines live replay keeps, and the log text is never
+/// held whole.
+pub fn read_log<R: BufRead>(name: &str, reader: R) -> io::Result<(Trace, ClfStreamStats)> {
+    let mut stream = ClfStream::new(reader);
     let mut requests: Vec<FileId> = Vec::new();
-
-    for line in text.lines() {
-        let Some((path, bytes)) = parse_fields(line).and_then(|f| Some((f.path, f.kept_bytes()?)))
-        else {
-            continue;
-        };
-        requests.push(intern_sized(&mut interner, &mut sizes_kb, path, bytes));
+    while let Some(rec) = stream.next_record()? {
+        requests.push(rec.file);
     }
-    Trace::new(name, FileSet::new(sizes_kb), requests)
+    let trace = Trace::new(name, FileSet::new(stream.sizes_kb), requests);
+    Ok((trace, stream.stats))
 }
 
-/// Interns `path` and folds a `bytes`-long transfer into its size: a new
-/// file's size is appended, a known file keeps the largest size ever
-/// reported (logs record partial transfers as smaller byte counts).
-fn intern_sized(
-    interner: &mut FileInterner,
-    sizes_kb: &mut Vec<f64>,
-    path: &str,
-    bytes: u64,
-) -> FileId {
-    let kb = cast::exact_f64(bytes) / 1024.0;
-    let id = interner.intern(path);
-    match sizes_kb.get_mut(id.index()) {
-        Some(size) => *size = size.max(kb),
-        None => sizes_kb.push(kb),
-    }
-    id
-}
-
-/// Ingestion counters for a [`ClfStream`].
+/// Ingestion counters for a [`ClfStream`]. They display as the one
+/// summary line both command-line tools print for a log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClfStreamStats {
     /// Complete lines read, whether or not they were kept.
@@ -402,6 +379,23 @@ pub struct ClfStreamStats {
     /// Whether the input ended mid-line (a final line with no `\n`,
     /// typically a log still being written); the fragment is dropped.
     pub truncated_tail: bool,
+}
+
+impl fmt::Display for ClfStreamStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} read, {} kept, {} dropped",
+            self.lines, self.kept, self.dropped
+        )?;
+        if self.out_of_order > 0 {
+            write!(f, ", {} out-of-order timestamps clamped", self.out_of_order)?;
+        }
+        if self.truncated_tail {
+            f.write_str(", truncated final line discarded")?;
+        }
+        Ok(())
+    }
 }
 
 /// One kept request pulled from a [`ClfStream`].
@@ -507,7 +501,14 @@ impl<R: BufRead> ClfStream<R> {
                 continue;
             };
             let timestamp_s = fields.date.and_then(|d| self.date.timestamp_s(d));
-            let file = intern_sized(&mut self.interner, &mut self.sizes_kb, fields.path, bytes);
+            // A file keeps the largest size ever reported: logs record
+            // partial transfers as smaller byte counts.
+            let kb = cast::exact_f64(bytes) / 1024.0;
+            let file = self.interner.intern(fields.path);
+            match self.sizes_kb.get_mut(file.index()) {
+                Some(size) => *size = size.max(kb),
+                None => self.sizes_kb.push(kb),
+            }
             self.note_arrival(timestamp_s);
             self.stats.kept += 1;
             return Ok(Some(ClfRecord {
@@ -662,7 +663,7 @@ host6 - - [01/Mar/2000:00:00:07 -0500] "GET /index.html HTTP/1.0" 304 0
 
     #[test]
     fn builds_trace_keeping_only_complete_gets() {
-        let t = parse_log("sample", SAMPLE);
+        let (t, _) = read_log("sample", SAMPLE.as_bytes()).unwrap();
         // index.html twice + logo.gif once; 404/POST/dash/304 dropped.
         assert_eq!(t.len(), 3);
         assert_eq!(t.files().len(), 2);
@@ -678,7 +679,7 @@ h - - [d] "GET /big.iso HTTP/1.0" 200 1024
 h - - [d] "GET /big.iso HTTP/1.0" 200 1048576
 h - - [d] "GET /big.iso HTTP/1.0" 200 2048
 "#;
-        let t = parse_log("partials", log);
+        let (t, _) = read_log("partials", log.as_bytes()).unwrap();
         assert_eq!(t.files().len(), 1);
         assert!((t.files().size_kb(0) - 1024.0).abs() < 1e-9);
         assert_eq!(t.len(), 3);
@@ -700,9 +701,10 @@ h - - [d] "GET /big.iso HTTP/1.0" 200 2048
 
     #[test]
     fn empty_log_is_empty_trace() {
-        let t = parse_log("empty", "");
+        let (t, stats) = read_log("empty", &b""[..]).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.files().len(), 0);
+        assert_eq!(stats.to_string(), "0 read, 0 kept, 0 dropped");
     }
 
     #[test]
@@ -794,7 +796,7 @@ h - - [d] "GET /big.iso HTTP/1.0" 200 2048
         while let Some(r) = s.next_record().unwrap() {
             got.push((r.file.index(), r.at_s));
         }
-        // Same keep-filter as parse_log: index, logo, index.
+        // Kept: index, logo, index.
         assert_eq!(got, vec![(0, 0.0), (1, 1.0), (0, 2.0)]);
         let st = s.stats();
         assert_eq!(st.kept, 3);

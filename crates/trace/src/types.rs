@@ -7,8 +7,8 @@ use std::fmt;
 /// [`FileSet`].
 ///
 /// Ids are *interned*: every producer of traces (the synthetic generator,
-/// and [`crate::clf::parse_log`] and [`crate::ClfStream`] via
-/// [`crate::FileInterner`]) hands out consecutive indices starting at 0
+/// and [`crate::ClfStream`] via [`crate::FileInterner`], which
+/// [`crate::clf::read_log`] drains) hands out consecutive indices starting at 0
 /// in first-seen order, so any per-file state elsewhere in the workspace
 /// can live in a flat `Vec` indexed by [`FileId::index`] instead of a
 /// map. Iterating such a `Vec` visits files in dense-index order, which

@@ -176,8 +176,9 @@ proptest! {
     #[test]
     fn clf_parser_total(input in "\\PC{0,300}") {
         let _ = clf::parse_line(&input);
-        let trace = clf::parse_log("fuzz", &input);
+        let (trace, stats) = clf::read_log("fuzz", format!("{input}\n").as_bytes()).unwrap();
         prop_assert!(trace.len() <= input.lines().count());
+        prop_assert_eq!(stats.kept + stats.dropped, stats.lines);
     }
 
     /// Structured random CLF logs parse into consistent traces.
@@ -200,7 +201,7 @@ proptest! {
                 expected += 1;
             }
         }
-        let trace = clf::parse_log("structured", &log);
+        let (trace, _) = clf::read_log("structured", log.as_bytes()).unwrap();
         prop_assert_eq!(trace.len(), expected);
         // Every recorded size is the max over that path's entries.
         for (id, kb) in trace.files().iter() {

@@ -39,17 +39,20 @@ fn print_stats(label: &str, stats: &TraceStats) {
 }
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    let (name, text) = match &arg {
-        Some(path) => (
-            path.clone(),
-            std::fs::read_to_string(path).expect("readable log file"),
-        ),
-        None => ("embedded sample".to_string(), SAMPLE_LOG.to_string()),
-    };
-
-    let trace = clf::parse_log(&name, &text);
-    println!("parsed {} complete GET requests from {name}\n", trace.len());
+    let (trace, lines) = match std::env::args().nth(1) {
+        Some(path) => {
+            let file = std::fs::File::open(&path).expect("readable log file");
+            clf::read_log(&path, std::io::BufReader::new(file))
+        }
+        None => clf::read_log("embedded sample", SAMPLE_LOG.as_bytes()),
+    }
+    .expect("log reads to its end");
+    println!("log lines: {lines}");
+    println!(
+        "parsed {} complete GET requests from {}\n",
+        trace.len(),
+        trace.name()
+    );
     print_stats("real log", &TraceStats::compute(&trace));
 
     // Now generate a synthetic Calgary (Table 2 row 1) at reduced scale

@@ -1,13 +1,6 @@
 //! `clusterlab` — command-line front door to the cluster-server-eval
-//! workspace.
-//!
-//! ```text
-//! clusterlab model    [--nodes N] [--hit H] [--size KB] [--replication R] [--kind lc|lo]
-//! clusterlab simulate [--trace NAME] [--nodes N] [--policy P] [--cache-mb MB]
-//!                     [--requests N] [--files N] [--seed S] [--persistent MEAN] [--dfs]
-//! clusterlab trace    [--trace NAME | --log FILE] [--requests N] [--files N] [--seed S]
-//! clusterlab compare  [--trace NAME] [--nodes N] [--cache-mb MB] [--requests N]
-//! ```
+//! workspace. Its subcommands and their flags are listed once, in
+//! `USAGE` below.
 //!
 //! Argument parsing is deliberately dependency-free and shared with
 //! `l2s-replay`; see [`args`]. A misspelt or unused flag, or a malformed
@@ -17,27 +10,34 @@ use cluster_server_eval::model::{ModelParams, QueueModel, ServerKind};
 use cluster_server_eval::policy::PolicyKind;
 use cluster_server_eval::prelude::*;
 use cluster_server_eval::trace::{clf, TraceStats};
+use std::io::BufReader;
 
 #[path = "common/args.rs"]
 mod args;
 
 use args::{policy_by_name, trace_by_name};
 
+/// Reads the workload flags, the last flags each command reads, fails
+/// on any flag left unread, and only then builds the trace: a `--log`
+/// streamed through the same reader as `l2s-replay --log`, with its
+/// line counts printed, or a synthetic `--trace`.
 fn build_trace(p: &args::Parsed) -> Result<Trace, String> {
     if let Some(log) = p.value("log")? {
-        let text = std::fs::read_to_string(log).map_err(|e| format!("reading {log}: {e}"))?;
-        let trace = clf::parse_log(log, &text);
+        p.finish()?;
+        let file = std::fs::File::open(log).map_err(|e| format!("opening {log}: {e}"))?;
+        let (trace, stats) =
+            clf::read_log(log, BufReader::new(file)).map_err(|e| format!("reading {log}: {e}"))?;
         if trace.is_empty() {
-            return Err(format!(
-                "--log {log} keeps no request: the log is empty or every line was dropped"
-            ));
+            return Err(format!("--log {log} keeps no request: {stats}"));
         }
+        println!("log lines       : {stats}");
         return Ok(trace);
     }
     let spec = trace_by_name(&p.get_str("trace", "calgary"))?;
     let files = p.count("files", spec.num_files.min(8_000))?;
     let requests = p.count("requests", 200_000)?;
     let seed = p.get("seed", 42u64)?;
+    p.finish()?;
     Ok(spec.scaled(files, requests).generate(seed))
 }
 
@@ -99,7 +99,6 @@ fn cmd_simulate(p: &args::Parsed) -> Result<(), String> {
         .map_err(|e| format!("invalid configuration: {e}"))?;
     let policy = policy_by_name(&p.get_str("policy", "l2s"))?;
     let trace = build_trace(p)?;
-    p.finish()?;
     let report = simulate(&config, policy, &trace);
     println!("policy            : {}", report.policy);
     println!("nodes             : {}", report.nodes);
@@ -132,7 +131,6 @@ fn cmd_simulate(p: &args::Parsed) -> Result<(), String> {
 
 fn cmd_trace(p: &args::Parsed) -> Result<(), String> {
     let trace = build_trace(p)?;
-    p.finish()?;
     let stats = TraceStats::compute(&trace);
     println!("name            : {}", stats.name);
     println!("files           : {}", stats.num_files);
@@ -148,7 +146,6 @@ fn cmd_trace(p: &args::Parsed) -> Result<(), String> {
 fn cmd_compare(p: &args::Parsed) -> Result<(), String> {
     let config = cluster_config(p)?;
     let trace = build_trace(p)?;
-    p.finish()?;
     println!(
         "{:>16} {:>12} {:>8} {:>10} {:>9}",
         "policy", "throughput", "miss", "forwarded", "idle"
@@ -178,7 +175,13 @@ USAGE:
                       [--requests N] [--files N] [--seed S]
                       [--persistent MEAN] [--dfs]
   clusterlab trace    [--trace NAME | --log FILE] [--requests N] [--files N]
-  clusterlab compare  [--trace NAME] [--nodes N] [--cache-mb MB] [--requests N]
+                      [--seed S]
+  clusterlab compare  [--trace NAME | --log FILE] [--nodes N] [--cache-mb MB]
+                      [--requests N] [--files N] [--seed S]
+
+--requests, --files and --seed shape a synthetic --trace; a --log keeps
+its complete GET 200s, as `l2s-replay --log` does, and takes none of
+them (simulate's --seed still seeds the run).
 ";
 
 fn main() {

@@ -1,8 +1,8 @@
 //! `l2s-replay` — live Common Log Format replay front-end.
 //!
-//! Tails an access log (file or stdin) and drives any request
-//! distribution policy against it online, in real time, scaled time, or
-//! as fast as possible:
+//! Tails an access log (file or stdin), or replays a synthetic trace,
+//! and drives any request distribution policy against it online, in
+//! real time, scaled time, or as fast as possible:
 //!
 //! ```text
 //! l2s-replay --log access.log --policy l2s --nodes 8 --speed 60
@@ -10,19 +10,13 @@
 //! l2s-replay --trace calgary --policy lard --as-fast-as-possible
 //! ```
 //!
-//! Timed modes stream the log with bounded memory and print a metrics
-//! snapshot every `--snapshot-secs` of virtual time. With
-//! `--as-fast-as-possible` on a synthetic `--trace`, the run goes
-//! through the DES engine with a placement observer attached, so the
-//! placement sequence is identical to `clusterlab simulate` on the same
-//! configuration (the X10 parity experiment pins this in CI).
+//! Both sources stream through one timed replay model with bounded
+//! memory and print a metrics snapshot every `--snapshot-secs` of
+//! virtual time. `--as-fast-as-possible` only swaps the wall clock for
+//! a virtual one, so it reports what a paced run would, sooner.
 
 use cluster_server_eval::policy::PolicyKind;
-use cluster_server_eval::prelude::*;
-use l2s_replay::{
-    placement_checksum, replay_stream, replay_trace_fast, replay_trace_timed, write_report_csv,
-    ReplayConfig,
-};
+use l2s_replay::{replay_stream, replay_trace_timed, write_report_csv, ReplayConfig};
 use l2s_sim::{Clock, SimReport, VirtualClock, WallClock};
 use l2s_trace::ClfStream;
 use std::io::BufRead;
@@ -41,19 +35,20 @@ USAGE:
              [--speed X | --as-fast-as-possible] [--snapshot-secs S]
              [--requests N] [--csv FILE]
   l2s-replay --trace calgary|clarknet|nasa|rutgers [--policy NAME] [--nodes N]
-             [--cache-mb MB] [--files N] [--requests N] [--seed S] [--csv FILE]
-             ([--rate RPS] [--speed X] [--snapshot-secs S]
-              | --as-fast-as-possible [--checksum])
+             [--cache-mb MB] [--files N] [--requests N] [--seed S] [--rate RPS]
+             [--speed X | --as-fast-as-possible] [--snapshot-secs S] [--csv FILE]
 
 MODES:
   --speed X              scaled wall-clock pacing (1.0 = real time; default)
-  --as-fast-as-possible  no pacing; with --trace this drives the DES engine
-                         and reproduces its placement sequence exactly
+  --as-fast-as-possible  no pacing (alias --fast): a virtual clock jumps to
+                         each arrival, and the report is the paced run's
 
-A flag the chosen mode does not use is an error.
+Both sources run the same timed replay model; the closed-loop DES of
+the paper's Section 5.1 is `clusterlab simulate`. A flag the chosen
+mode does not use is an error.
 
-Every run prints periodic SimReport snapshots (timed modes) and a final
-report; --csv writes it in the experiment writers' CSV format.
+Every run prints periodic SimReport snapshots and a final report;
+--csv writes it in the experiment writers' CSV format.
 ";
 
 /// The parsed flags. A number the mode does not read (see
@@ -68,21 +63,16 @@ struct Opts {
     requests: Option<usize>,
     seed: u64,
     rate_rps: f64,
-    speed: f64,
-    fast: bool,
+    /// Wall-clock speed-up, or `None` as fast as possible.
+    speed: Option<f64>,
     snapshot_secs: f64,
     csv: Option<PathBuf>,
-    checksum: bool,
 }
 
 /// Reads each option only in the modes where it acts, so
 /// [`args::Parsed::finish`] fails the run on any other, naming it:
-///
-/// * `--files`, `--seed`: with `--trace`;
-/// * `--rate`: with `--trace` when paced;
-/// * `--speed`: when paced;
-/// * `--snapshot-secs`: in every mode but `--trace --as-fast-as-possible`;
-/// * `--checksum`: only with `--trace --as-fast-as-possible`.
+/// `--files`, `--seed` and `--rate` with `--trace`, and `--speed` when
+/// paced.
 fn parse_opts(p: &args::Parsed) -> Result<Opts, String> {
     let log = p.value("log")?.map(String::from);
     let trace = p.value("trace")?.map(String::from);
@@ -94,14 +84,7 @@ fn parse_opts(p: &args::Parsed) -> Result<Opts, String> {
     // `|`, not `||`: both spellings must count as read.
     let fast = p.flag("as-fast-as-possible") | p.flag("fast");
     let synthetic = trace.is_some();
-    // A synthetic trace as fast as possible runs on the DES, which takes
-    // no snapshots.
-    let des = synthetic && fast;
-    let snapshot_secs = if des {
-        0.0
-    } else {
-        p.get("snapshot-secs", 10.0f64)?
-    };
+    let snapshot_secs = p.get("snapshot-secs", 10.0f64)?;
     if !(snapshot_secs.is_finite() && snapshot_secs >= 0.0) {
         return Err(format!(
             "--snapshot-secs must be finite and at least 0, got {snapshot_secs}"
@@ -125,16 +108,18 @@ fn parse_opts(p: &args::Parsed) -> Result<Opts, String> {
         seed: if synthetic { p.get("seed", 42u64)? } else { 0 },
         // A zero rate puts the first arrival centuries away, and the
         // wall clock would wait for it.
-        rate_rps: if synthetic && !fast {
+        rate_rps: if synthetic {
             p.positive("rate", 500.0)?
         } else {
             0.0
         },
-        speed: if fast { 0.0 } else { p.positive("speed", 1.0)? },
-        fast,
+        speed: if fast {
+            None
+        } else {
+            Some(p.positive("speed", 1.0)?)
+        },
         snapshot_secs,
         csv: p.value("csv")?.map(PathBuf::from),
-        checksum: des && p.flag("checksum"),
     };
     p.finish()?;
     Ok(opts)
@@ -146,6 +131,15 @@ fn replay_config(opts: &Opts) -> ReplayConfig {
     cfg.snapshot_every_s = opts.snapshot_secs;
     cfg.max_requests = opts.requests;
     cfg
+}
+
+/// The clock that paces the replay, with its epoch now: the only thing
+/// `--as-fast-as-possible` changes.
+fn clock(opts: &Opts) -> Box<dyn Clock> {
+    match opts.speed {
+        Some(speed) => Box::new(WallClock::new(speed)),
+        None => Box::new(VirtualClock::new()),
+    }
 }
 
 fn print_snapshot(r: &SimReport) {
@@ -184,62 +178,36 @@ fn print_final(r: &SimReport) {
     );
 }
 
-/// Runs a timed replay over any CLF byte source, named `log` in errors.
-/// A source that ends without having kept a request is an error, as it
-/// is for `clusterlab --log`: there is nothing to report.
-fn run_stream<R: BufRead + Send>(
-    opts: &Opts,
-    log: &str,
-    reader: R,
-    clock: &mut dyn Clock,
-) -> Result<SimReport, String> {
-    let cfg = replay_config(opts);
+/// Replays any CLF byte source, named `log` in errors. A source that
+/// ends without having kept a request is an error, as it is for
+/// `clusterlab --log`: there is nothing to report.
+fn run_stream<R: BufRead + Send>(opts: &Opts, log: &str, reader: R) -> Result<SimReport, String> {
     let mut stream = ClfStream::new(reader);
-    let report = replay_stream(&cfg, &mut stream, clock, print_snapshot)
-        .map_err(|e| format!("reading log: {e}"))?;
+    let report = replay_stream(
+        &replay_config(opts),
+        &mut stream,
+        clock(opts).as_mut(),
+        print_snapshot,
+    )
+    .map_err(|e| format!("reading log: {e}"))?;
     let stats = stream.stats();
     if stats.kept == 0 {
-        return Err(format!(
-            "--log {log} keeps no request: {} lines read, {} dropped",
-            stats.lines, stats.dropped
-        ));
+        return Err(format!("--log {log} keeps no request: {stats}"));
     }
-    println!(
-        "log lines         : {} read, {} kept, {} dropped{}{}",
-        stats.lines,
-        stats.kept,
-        stats.dropped,
-        if stats.out_of_order > 0 {
-            format!(", {} out-of-order timestamps clamped", stats.out_of_order)
-        } else {
-            String::new()
-        },
-        if stats.truncated_tail {
-            ", truncated final line discarded"
-        } else {
-            ""
-        }
-    );
+    println!("log lines         : {stats}");
     Ok(report)
 }
 
 fn run(opts: &Opts) -> Result<(), String> {
     let report = match (&opts.log, &opts.trace) {
+        (Some(path), None) if path == "-" => {
+            // `Stdin` rather than its lock: the replay reads the log on
+            // a thread of its own, and `StdinLock` cannot be sent there.
+            run_stream(opts, path, std::io::BufReader::new(std::io::stdin()))?
+        }
         (Some(path), None) => {
-            let mut clock: Box<dyn Clock> = if opts.fast {
-                Box::new(VirtualClock::new())
-            } else {
-                Box::new(WallClock::new(opts.speed))
-            };
-            if path == "-" {
-                // `Stdin` rather than its lock: the replay reads the log on
-                // a thread of its own, and `StdinLock` cannot be sent there.
-                let stdin = std::io::BufReader::new(std::io::stdin());
-                run_stream(opts, path, stdin, clock.as_mut())?
-            } else {
-                let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                run_stream(opts, path, std::io::BufReader::new(file), clock.as_mut())?
-            }
+            let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
+            run_stream(opts, path, std::io::BufReader::new(file))?
         }
         (None, Some(name)) => {
             let spec = trace_by_name(name)?;
@@ -247,41 +215,14 @@ fn run(opts: &Opts) -> Result<(), String> {
             let trace = spec
                 .scaled(opts.files.min(spec.num_files), requests)
                 .generate(opts.seed);
-            if opts.fast {
-                // DES-backed infinite speed: placement parity with
-                // `clusterlab simulate` on the same configuration.
-                let mut config = SimConfig::paper_default(opts.nodes);
-                config.cache_kb = opts.cache_mb * 1024.0;
-                config.seed = opts.seed;
-                config
-                    .validate()
-                    .map_err(|e| format!("invalid configuration: {e}"))?;
-                let (placements, report) = replay_trace_fast(&config, opts.policy, &trace);
-                if opts.checksum {
-                    println!(
-                        "placements        : {}{} (checksum {:016x})",
-                        placements.len(),
-                        if config.warmup {
-                            " incl. cache-warmup pass"
-                        } else {
-                            ""
-                        },
-                        placement_checksum(&placements)
-                    );
-                }
-                report
-            } else {
-                let cfg = replay_config(opts);
-                let mut clock = WallClock::new(opts.speed);
-                replay_trace_timed(
-                    &cfg,
-                    &trace,
-                    opts.rate_rps,
-                    opts.seed,
-                    &mut clock,
-                    print_snapshot,
-                )
-            }
+            replay_trace_timed(
+                &replay_config(opts),
+                &trace,
+                opts.rate_rps,
+                opts.seed,
+                clock(opts).as_mut(),
+                print_snapshot,
+            )
         }
         _ => unreachable!("parse_opts enforces exactly one source"),
     };

@@ -244,30 +244,11 @@ fn l2s_replay_rejects_bad_flags_with_exit_2() {
         ("--seed", &["--log", "two.log", "--seed", "9"]),
         ("--rate", &["--log", "two.log", "--rate", "5"]),
         (
-            "--rate",
-            &[
-                "--trace",
-                "calgary",
-                "--as-fast-as-possible",
-                "--rate",
-                "100",
-            ],
-        ),
-        (
             "--speed",
             &["--log", "two.log", "--as-fast-as-possible", "--speed", "7"],
         ),
         ("--speed", &["--trace", "calgary", "--fast", "--speed", "7"]),
-        (
-            "--snapshot-secs",
-            &[
-                "--trace",
-                "calgary",
-                "--as-fast-as-possible",
-                "--snapshot-secs",
-                "1",
-            ],
-        ),
+        // No mode reads `--checksum`: the DES is `clusterlab simulate`.
         ("--checksum", &["--trace", "calgary", "--checksum"]),
         (
             "--checksum",
@@ -275,6 +256,37 @@ fn l2s_replay_rejects_bad_flags_with_exit_2() {
         ),
     ] {
         assert_rejects(&l2s_replay(args), flag, args);
+    }
+    // As fast as possible only swaps the clock, so a trace takes the
+    // rate and the snapshot period it takes when paced.
+    for args in [
+        &[
+            "--trace",
+            "calgary",
+            "--as-fast-as-possible",
+            "--rate",
+            "100",
+            "--requests",
+            "2000",
+        ],
+        &[
+            "--trace",
+            "calgary",
+            "--as-fast-as-possible",
+            "--snapshot-secs",
+            "1",
+            "--requests",
+            "2000",
+        ],
+    ] {
+        let out = l2s_replay(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("completed         : 2000"), "{text}");
     }
 }
 
@@ -293,7 +305,6 @@ fn l2s_replay_help_and_flags_still_work() {
         "2000",
         "--fast",
         "--as-fast-as-possible",
-        "--checksum",
     ];
     let out = l2s_replay(&args);
     let text = String::from_utf8_lossy(&out.stdout);
@@ -302,5 +313,160 @@ fn l2s_replay_help_and_flags_still_work() {
         "{args:?}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(text.contains("checksum"), "{text}");
+    assert!(text.contains("completed         : 2000"), "{text}");
+    assert!(text.contains("p99 response"), "{text}");
+}
+
+/// A fresh scratch directory for one test.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The lines of `usage` that document `command`: its `clusterlab
+/// <command>` line and the indented lines that continue it.
+fn usage_block<'a>(usage: &'a str, command: &str) -> Vec<&'a str> {
+    let head = format!("clusterlab {command} ");
+    let mut lines = usage
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with(&head));
+    let first = lines
+        .next()
+        .unwrap_or_else(|| panic!("USAGE has no {command} line:\n{usage}"));
+    std::iter::once(first)
+        .chain(lines.take_while(|l| l.starts_with("   ")))
+        .collect()
+}
+
+#[test]
+fn every_clusterlab_flag_runs_and_is_in_its_usage_block() {
+    let dir = scratch_dir("clusterlab-flags");
+    let log = dir.join("small.log");
+    let lines: String = (0..40)
+        .map(|i| {
+            format!(
+                "h - - [01/Jan/2000:10:00:{:02} +0000] \"GET /f{} HTTP/1.0\" 200 {}\n",
+                i,
+                i % 7,
+                1024 * (1 + i % 3)
+            )
+        })
+        .collect();
+    std::fs::write(&log, lines).unwrap();
+    let log = log.to_str().unwrap();
+    let usage = String::from_utf8(clusterlab(&["--help"]).stdout).unwrap();
+    // One row per flag each subcommand reads; an empty value is a bare
+    // flag.
+    let rows: &[(&str, &str, &str)] = &[
+        ("model", "--nodes", "4"),
+        ("model", "--hit", "0.5"),
+        ("model", "--size", "8"),
+        ("model", "--replication", "0.15"),
+        ("model", "--cache-mb", "64"),
+        ("model", "--kind", "lo"),
+        ("simulate", "--trace", "nasa"),
+        ("simulate", "--log", log),
+        ("simulate", "--nodes", "2"),
+        ("simulate", "--policy", "lard"),
+        ("simulate", "--cache-mb", "8"),
+        ("simulate", "--requests", "1000"),
+        ("simulate", "--files", "100"),
+        ("simulate", "--seed", "7"),
+        ("simulate", "--persistent", "3"),
+        ("simulate", "--dfs", ""),
+        ("trace", "--trace", "nasa"),
+        ("trace", "--log", log),
+        ("trace", "--requests", "1000"),
+        ("trace", "--files", "100"),
+        ("trace", "--seed", "7"),
+        ("compare", "--trace", "nasa"),
+        ("compare", "--log", log),
+        ("compare", "--nodes", "2"),
+        ("compare", "--cache-mb", "8"),
+        ("compare", "--requests", "1000"),
+        ("compare", "--files", "100"),
+        ("compare", "--seed", "7"),
+    ];
+    let mut unlisted = Vec::new();
+    for &(command, flag, value) in rows {
+        let mut args = vec![command, flag];
+        if !value.is_empty() {
+            args.push(value);
+        }
+        // Keep synthetic traces small; a log takes no trace-shaping flag.
+        if command != "model" && flag != "--log" {
+            for (small, n) in [("--requests", "1000"), ("--files", "100")] {
+                if flag != small {
+                    args.extend([small, n]);
+                }
+            }
+        }
+        let out = clusterlab(&args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let listed = usage_block(&usage, command)
+            .iter()
+            .flat_map(|l| l.split(|c: char| c.is_whitespace() || "[]|".contains(c)))
+            .any(|word| word == flag);
+        if !listed {
+            unlisted.push(format!("{command} {flag}"));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        unlisted.is_empty(),
+        "flags read but missing from their subcommand's USAGE block: {unlisted:?}\n{usage}"
+    );
+}
+
+#[test]
+fn both_clis_keep_the_same_lines_of_one_log() {
+    // `clusterlab --log` used to read the whole log as one `String`: one
+    // line that is not UTF-8 failed the run (exit 2), and a last line
+    // with no `\n`, which `l2s-replay --log` drops as a line still being
+    // written, was kept.
+    let dir = scratch_dir("clusterlab-one-log");
+    let log = dir.join("mixed.log");
+    std::fs::write(
+        &log,
+        b"h - - [01/Jan/2000:10:00:00 +0000] \"GET /a HTTP/1.0\" 200 1024\n\
+          h - - [01/Jan/2000:10:00:01 +0000] \"GET /\xff\xfe HTTP/1.0\" 200 1024\n\
+          h - - [01/Jan/2000:10:00:02 +0000] \"GET /b HTTP/1.0\" 200 1024\n\
+          h - - [01/Jan/2000:10:00:03 +0000] \"GET /c HTTP/1.0\" 200 1024",
+    )
+    .unwrap();
+    let log = log.to_str().unwrap();
+    // The summary each tool prints after `log lines ... : `.
+    let summary = |out: &Output| -> String {
+        let text = String::from_utf8_lossy(&out.stdout);
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("log lines"))
+            .unwrap_or_else(|| panic!("no log line summary in:\n{text}"));
+        line.split_once(": ").unwrap().1.to_string()
+    };
+    let lab = clusterlab(&["trace", "--log", log]);
+    assert!(
+        lab.status.success(),
+        "{}",
+        String::from_utf8_lossy(&lab.stderr)
+    );
+    let text = String::from_utf8_lossy(&lab.stdout);
+    assert!(text.contains("requests        : 2"), "{text}");
+    let replay = l2s_replay(&["--log", log, "--as-fast-as-possible"]);
+    assert!(
+        replay.status.success(),
+        "{}",
+        String::from_utf8_lossy(&replay.stderr)
+    );
+    assert_eq!(
+        summary(&lab),
+        "3 read, 2 kept, 1 dropped, truncated final line discarded"
+    );
+    assert_eq!(summary(&lab), summary(&replay));
+    let _ = std::fs::remove_dir_all(&dir);
 }
