@@ -230,16 +230,14 @@ pub fn trace_seed(spec: &TraceSpec) -> u64 {
 /// trace only when generation would be identical.
 fn trace_key(spec: &TraceSpec) -> String {
     format!(
-        "{}|{}|{:016x}|{}|{:016x}|{:016x}|{:016x}|{:016x}|{}",
+        "{}|{}|{:016x}|{}|{:016x}|{:016x}|{:016x}",
         spec.name,
         spec.num_files,
         spec.avg_file_kb.to_bits(),
         spec.num_requests,
         spec.avg_request_kb.to_bits(),
         spec.alpha.to_bits(),
-        spec.size_sigma.to_bits(),
         spec.temporal.to_bits(),
-        spec.temporal_window,
     )
 }
 
@@ -336,7 +334,6 @@ pub fn model_line(
                 alpha: stats.alpha.max(0.05),
                 cache_kb,
                 avg_file_kb: stats.avg_request_kb,
-                ..ModelParams::default()
             };
             let model = QueueModel::new(params)?;
             let derived = model.derived_from_population(

@@ -9,7 +9,8 @@
 //!   (GreedyDual-Size) as an ablation, both behind [`FileCache`];
 //! * [`NodeCosts`] — every per-operation service time from Table 1 and
 //!   Section 5.1 (parse, forward, memory reply, disk read, NI transfer,
-//!   and the M-VIA message cost breakdown);
+//!   and the M-VIA message cost breakdown), with Table 1's rates as
+//!   constants the analytic model reads too;
 //! * [`NodeHardware`] — the four contended stations of one node (CPU,
 //!   disk, inbound NI, outbound NI) plus its cache, with hit/miss
 //!   accounting.
@@ -26,7 +27,10 @@ mod hetero;
 mod node;
 
 pub use cache::{CacheStats, LruCache};
-pub use costs::NodeCosts;
+pub use costs::{
+    NodeCosts, DISK_KB_PER_S, DISK_OVERHEAD_S, FORWARD_RATE, MEM_KB_PER_S, MEM_OVERHEAD_S,
+    NI_OUT_OVERHEAD_S, NI_REQUEST_RATE, PARSE_RATE,
+};
 pub use filecache::{CachePolicy, FileCache};
 pub use gds::GdsCache;
 pub use hetero::{HeteroSpec, NodeClass, NodeProfile};

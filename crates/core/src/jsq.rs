@@ -17,18 +17,20 @@
 
 use crate::ledger::{Dispatch, Ledger};
 use crate::{NodeId, PolicyKind};
-use l2s_util::{invariant, DetRng};
+use l2s_util::DetRng;
 
 /// Salt mixed into the run seed so the dispatcher's sample stream is
 /// decorrelated from the engine's own arrival/persistence stream (which
 /// is seeded with the raw run seed).
 const SEED_SALT: u64 = 0x4a53_5144; // "JSQD"
 
+/// `d`, the nodes sampled per arrival: the power-of-two-choices
+/// operating point.
+const D: usize = 2;
+
 /// The power-of-d-choices dispatcher. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Jsq {
-    /// Sample size per arrival.
-    d: usize,
     /// Its live index doubles as the uniform sampler via its order
     /// statistics.
     ledger: Ledger,
@@ -38,15 +40,13 @@ pub struct Jsq {
 }
 
 impl Jsq {
-    /// A JSQ(d) dispatcher over `n` nodes sampling `d` choices per
+    /// A JSQ(d) dispatcher over `n` nodes sampling `d = 2` choices per
     /// arrival from the deterministic stream seeded by `seed`.
-    pub fn new(n: usize, d: usize, seed: u64) -> Self {
-        invariant!(d >= 1, "JSQ(d) needs at least one choice");
+    pub fn new(n: usize, seed: u64) -> Self {
         Jsq {
-            d,
             ledger: Ledger::new(n),
             rng: DetRng::new(seed ^ SEED_SALT),
-            picks: Vec::with_capacity(d),
+            picks: Vec::with_capacity(D),
         }
     }
 }
@@ -66,7 +66,7 @@ impl Dispatch for Jsq {
     fn arrival(&mut self) -> Option<NodeId> {
         let index = self.ledger.live();
         let live = index.len();
-        if live <= self.d {
+        if live <= D {
             // The sample would cover every live node: exact JSQ, which
             // the index answers directly (lowest id on ties). With every
             // node down there is nothing to sample from and the
@@ -75,7 +75,7 @@ impl Dispatch for Jsq {
             return index.argmin();
         }
         self.picks.clear();
-        while self.picks.len() < self.d {
+        while self.picks.len() < D {
             let rank = self.rng.index(live);
             // Sampling without replacement: d distinct nodes, as in the
             // classic formulation. d is small, so the linear dedup scan
@@ -105,7 +105,7 @@ mod tests {
     use l2s_util::SimTime;
 
     fn jsq(n: usize) -> Jsq {
-        Jsq::new(n, 2, 0x10ad_ba1e)
+        Jsq::new(n, 0x10ad_ba1e)
     }
 
     #[test]
@@ -133,8 +133,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_sequence() {
-        let mut a = Jsq::new(6, 2, 42);
-        let mut b = Jsq::new(6, 2, 42);
+        let mut a = Jsq::new(6, 42);
+        let mut b = Jsq::new(6, 42);
         for _ in 0..64 {
             assert_eq!(a.arrival_node().unwrap(), b.arrival_node().unwrap());
         }
@@ -142,8 +142,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = Jsq::new(16, 2, 1);
-        let mut b = Jsq::new(16, 2, 2);
+        let mut a = Jsq::new(16, 1);
+        let mut b = Jsq::new(16, 2);
         let sa: Vec<_> = (0..32).map(|_| a.arrival_node().unwrap()).collect();
         let sb: Vec<_> = (0..32).map(|_| b.arrival_node().unwrap()).collect();
         assert_ne!(sa, sb, "seed must steer the sample stream");

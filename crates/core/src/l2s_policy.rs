@@ -29,6 +29,9 @@ use crate::{argmin_rotating, Distributor, NodeId, PolicyKind};
 use l2s_cluster::FileId;
 use l2s_util::{invariant, SimDuration, SimTime};
 
+/// Minimum age of a server set before it may shrink.
+const SHRINK_AFTER: SimDuration = SimDuration::from_millis(5_000);
+
 /// L2S tuning parameters; defaults are the paper's Section 5.1 values.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct L2sConfig {
@@ -41,8 +44,6 @@ pub struct L2sConfig {
     /// A node rebroadcasts its load when it drifts this many connections
     /// from the last broadcast value (default 4).
     pub broadcast_delta: u32,
-    /// Minimum age of a server set before it may shrink (default 5 s).
-    pub shrink_after: SimDuration,
 }
 
 impl Default for L2sConfig {
@@ -51,7 +52,6 @@ impl Default for L2sConfig {
             t_high: 20,
             t_low: 10,
             broadcast_delta: 4,
-            shrink_after: SimDuration::from_secs_f64(5.0),
         }
     }
 }
@@ -291,7 +291,7 @@ impl Distributor for L2s {
         let set = &mut sets[file.index()];
         if set.members.len() > 1
             && view(service) < cfg.t_low
-            && now.saturating_since(set.last_modified) > cfg.shrink_after
+            && now.saturating_since(set.last_modified) > SHRINK_AFTER
         {
             // Keep the node that is about to serve the request: prune
             // the most-loaded member among the others (the set has more
@@ -416,6 +416,11 @@ mod tests {
         let mut out = Vec::new();
         s.drain_messages(&mut out);
         out.len()
+    }
+
+    #[test]
+    fn sets_may_shrink_after_five_seconds() {
+        assert_eq!(SHRINK_AFTER, SimDuration::from_secs_f64(5.0));
     }
 
     #[test]

@@ -19,45 +19,28 @@
 //!
 //! The front-end's load view is its own bookkeeping: it increments a
 //! back-end's count at hand-off and decrements when the back-end reports
-//! completions, which it does in batches of
-//! [`LardConfig::report_batch`] ("a back-end node in the LARD server
-//! only updates its load information at the front-end when 4 local
-//! connections have terminated since the last update").
+//! completions, which it does in batches of four ("a back-end node in
+//! the LARD server only updates its load information at the front-end
+//! when 4 local connections have terminated since the last update").
 
 use crate::ledger::release;
 use crate::{argmin_rotating, Distributor, LoadIndex, NodeId, PolicyKind};
 use l2s_cluster::FileId;
 use l2s_util::{invariant, SimDuration, SimTime};
 
-/// LARD tuning parameters; defaults are the values of Pai et al. that
-/// the paper adopts ("the same execution parameters as determined by
-/// the designers of LARD").
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LardConfig {
-    /// `T_low` — a node below this many connections has idle capacity
-    /// (default 25).
-    pub t_low: u32,
-    /// `T_high` — a node above this many connections is overloaded
-    /// (default 65).
-    pub t_high: u32,
-    /// Server sets older than this with more than one member shed their
-    /// most-loaded member (default 20 s).
-    pub shrink_after: SimDuration,
-    /// Completions a back-end batches before reporting to the front-end
-    /// (default 4).
-    pub report_batch: u32,
-}
+// LARD's parameters: the values of Pai et al. that the paper adopts
+// ("the same execution parameters as determined by the designers of
+// LARD").
 
-impl Default for LardConfig {
-    fn default() -> Self {
-        LardConfig {
-            t_low: 25,
-            t_high: 65,
-            shrink_after: SimDuration::from_secs_f64(20.0),
-            report_batch: 4,
-        }
-    }
-}
+/// `T_low` — a back-end below this many connections has idle capacity.
+const T_LOW: u32 = 25;
+/// `T_high` — a back-end above this many connections is overloaded.
+const T_HIGH: u32 = 65;
+/// Server sets older than this with more than one member shed their
+/// most-loaded member.
+const SHRINK_AFTER: SimDuration = SimDuration::from_millis(20_000);
+/// Completions a back-end batches before reporting to the front-end.
+const REPORT_BATCH: u32 = 4;
 
 /// Per-file server set, stored densely by interned [`FileId`]. Empty
 /// `members` means the file has never been requested (the algorithm
@@ -103,7 +86,6 @@ fn back_end_range(n: usize) -> std::ops::Range<NodeId> {
 /// degenerates to serving locally.
 #[derive(Clone, Debug)]
 pub struct Lard {
-    config: LardConfig,
     nodes: usize,
     mode: LardMode,
     /// Dispatcher organization (Aron et al., USENIX 2000, discussed in
@@ -143,33 +125,30 @@ pub struct Lard {
 impl Lard {
     /// A LARD/R server over `n` nodes (front-end plus `n - 1`
     /// back-ends).
-    pub fn new(n: usize, config: LardConfig) -> Self {
-        Self::build(n, config, LardMode::Replicated, false)
+    pub fn new(n: usize) -> Self {
+        Self::build(n, LardMode::Replicated, false)
     }
 
     /// Basic LARD (no replication): overload moves a file's single
     /// server instead of replicating it.
-    pub fn basic(n: usize, config: LardConfig) -> Self {
-        Self::build(n, config, LardMode::Basic, false)
+    pub fn basic(n: usize) -> Self {
+        Self::build(n, LardMode::Basic, false)
     }
 
     /// The dispatcher organization of Section 6: connections land on the
     /// serving nodes round-robin; the distribution decision costs a
     /// two-way message to the dedicated dispatcher (node 0).
-    pub fn dispatcher(n: usize, config: LardConfig) -> Self {
-        Self::build(n, config, LardMode::Replicated, true)
+    pub fn dispatcher(n: usize) -> Self {
+        Self::build(n, LardMode::Replicated, true)
     }
 
-    fn build(n: usize, config: LardConfig, mode: LardMode, dispatched: bool) -> Self {
+    fn build(n: usize, mode: LardMode, dispatched: bool) -> Self {
         l2s_util::invariant!(n >= 1, "need at least one node");
-        l2s_util::invariant!(config.t_low < config.t_high, "T_low must be below T_high");
-        l2s_util::invariant!(config.report_batch >= 1, "report batch must be at least 1");
         let mut view_index = LoadIndex::new(n);
         for node in back_end_range(n) {
             view_index.insert(node, 0);
         }
         Lard {
-            config,
             nodes: n,
             mode,
             dispatched,
@@ -277,7 +256,6 @@ impl Distributor for Lard {
             self.viewed_loads[target] += 1;
             return target;
         }
-        let cfg = self.config;
         let mode = self.mode;
         // Disjoint borrows of the decision tables so the hot path never
         // clones the load view or the candidate list. `viewed_loads` is
@@ -316,8 +294,7 @@ impl Distributor for Lard {
                 ))
             });
             let mut chosen = n;
-            let overloaded =
-                loads[n] > cfg.t_high && loads[m] < cfg.t_low || loads[n] >= 2 * cfg.t_high;
+            let overloaded = loads[n] > T_HIGH && loads[m] < T_LOW || loads[n] >= 2 * T_HIGH;
             if overloaded {
                 match mode {
                     LardMode::Replicated => {
@@ -338,7 +315,7 @@ impl Distributor for Lard {
             }
             // Replication decay: old multi-member sets shed their
             // most-loaded member.
-            if set.members.len() > 1 && now.saturating_since(set.last_modified) > cfg.shrink_after {
+            if set.members.len() > 1 && now.saturating_since(set.last_modified) > SHRINK_AFTER {
                 if let Some(&most) = set.members.iter().max_by_key(|&&mm| (loads[mm], mm)) {
                     set.members.retain(|&mm| mm != most);
                     set.last_modified = now;
@@ -399,7 +376,7 @@ impl Distributor for Lard {
             return;
         }
         self.unreported[node] += 1;
-        if self.unreported[node] >= self.config.report_batch {
+        if self.unreported[node] >= REPORT_BATCH {
             let batch = self.unreported[node];
             self.unreported[node] = 0;
             self.viewed_loads[node] = self.viewed_loads[node].saturating_sub(batch);
@@ -485,7 +462,7 @@ mod tests {
     use super::*;
 
     fn lard(n: usize) -> Lard {
-        Lard::new(n, LardConfig::default())
+        Lard::new(n)
     }
 
     /// Control messages queued since the last drain.
@@ -493,6 +470,12 @@ mod tests {
         let mut out = Vec::new();
         l.drain_messages(&mut out);
         out
+    }
+
+    #[test]
+    fn parameters_are_the_lard_designers() {
+        assert_eq!((T_LOW, T_HIGH, REPORT_BATCH), (25, 65, 4));
+        assert_eq!(SHRINK_AFTER, SimDuration::from_secs_f64(20.0));
     }
 
     #[test]
@@ -544,7 +527,7 @@ mod tests {
         for _ in 0..70 {
             l.assign(SimTime::ZERO, 0, 5.into());
         }
-        assert!(l.open_connections(owner) > LardConfig::default().t_high);
+        assert!(l.open_connections(owner) > T_HIGH);
         let service = l.assign(SimTime::ZERO, 0, 5.into());
         assert_ne!(service, owner, "hot file spills to an idle node");
         assert_eq!(l.server_set(5).len(), 2, "set grew");
@@ -641,12 +624,11 @@ mod tests {
 
     #[test]
     fn basic_lard_moves_instead_of_replicating() {
-        let cfg = LardConfig::default();
-        let mut l = Lard::basic(3, cfg);
+        let mut l = Lard::basic(3);
         let owner = l.assign(SimTime::ZERO, 0, 5.into());
         // Push the owner past 2*T_high so the move rule fires even
         // without an idle target.
-        for _ in 0..(2 * cfg.t_high + 2) {
+        for _ in 0..(2 * T_HIGH + 2) {
             l.assign(SimTime::ZERO, 0, 5.into());
         }
         let set = l.server_set(5);
@@ -656,7 +638,7 @@ mod tests {
 
     #[test]
     fn dispatcher_variant_accepts_on_back_ends() {
-        let mut l = Lard::dispatcher(4, LardConfig::default());
+        let mut l = Lard::dispatcher(4);
         let arrivals: Vec<_> = (0..6).map(|_| l.arrival_node().unwrap()).collect();
         assert_eq!(
             arrivals,
@@ -747,7 +729,7 @@ mod tests {
 
     #[test]
     fn dispatcher_rotation_skips_dead_acceptors() {
-        let mut l = Lard::dispatcher(4, LardConfig::default());
+        let mut l = Lard::dispatcher(4);
         l.node_down(SimTime::ZERO, 2);
         let arrivals: Vec<_> = (0..4).map(|_| l.arrival_node().unwrap()).collect();
         assert_eq!(arrivals, vec![1, 3, 1, 3], "dead acceptor skipped");
@@ -758,7 +740,7 @@ mod tests {
 
     #[test]
     fn dispatcher_can_pick_the_accepting_node() {
-        let mut l = Lard::dispatcher(2, LardConfig::default());
+        let mut l = Lard::dispatcher(2);
         // Only one back-end: it accepts and serves everything itself.
         let initial = l.arrival_node().unwrap();
         assert_eq!(initial, 1);
@@ -771,7 +753,7 @@ mod tests {
 
     #[test]
     fn dead_dispatcher_rejects_connections_and_sends_nothing() {
-        let mut l = Lard::dispatcher(4, LardConfig::default());
+        let mut l = Lard::dispatcher(4);
         let initial = l.arrival_node().unwrap();
         let service = l.assign(SimTime::ZERO, initial, 3.into());
         let mut open = vec![service];

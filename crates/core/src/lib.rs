@@ -46,11 +46,11 @@ pub use baseline::{PureLocality, RoundRobin, Traditional};
 pub use jiq::Jiq;
 pub use jsq::Jsq;
 pub use l2s_policy::{L2s, L2sConfig};
-pub use lard::{Lard, LardConfig};
+pub use lard::Lard;
 pub use sita::Sita;
 
 use l2s_cluster::FileId;
-use l2s_util::{cast, SimTime};
+use l2s_util::SimTime;
 
 /// Index of a cluster node.
 pub type NodeId = usize;
@@ -128,11 +128,11 @@ impl PolicyKind {
             PolicyKind::Traditional => Box::new(Traditional::new(n)),
             PolicyKind::RoundRobin => Box::new(RoundRobin::new(n)),
             PolicyKind::PureLocality => Box::new(PureLocality::new(n)),
-            PolicyKind::Lard => Box::new(Lard::new(n, params.lard)),
-            PolicyKind::LardBasic => Box::new(Lard::basic(n, params.lard)),
-            PolicyKind::LardDispatcher => Box::new(Lard::dispatcher(n, params.lard)),
+            PolicyKind::Lard => Box::new(Lard::new(n)),
+            PolicyKind::LardBasic => Box::new(Lard::basic(n)),
+            PolicyKind::LardDispatcher => Box::new(Lard::dispatcher(n)),
             PolicyKind::L2s => Box::new(L2s::new(n, params.l2s)),
-            PolicyKind::Jsq => Box::new(Jsq::new(n, cast::wide_usize(params.jsq_d), params.seed)),
+            PolicyKind::Jsq => Box::new(Jsq::new(n, params.seed)),
             PolicyKind::Jiq => Box::new(Jiq::new(n)),
             PolicyKind::Sita => match &params.speeds {
                 Some(speeds) => Box::new(Sita::weighted(n, speeds.clone())),
@@ -143,17 +143,13 @@ impl PolicyKind {
 }
 
 /// The run parameters [`PolicyKind::build`] hands the policies. The
-/// default is the paper's setup.
+/// default is the paper's setup. LARD's thresholds and JSQ(d)'s `d` are
+/// constants of their policies.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PolicyParams {
     /// L2S thresholds (Section 5.1: `T = 20`, `t = 10`, broadcast delta
     /// 4).
     pub l2s: L2sConfig,
-    /// LARD thresholds (`T_low = 25`, `T_high = 65`, report batch 4).
-    pub lard: LardConfig,
-    /// Nodes JSQ(d) samples per arrival (default 2, the
-    /// power-of-two-choices operating point).
-    pub jsq_d: u32,
     /// The run seed, which JSQ(d) salts for its sample stream.
     pub seed: u64,
     /// Relative CPU speed per node on a heterogeneous cluster: SITA
@@ -166,8 +162,6 @@ impl Default for PolicyParams {
     fn default() -> Self {
         PolicyParams {
             l2s: L2sConfig::default(),
-            lard: LardConfig::default(),
-            jsq_d: 2,
             seed: 0x10ad_ba1e,
             speeds: None,
         }

@@ -2,8 +2,34 @@
 
 use crate::params::{ModelParams, ServerKind};
 use crate::Mm1;
+use l2s_cluster::{
+    NodeCosts, DISK_KB_PER_S, DISK_OVERHEAD_S, FORWARD_RATE, MEM_KB_PER_S, MEM_OVERHEAD_S,
+    NI_OUT_OVERHEAD_S, NI_REQUEST_RATE, PARSE_RATE,
+};
+use l2s_net::{NetConfig, REQUEST_KB};
 use l2s_util::cast;
 use l2s_zipf::ZipfLaw;
+
+/// Service time in seconds of one reply from memory (`1/µm`).
+fn mem_reply_s(file_kb: f64) -> f64 {
+    MEM_OVERHEAD_S + file_kb / MEM_KB_PER_S
+}
+
+/// Service time in seconds of one disk read (`1/µd`), including the
+/// directory access the paper folds into the overhead.
+fn disk_read_s(file_kb: f64) -> f64 {
+    DISK_OVERHEAD_S + file_kb / DISK_KB_PER_S
+}
+
+/// Service time in seconds of one outbound NI transfer (`1/µo`).
+fn ni_out_s(kb: f64) -> f64 {
+    NI_OUT_OVERHEAD_S + kb / NodeCosts::default().ni_out_kb_per_s
+}
+
+/// Service time in seconds of one router traversal (`1/µr`).
+fn router_s(kb: f64) -> f64 {
+    kb / NetConfig::default().router_kb_per_s
+}
 
 /// Hit-rate quantities derived from Table 1's definitions.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -175,15 +201,15 @@ impl QueueModel {
         let s = p.avg_file_kb;
         let q = derived.forward_fraction;
         Demands {
-            router_s: p.router_s(p.request_kb) + p.router_s(s),
-            ni_in_s: (1.0 + q) / p.ni_request_rate,
+            router_s: router_s(REQUEST_KB) + router_s(s),
+            ni_in_s: (1.0 + q) / NI_REQUEST_RATE,
             // Parse at the initial node, hand-off work for the forwarded
             // fraction (Table 1 folds the whole hand-off into µf), and the
             // reply once the file is in memory (after the disk read on a
             // miss, so it is paid by every request).
-            cpu_s: 1.0 / p.parse_rate + q / p.forward_rate + p.mem_reply_s(s),
-            disk_s: (1.0 - derived.hit_rate) * p.disk_read_s(s),
-            ni_out_s: p.ni_out_s(s) + q * p.ni_out_s(p.request_kb),
+            cpu_s: 1.0 / PARSE_RATE + q / FORWARD_RATE + mem_reply_s(s),
+            disk_s: (1.0 - derived.hit_rate) * disk_read_s(s),
+            ni_out_s: ni_out_s(s) + q * ni_out_s(REQUEST_KB),
         }
     }
 
@@ -336,6 +362,18 @@ mod tests {
 
     fn model() -> QueueModel {
         QueueModel::new(ModelParams::default()).unwrap()
+    }
+
+    #[test]
+    fn service_time_formulas() {
+        // µm at S = 12 KB: 0.0001 + 0.001 = 1.1 ms.
+        assert!((mem_reply_s(12.0) - 0.0011).abs() < 1e-12);
+        // µd at S = 10 KB: 0.028 + 0.001 = 29 ms.
+        assert!((disk_read_s(10.0) - 0.029).abs() < 1e-12);
+        // µo at S = 128 KB: 3 µs + 1 ms.
+        assert!((ni_out_s(128.0) - 0.001_003).abs() < 1e-12);
+        // Router at 500 KB: 1 ms.
+        assert!((router_s(500.0) - 0.001).abs() < 1e-12);
     }
 
     /// Conscious over oblivious throughput bound at one oblivious hit

@@ -1,4 +1,5 @@
-//! Model parameters — Table 1 of the paper, with its default values.
+//! Model parameters — the Table 1 values a caller varies, with their
+//! defaults.
 
 /// Which request-distribution discipline the model evaluates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -13,11 +14,15 @@ pub enum ServerKind {
     LocalityConscious,
 }
 
-/// The model's parameters. Field defaults are the paper's Table 1 values.
+/// The model's parameters: the five a caller varies. Defaults are the
+/// paper's Table 1 values.
 ///
-/// Sizes are expressed in **KBytes** and rates in operations per second,
-/// matching the paper's formulas (e.g. the reply rate
-/// `µm = (0.0001 + S/12000)^-1 ops/s` with `S` in KB).
+/// Table 1's service rates are not parameters: the model reads them
+/// where the simulator charges them from, `l2s-cluster`'s cost
+/// constants and `l2s-net`'s router rate and request size. Sizes are in
+/// **KBytes** and rates in operations per second, matching the paper's
+/// formulas (e.g. the reply rate `µm = (0.0001 + S/12000)^-1 ops/s`
+/// with `S` in KB).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelParams {
     /// `N` — number of cluster nodes (default 16).
@@ -32,33 +37,6 @@ pub struct ModelParams {
     /// `S` — average size of requested files in KB (default 16 KB; the
     /// figures sweep this axis).
     pub avg_file_kb: f64,
-    /// Average inbound (request-message) transfer size in KB, used for the
-    /// router and forward-message costs (default 0.3 KB — a typical
-    /// HTTP/1.0 GET).
-    pub request_kb: f64,
-    /// Router throughput in KB/s; `µr = router_kb_per_s / size` ops/s
-    /// (default 500 000 KB/s ≈ 4 Gbit/s, a Cisco 7576).
-    pub router_kb_per_s: f64,
-    /// `µi` — request service rate at the NI (default 140 000 ops/s).
-    pub ni_request_rate: f64,
-    /// `µp` — request read/parse rate on the CPU (default 6 300 ops/s).
-    pub parse_rate: f64,
-    /// `µf` — request forwarding rate on the CPU (default 10 000 ops/s).
-    pub forward_rate: f64,
-    /// `µm` fixed overhead in seconds (default 0.0001): reply service on
-    /// the CPU once the file is memory-resident.
-    pub mem_overhead_s: f64,
-    /// `µm` bandwidth term in KB/s (default 12 000).
-    pub mem_kb_per_s: f64,
-    /// `µd` fixed overhead in seconds (default 0.028: 2 × 14 ms accesses,
-    /// one for the directory, one for the data).
-    pub disk_overhead_s: f64,
-    /// `µd` transfer bandwidth in KB/s (default 10 000 = 10 MB/s).
-    pub disk_kb_per_s: f64,
-    /// `µo` fixed overhead in seconds (default 3 µs per message).
-    pub ni_out_overhead_s: f64,
-    /// `µo` link bandwidth in KB/s (default 128 000 = 1 Gbit/s).
-    pub ni_out_kb_per_s: f64,
 }
 
 impl Default for ModelParams {
@@ -69,17 +47,6 @@ impl Default for ModelParams {
             alpha: 1.0,
             cache_kb: 128.0 * 1024.0,
             avg_file_kb: 16.0,
-            request_kb: 0.3,
-            router_kb_per_s: 500_000.0,
-            ni_request_rate: 140_000.0,
-            parse_rate: 6_300.0,
-            forward_rate: 10_000.0,
-            mem_overhead_s: 0.0001,
-            mem_kb_per_s: 12_000.0,
-            disk_overhead_s: 0.028,
-            disk_kb_per_s: 10_000.0,
-            ni_out_overhead_s: 0.000_003,
-            ni_out_kb_per_s: 128_000.0,
         }
     }
 }
@@ -99,54 +66,12 @@ impl ModelParams {
         for (name, v) in [
             ("cache_kb", self.cache_kb),
             ("avg_file_kb", self.avg_file_kb),
-            ("request_kb", self.request_kb),
-            ("router_kb_per_s", self.router_kb_per_s),
-            ("ni_request_rate", self.ni_request_rate),
-            ("parse_rate", self.parse_rate),
-            ("forward_rate", self.forward_rate),
-            ("mem_kb_per_s", self.mem_kb_per_s),
-            ("disk_kb_per_s", self.disk_kb_per_s),
-            ("ni_out_kb_per_s", self.ni_out_kb_per_s),
         ] {
             if v <= 0.0 || !v.is_finite() {
                 return Err(format!("{name} must be positive and finite"));
             }
         }
-        for (name, v) in [
-            ("mem_overhead_s", self.mem_overhead_s),
-            ("disk_overhead_s", self.disk_overhead_s),
-            ("ni_out_overhead_s", self.ni_out_overhead_s),
-        ] {
-            if v < 0.0 || !v.is_finite() {
-                return Err(format!("{name} must be non-negative and finite"));
-            }
-        }
         Ok(())
-    }
-
-    /// Service time in seconds of one reply from memory (`1/µm`).
-    #[inline]
-    pub fn mem_reply_s(&self, file_kb: f64) -> f64 {
-        self.mem_overhead_s + file_kb / self.mem_kb_per_s
-    }
-
-    /// Service time in seconds of one disk read (`1/µd`), including the
-    /// directory access the paper folds into the overhead.
-    #[inline]
-    pub fn disk_read_s(&self, file_kb: f64) -> f64 {
-        self.disk_overhead_s + file_kb / self.disk_kb_per_s
-    }
-
-    /// Service time in seconds of one outbound NI transfer (`1/µo`).
-    #[inline]
-    pub fn ni_out_s(&self, kb: f64) -> f64 {
-        self.ni_out_overhead_s + kb / self.ni_out_kb_per_s
-    }
-
-    /// Service time in seconds of one router traversal (`1/µr`).
-    #[inline]
-    pub fn router_s(&self, kb: f64) -> f64 {
-        kb / self.router_kb_per_s
     }
 
     /// Total locality-conscious cache capacity in KB:
@@ -178,23 +103,8 @@ mod tests {
         assert_eq!(p.replication, 0.0);
         assert_eq!(p.alpha, 1.0);
         assert_eq!(p.cache_kb, 131_072.0);
-        assert_eq!(p.parse_rate, 6_300.0);
-        assert_eq!(p.forward_rate, 10_000.0);
-        assert_eq!(p.ni_request_rate, 140_000.0);
+        assert_eq!(p.avg_file_kb, 16.0);
         p.validate().unwrap();
-    }
-
-    #[test]
-    fn service_time_formulas() {
-        let p = ModelParams::default();
-        // µm at S = 12 KB: 0.0001 + 0.001 = 1.1 ms.
-        assert!((p.mem_reply_s(12.0) - 0.0011).abs() < 1e-12);
-        // µd at S = 10 KB: 0.028 + 0.001 = 29 ms.
-        assert!((p.disk_read_s(10.0) - 0.029).abs() < 1e-12);
-        // µo at S = 128 KB: 3 µs + 1 ms.
-        assert!((p.ni_out_s(128.0) - 0.001_003).abs() < 1e-12);
-        // Router at 500 KB: 1 ms.
-        assert!((p.router_s(500.0) - 0.001).abs() < 1e-12);
     }
 
     #[test]
@@ -234,10 +144,10 @@ mod tests {
         p.replication = 1.5;
         assert!(p.validate().is_err());
         p.replication = 0.0;
-        p.disk_kb_per_s = -1.0;
+        p.cache_kb = -1.0;
         assert!(p.validate().is_err());
-        p.disk_kb_per_s = 10_000.0;
-        p.mem_overhead_s = f64::NAN;
+        p.cache_kb = 1024.0;
+        p.avg_file_kb = f64::NAN;
         assert!(p.validate().is_err());
     }
 }

@@ -19,7 +19,6 @@ fn arb_params() -> impl Strategy<Value = ModelParams> {
                 alpha,
                 cache_kb,
                 avg_file_kb,
-                ..ModelParams::default()
             },
         )
 }

@@ -23,6 +23,14 @@
 use l2s_devs::{DelayStation, FifoResource};
 use l2s_util::{SimDuration, SimTime};
 
+/// Size in KB of one inbound client request message, a typical
+/// HTTP/1.0 GET: the router carries it in, and a hand-off carries it on.
+pub const REQUEST_KB: f64 = 0.3;
+
+/// Router admission buffer, in messages (client requests waiting to
+/// enter the cluster).
+const ROUTER_BUFFER: usize = 64;
+
 /// Shared-network parameters. Defaults are the paper's.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetConfig {
@@ -30,9 +38,6 @@ pub struct NetConfig {
     pub router_kb_per_s: f64,
     /// Switch traversal latency in seconds (default 1 µs).
     pub switch_s: f64,
-    /// Router admission buffer, in messages (client requests waiting to
-    /// enter the cluster).
-    pub router_buffer: usize,
 }
 
 impl Default for NetConfig {
@@ -40,7 +45,6 @@ impl Default for NetConfig {
         NetConfig {
             router_kb_per_s: 500_000.0,
             switch_s: 0.000_001,
-            router_buffer: 64,
         }
     }
 }
@@ -90,7 +94,7 @@ impl Fabric {
     /// Builds the fabric from a configuration.
     pub fn new(config: NetConfig) -> Self {
         Fabric {
-            router: FifoResource::with_capacity(config.router_buffer),
+            router: FifoResource::with_capacity(ROUTER_BUFFER),
             switch: DelayStation::new(SimDuration::from_secs_f64(config.switch_s)),
         }
     }
@@ -144,6 +148,7 @@ mod tests {
         let c = NetConfig::default();
         assert_eq!(c.router_kb_per_s, 500_000.0);
         assert_eq!(c.switch_s, 0.000_001);
+        assert_eq!(ROUTER_BUFFER, 64);
         // 500 KB through the router takes 1 ms.
         assert_eq!(c.router_service(500.0).as_nanos(), 1_000_000);
     }
@@ -167,16 +172,13 @@ mod tests {
 
     #[test]
     fn admission_buffer_fills_and_drains() {
-        let cfg = NetConfig {
-            router_buffer: 2,
-            ..NetConfig::default()
-        };
+        let cfg = NetConfig::default();
         let mut f = Fabric::new(cfg);
         let svc = cfg.router_service(500.0); // 1 ms
-        assert_eq!(f.next_admission(SimTime::ZERO), None);
-        f.router_transit_service(SimTime::ZERO, svc);
-        assert_eq!(f.next_admission(SimTime::ZERO), None);
-        f.router_transit_service(SimTime::ZERO, svc);
+        for _ in 0..ROUTER_BUFFER {
+            assert_eq!(f.next_admission(SimTime::ZERO), None);
+            f.router_transit_service(SimTime::ZERO, svc);
+        }
         // Full until the first transfer clears; then there is room again.
         let later = SimTime::from_nanos(1_000_000);
         assert_eq!(f.next_admission(SimTime::ZERO), Some(later));
@@ -206,12 +208,12 @@ mod tests {
 
     #[test]
     fn next_admission_is_a_pure_query() {
-        let cfg = NetConfig {
-            router_buffer: 1,
-            ..NetConfig::default()
-        };
+        let cfg = NetConfig::default();
         let mut f = Fabric::new(cfg);
-        f.router_transit_service(SimTime::ZERO, cfg.router_service(500.0)); // clears at 1 ms
+        // A full buffer whose first transfer clears at 1 ms.
+        for _ in 0..ROUTER_BUFFER {
+            f.router_transit_service(SimTime::ZERO, cfg.router_service(500.0));
+        }
         let shared: &Fabric = &f;
         // Asking never mutates: repeated queries at the same instant agree.
         assert_eq!(shared.next_admission(t(500)), Some(t(1_000_000)));

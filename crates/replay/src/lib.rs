@@ -49,8 +49,9 @@ const READ_AHEAD: usize = 4096;
 
 /// Timed replay of a CLF stream: waits on `clock` until each kept
 /// request's log timestamp is due and feeds it through a
-/// [`ReplayEngine`]. `on_snapshot` fires every `cfg.snapshot_every_s`
-/// virtual seconds with the metrics so far. Returns the final report
+/// [`ReplayEngine`]. `on_snapshot` fires with the metrics so far at
+/// each `cfg.snapshot_every_s` boundary of virtual time the records
+/// pass, once per record at most. Returns the final report
 /// once the stream ends, or the stream's first I/O error after
 /// replaying every record read before it.
 ///
@@ -133,8 +134,16 @@ pub fn replay_trace_timed(
 /// The one timed replay loop. For each record, in order: stop once
 /// `cfg.max_requests` requests are in; hint the size table to the
 /// policy when the file population has doubled; wait on `clock` until
-/// the record is due; emit every snapshot due by then; offer the
+/// the record is due; if a snapshot boundary has passed, emit one
+/// snapshot, at the last boundary at or before the record; offer the
 /// request. Then settle what is still in flight.
+///
+/// One snapshot per record at most: a timestamp gap of centuries (a
+/// log dated 2000, then 2400) would otherwise emit one identical
+/// snapshot per empty period, about 10⁹ of them. Records less than one
+/// period apart see every boundary, and the final report is the same
+/// either way, since `offer` settles every completion due by its
+/// arrival in the same order.
 ///
 /// `sizes_kb` is the starting size table: empty for a log, whose files
 /// are learnt as they arrive, or the whole population for a trace.
@@ -175,10 +184,11 @@ fn replay_records(
         }
         let at = SimTime::from_secs_f64(rec.at_s);
         clock.wait_until_ns(at.as_nanos());
-        while snap_ns > 0 && at.as_nanos() >= next_snap_ns {
-            engine.drain_due(SimTime::from_nanos(next_snap_ns));
+        if snap_ns > 0 && at.as_nanos() >= next_snap_ns {
+            let boundary = at.as_nanos() - at.as_nanos() % snap_ns;
+            engine.drain_due(SimTime::from_nanos(boundary));
             on_snapshot(&engine.report());
-            next_snap_ns += snap_ns;
+            next_snap_ns = boundary.saturating_add(snap_ns);
         }
         engine.offer(at, rec.file.raw(), rec.size_kb);
     }
@@ -256,6 +266,31 @@ mod tests {
         assert!(report.throughput_rps > 0.0);
         assert!(snaps > 0, "snapshots should fire over a 200 s log");
         assert_eq!(report.policy, "l2s");
+    }
+
+    #[test]
+    fn a_gap_of_centuries_takes_one_snapshot() {
+        // One snapshot per empty 10 s period used to print 1.3e9
+        // identical lines for this log before its final report.
+        let log = "h - - [01/Jan/2000:00:00:00 +0000] \"GET /a HTTP/1.0\" 200 1024\n\
+                   h - - [01/Jan/2400:00:00:00 +0000] \"GET /b HTTP/1.0\" 200 1024\n";
+        let mut stream = ClfStream::new(log.as_bytes());
+        let mut snaps = Vec::new();
+        let report = replay_stream(
+            &ReplayConfig::new(PolicyKind::L2s, 2),
+            &mut stream,
+            &mut VirtualClock::new(),
+            |r| snaps.push(r.elapsed),
+        )
+        .unwrap();
+        assert_eq!(report.completed, 2);
+        assert_eq!(snaps.len(), 1, "{snaps:?}");
+        // Taken at the last 10 s boundary before the second request.
+        let gap_s = report.elapsed.as_secs_f64();
+        assert!(
+            gap_s - snaps[0].as_secs_f64() < 11.0,
+            "{snaps:?} vs {gap_s}"
+        );
     }
 
     #[test]

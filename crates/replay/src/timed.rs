@@ -44,9 +44,10 @@ impl ReplayConfig {
     /// The Section 5.1 cache size for `nodes` nodes under `policy`, with
     /// 10 s snapshots and no request cap. Timed replay runs the policy
     /// with its paper-default parameters
-    /// ([`PolicyParams::default`](l2s::PolicyParams)): the L2S and LARD
-    /// thresholds, JSQ(d)'s sample size and seed, and equally powerful
-    /// nodes for SITA.
+    /// ([`PolicyParams::default`](l2s::PolicyParams)): the L2S
+    /// thresholds, the seed JSQ(d) salts, and equally powerful nodes for
+    /// SITA. LARD's thresholds and JSQ(d)'s `d = 2` are constants of
+    /// their policies.
     pub fn new(policy: PolicyKind, nodes: usize) -> Self {
         ReplayConfig {
             policy,

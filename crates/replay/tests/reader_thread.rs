@@ -44,10 +44,11 @@ fn sequential_replay<R: BufRead>(
         }
         let at = SimTime::from_secs_f64(rec.at_s);
         clock.wait_until_ns(at.as_nanos());
-        while snap_ns > 0 && at.as_nanos() >= next_snap_ns {
-            engine.drain_due(SimTime::from_nanos(next_snap_ns));
+        if snap_ns > 0 && at.as_nanos() >= next_snap_ns {
+            let boundary = at.as_nanos() - at.as_nanos() % snap_ns;
+            engine.drain_due(SimTime::from_nanos(boundary));
             on_snapshot(&engine.report());
-            next_snap_ns += snap_ns;
+            next_snap_ns = boundary.saturating_add(snap_ns);
         }
         engine.offer(at, cast::index_u32(rec.file.index()), rec.size_kb);
     }

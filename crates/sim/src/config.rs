@@ -1,10 +1,18 @@
 //! Simulation configuration.
 
 use crate::FaultPlan;
-use l2s::{L2sConfig, LardConfig, PolicyParams};
+use l2s::{L2sConfig, PolicyParams};
 use l2s_cluster::{CachePolicy, HeteroSpec, NodeCosts};
 use l2s_net::NetConfig;
 use l2s_workload::WorkloadMod;
+
+/// Per-node open-connection window: new client requests are admitted
+/// while the whole cluster holds fewer than `nodes * WINDOW` outstanding
+/// requests (the paper's "as fast as the buffers accept" closed loop).
+/// 16 sits between L2S's `t = 10` and `T = 20` thresholds, the operating
+/// point the paper's parameter choices imply: nodes hover just below
+/// overload, and hot nodes trip the threshold and shed load.
+const WINDOW: usize = 16;
 
 /// How client requests enter the cluster.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,18 +46,10 @@ pub struct SimConfig {
     pub costs: NodeCosts,
     /// Shared network fabric parameters.
     pub net: NetConfig,
-    /// Per-node open-connection window: new client requests are admitted
-    /// while the whole cluster holds fewer than `nodes * window`
-    /// outstanding requests (the paper's "as fast as the buffers accept"
-    /// closed loop). The default (16) sits between L2S's `t = 10` and
-    /// `T = 20` thresholds, the operating point the paper's parameter
-    /// choices imply: nodes hover just below overload, and hot nodes
-    /// trip the threshold and shed load.
-    pub window: usize,
     /// Per-node inbound-NI buffer in messages. Sizing only: client
-    /// admission is governed by `window` (plus the router buffer), so
-    /// in-cluster traffic — hand-offs, control messages — is never
-    /// dropped at the NI.
+    /// admission is governed by [`SimConfig::total_window`] (plus the
+    /// router buffer), so in-cluster traffic — hand-offs, control
+    /// messages — is never dropped at the NI.
     pub ni_buffer: usize,
     /// How requests arrive (default: the paper's closed loop).
     pub arrivals: ArrivalMode,
@@ -80,18 +80,12 @@ pub struct SimConfig {
     pub max_requests: Option<usize>,
     /// L2S policy parameters (`T = 20`, `t = 10`, broadcast delta 4).
     pub l2s: L2sConfig,
-    /// LARD policy parameters (`T_low = 25`, `T_high = 65`, batch 4).
-    pub lard: LardConfig,
     /// Node crash/recovery schedule applied to the *measured* pass
     /// (the warm-up pass always runs healthy). The default — the empty
     /// plan — reproduces a healthy run byte-for-byte. Fault events
     /// scheduled past the last request extend the measurement window
     /// until they fire.
     pub faults: FaultPlan,
-    /// How many times a request aborted by a crash is retried — as a
-    /// fresh arrival through the router, after the engine's fixed 0.5 s
-    /// client timeout — before it is counted as failed. Default 1.
-    pub fault_retries: u32,
     /// When true (the default), every response time is recorded
     /// individually so the report's p99 is exact. Scaling sweeps over
     /// 10⁸+ requests disable this: the report then carries a streaming
@@ -101,9 +95,6 @@ pub struct SimConfig {
     /// sizes (scaling `cache_kb` as the baseline). The default,
     /// [`HeteroSpec::uniform`], builds the paper's identical nodes.
     pub hetero: HeteroSpec,
-    /// Number of nodes JSQ(d) samples per arrival (default 2, the
-    /// power-of-two-choices operating point). Ignored by other policies.
-    pub jsq_d: u32,
     /// Non-stationary workload modulation: an optional arrival-rate
     /// schedule (which overrides Poisson timing when present), flash
     /// crowds, and working-set drift, applied over whatever request
@@ -119,10 +110,9 @@ impl SimConfig {
         SimConfig {
             nodes: n,
             cache_kb: 32.0 * 1024.0,
-            request_kb: 0.3,
+            request_kb: l2s_net::REQUEST_KB,
             costs: NodeCosts::default(),
             net: NetConfig::default(),
-            window: 16,
             ni_buffer: 64,
             arrivals: ArrivalMode::ClosedLoop,
             seed: policy.seed,
@@ -132,12 +122,9 @@ impl SimConfig {
             warmup: true,
             max_requests: None,
             l2s: policy.l2s,
-            lard: policy.lard,
             faults: FaultPlan::none(),
-            fault_retries: 1,
             response_samples: true,
             hetero: HeteroSpec::uniform(),
-            jsq_d: policy.jsq_d,
             workload_mod: WorkloadMod::none(),
         }
     }
@@ -156,16 +143,15 @@ impl SimConfig {
     pub fn policy_params(&self) -> PolicyParams {
         PolicyParams {
             l2s: self.l2s,
-            lard: self.lard,
-            jsq_d: self.jsq_d,
             seed: self.seed,
             speeds: Some(self.hetero.speeds(self.nodes)),
         }
     }
 
-    /// Total outstanding-request admission window.
+    /// Total outstanding-request admission window: 16 requests per
+    /// node.
     pub fn total_window(&self) -> usize {
-        self.nodes * self.window
+        self.nodes * WINDOW
     }
 
     /// Validates the configuration.
@@ -174,13 +160,10 @@ impl SimConfig {
             return Err("nodes must be >= 1".into());
         }
         if self.cache_kb <= 0.0 || !self.cache_kb.is_finite() {
-            return Err("cache_kb must be positive".into());
+            return Err("cache_kb must be positive and finite".into());
         }
         if self.request_kb <= 0.0 || !self.request_kb.is_finite() {
-            return Err("request_kb must be positive".into());
-        }
-        if self.window == 0 {
-            return Err("window must be >= 1".into());
+            return Err("request_kb must be positive and finite".into());
         }
         if self.ni_buffer == 0 {
             return Err("ni_buffer must be >= 1".into());
@@ -192,9 +175,6 @@ impl SimConfig {
             if rate_rps <= 0.0 || !rate_rps.is_finite() {
                 return Err("Poisson rate must be positive".into());
             }
-        }
-        if self.jsq_d == 0 {
-            return Err("jsq_d must be >= 1".into());
         }
         // Construction already validated the classes; re-validating here
         // catches specs mutated through Clone + field access.
@@ -217,8 +197,6 @@ mod tests {
         assert!(c.warmup);
         assert_eq!(c.l2s.t_high, 20);
         assert_eq!(c.l2s.t_low, 10);
-        assert_eq!(c.lard.t_low, 25);
-        assert_eq!(c.lard.t_high, 65);
         c.validate().unwrap();
     }
 
@@ -246,9 +224,6 @@ mod tests {
         let mut c = SimConfig::paper_default(0);
         assert!(c.validate().is_err());
         c.nodes = 2;
-        c.window = 0;
-        assert!(c.validate().is_err());
-        c.window = 8;
         c.cache_kb = -1.0;
         assert!(c.validate().is_err());
     }
@@ -280,18 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn hetero_and_jsq_knobs_are_validated() {
+    fn hetero_mix_is_validated() {
         let mut c = SimConfig::paper_default(8);
         assert_eq!(
             c.hetero,
             HeteroSpec::uniform(),
             "default cluster is homogeneous"
         );
-        assert_eq!(c.jsq_d, 2, "power-of-two choices by default");
         c.hetero = HeteroSpec::extreme();
         c.validate().unwrap();
-        c.jsq_d = 0;
-        assert!(c.validate().is_err(), "JSQ(0) samples nothing");
     }
 
     #[test]
@@ -312,8 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn total_window_scales_with_nodes() {
-        let c = SimConfig::paper_default(8);
-        assert_eq!(c.total_window(), 8 * c.window);
+    fn total_window_is_16_per_node() {
+        assert_eq!(SimConfig::paper_default(8).total_window(), 128);
     }
 }

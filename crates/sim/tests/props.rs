@@ -1,8 +1,8 @@
 //! Property tests for the modern dispatchers under the full engine.
 //!
 //! The unit tests in `engine.rs` pin specific seeds; these properties
-//! range over seeds, JSQ sample widths, hardware mixes, fault timings,
-//! traces and cluster sizes, and assert the contracts every policy must
+//! range over seeds, hardware mixes, fault timings, traces and cluster
+//! sizes, and assert the contracts every policy must
 //! keep no matter the draw:
 //!
 //! 1. **Determinism** — the same configuration simulated twice yields
@@ -60,12 +60,10 @@ proptest! {
     #[test]
     fn new_dispatchers_are_deterministic_for_any_seed_and_mix(
         seed in 0u64..1_000_000,
-        jsq_d in 1u32..6,
         mix in 0usize..3,
     ) {
         let trace = quick_trace(seed % 7);
         let mut cfg = quick_config(seed);
-        cfg.jsq_d = jsq_d;
         cfg.hetero = pick_mix(mix);
         cfg.validate().expect("drawn config must be valid");
         for kind in NEW_DISPATCHERS {
@@ -73,8 +71,8 @@ proptest! {
             let b = simulate(&cfg, kind, &trace);
             prop_assert_eq!(
                 &a, &b,
-                "{} must be deterministic (seed {}, d {}, mix {})",
-                kind.name(), seed, jsq_d, mix
+                "{} must be deterministic (seed {}, mix {})",
+                kind.name(), seed, mix
             );
             prop_assert_eq!(a.completed, cast::len_u64(trace.len()));
         }
@@ -86,12 +84,10 @@ proptest! {
         crash_frac in 0.05f64..0.55,
         down_frac in 0.05f64..0.35,
         victim in 1usize..4,
-        retries in 0u32..3,
     ) {
         let trace = quick_trace(3);
         for kind in NEW_DISPATCHERS {
             let mut cfg = quick_config(seed);
-            cfg.fault_retries = retries;
             let healthy = simulate(&cfg, kind, &trace);
             let e = healthy.elapsed.as_secs_f64();
             cfg.faults = FaultPlan::crash_recover(
@@ -105,9 +101,9 @@ proptest! {
                 r.completed + r.failed,
                 cast::len_u64(trace.len()),
                 "{} lost requests: completed {} + failed {} != {} \
-                 (crash at {:.2} of {:.2}s, down {:.2}, retries {})",
+                 (crash at {:.2} of {:.2}s, down {:.2})",
                 kind.name(), r.completed, r.failed, trace.len(),
-                crash_frac * e, e, down_frac * e, retries
+                crash_frac * e, e, down_frac * e
             );
             // The faulted run must be just as reproducible.
             let again = simulate(&cfg, kind, &trace);

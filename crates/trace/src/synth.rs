@@ -4,6 +4,14 @@ use crate::{FileSet, Trace};
 use l2s_util::{cast, DetRng};
 use l2s_zipf::{ZipfLaw, ZipfSampler};
 
+/// Shape (`σ` of the underlying normal) of the lognormal file-size
+/// distribution. WWW file sizes are heavy tailed; 1.4 is a typical fit
+/// for late-90s server logs.
+const SIZE_SIGMA: f64 = 1.4;
+
+/// Size of the recent-request window re-references draw from.
+const TEMPORAL_WINDOW: usize = 1_000;
+
 /// A recipe for a synthetic WWW trace, pinned to the statistics the
 /// paper reports per trace in Table 2.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,19 +30,13 @@ pub struct TraceSpec {
     pub avg_request_kb: f64,
     /// Zipf exponent of the popularity law.
     pub alpha: f64,
-    /// Shape (`σ` of the underlying normal) of the lognormal file-size
-    /// distribution. WWW file sizes are heavy tailed; 1.4 is a typical
-    /// fit for late-90s server logs.
-    pub size_sigma: f64,
     /// Temporal-locality strength: probability that a request re-references
-    /// a file from the recent-request window instead of drawing fresh from
+    /// a file from the recent 1 000 requests instead of drawing fresh from
     /// the popularity law. Real WWW logs exhibit strong recency beyond
     /// their stationary popularity skew; without this component a
     /// sequential 32 MB LRU sees 40-70 % misses on the Table 2 workloads,
     /// far above the 9-28 % band the paper reports. 0 disables.
     pub temporal: f64,
-    /// Size of the recent-request window re-references draw from.
-    pub temporal_window: usize,
 }
 
 impl TraceSpec {
@@ -47,9 +49,7 @@ impl TraceSpec {
             num_requests: 567_895,
             avg_request_kb: 19.7,
             alpha: 1.08,
-            size_sigma: 1.4,
             temporal: 0.5,
-            temporal_window: 1_000,
         }
     }
 
@@ -62,9 +62,7 @@ impl TraceSpec {
             num_requests: 3_053_525,
             avg_request_kb: 11.9,
             alpha: 0.78,
-            size_sigma: 1.4,
             temporal: 0.6,
-            temporal_window: 1_000,
         }
     }
 
@@ -77,9 +75,7 @@ impl TraceSpec {
             num_requests: 3_147_719,
             avg_request_kb: 47.0,
             alpha: 0.91,
-            size_sigma: 1.4,
             temporal: 0.5,
-            temporal_window: 1_000,
         }
     }
 
@@ -92,9 +88,7 @@ impl TraceSpec {
             num_requests: 535_021,
             avg_request_kb: 26.2,
             alpha: 0.79,
-            size_sigma: 1.4,
             temporal: 0.6,
-            temporal_window: 1_000,
         }
     }
 
@@ -157,7 +151,7 @@ impl TraceSpec {
 
         // 1. Sizes, rescaled to the exact target mean, clamped to a
         // sensible range (100 bytes .. 16 MB).
-        let sigma = self.size_sigma;
+        let sigma = SIZE_SIGMA;
         let mu = self.avg_file_kb.ln() - sigma * sigma / 2.0;
         let mut sizes: Vec<f64> = (0..self.num_files)
             .map(|_| size_rng.lognormal(mu, sigma).clamp(0.1, 16_384.0))
@@ -181,13 +175,11 @@ impl TraceSpec {
         for (rank, &id) in rank_to_id.iter().enumerate() {
             sizes_by_id[cast::wide_usize(id)] = rank_sizes[rank];
         }
-        let window = self.temporal_window.max(1);
         let stream = RequestStream {
             sampler,
             rank_to_id,
             temporal: self.temporal,
-            window,
-            recent: Vec::with_capacity(window),
+            recent: Vec::with_capacity(TEMPORAL_WINDOW),
             cursor: 0,
             rng: req_rng.clone(),
             rng0: req_rng,
@@ -208,7 +200,6 @@ pub struct RequestStream {
     sampler: ZipfSampler,
     rank_to_id: Vec<u32>,
     temporal: f64,
-    window: usize,
     recent: Vec<u32>,
     cursor: usize,
     rng: DetRng,
@@ -274,11 +265,11 @@ impl Iterator for RequestStream {
             } else {
                 self.rank_to_id[cast::index_usize(self.sampler.sample(&mut self.rng) - 1)]
             };
-        if self.recent.len() < self.window {
+        if self.recent.len() < TEMPORAL_WINDOW {
             self.recent.push(file);
         } else {
             self.recent[self.cursor] = file;
-            self.cursor = (self.cursor + 1) % self.window;
+            self.cursor = (self.cursor + 1) % TEMPORAL_WINDOW;
         }
         Some(file)
     }

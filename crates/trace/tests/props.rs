@@ -227,9 +227,7 @@ proptest! {
             num_requests: requests,
             avg_request_kb: avg_file * ratio,
             alpha,
-            size_sigma: 1.2,
             temporal: 0.3,
-            temporal_window: 200,
         };
         let trace = spec.generate(seed);
         prop_assert_eq!(trace.files().len(), files);

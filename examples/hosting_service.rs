@@ -22,9 +22,7 @@ fn main() {
         num_requests: 400_000,
         avg_request_kb: 28.0,
         alpha: 0.75,
-        size_sigma: 1.4,
         temporal: 0.5,
-        temporal_window: 1_000,
     };
     let trace = spec.generate(2026);
     let stats = TraceStats::compute(&trace);

@@ -14,8 +14,11 @@ use std::io::BufReader;
 
 #[path = "common/args.rs"]
 mod args;
+#[path = "common/out.rs"]
+mod out;
 
 use args::{policy_by_name, trace_by_name};
+use out::outln;
 
 /// Reads the workload flags, the last flags each command reads, fails
 /// on any flag left unread, and only then builds the trace: a `--log`
@@ -30,7 +33,7 @@ fn build_trace(p: &args::Parsed) -> Result<Trace, String> {
         if trace.is_empty() {
             return Err(format!("--log {log} keeps no request: {stats}"));
         }
-        println!("log lines       : {stats}");
+        outln!("log lines       : {stats}");
         return Ok(trace);
     }
     let spec = trace_by_name(&p.get_str("trace", "calgary"))?;
@@ -45,7 +48,15 @@ fn build_trace(p: &args::Parsed) -> Result<Trace, String> {
 /// applied.
 fn cluster_config(p: &args::Parsed) -> Result<SimConfig, String> {
     let mut config = SimConfig::paper_default(p.count("nodes", 8)?);
-    config.cache_kb = p.positive("cache-mb", 32.0)? * 1024.0;
+    config.cache_kb = p.cache_kb(32.0)?;
+    Ok(config)
+}
+
+/// `config`, or the reason the simulator would refuse it.
+fn validated(config: SimConfig) -> Result<SimConfig, String> {
+    config
+        .validate()
+        .map_err(|e| format!("invalid configuration: {e}"))?;
     Ok(config)
 }
 
@@ -54,7 +65,7 @@ fn cmd_model(p: &args::Parsed) -> Result<(), String> {
         nodes: p.get("nodes", 16usize)?,
         replication: p.get("replication", 0.0f64)?,
         avg_file_kb: p.get("size", 16.0f64)?,
-        cache_kb: p.get("cache-mb", 128.0f64)? * 1024.0,
+        cache_kb: p.cache_kb(128.0)?,
         ..ModelParams::default()
     };
     let hit = p.get("hit", 0.8f64)?;
@@ -70,16 +81,16 @@ fn cmd_model(p: &args::Parsed) -> Result<(), String> {
     let model = QueueModel::new(params).map_err(|e| e.to_string())?;
     let derived = model.derived_from_hlo(kind, hit);
     let bound = model.max_throughput_derived(&derived);
-    println!("server kind      : {kind:?}");
-    println!("hit rate (H)     : {:.3}", derived.hit_rate);
-    println!("replicated hit(h): {:.3}", derived.replicated_hit);
-    println!("forwarded (Q)    : {:.3}", derived.forward_fraction);
-    println!("throughput bound : {bound:.0} requests/s");
+    outln!("server kind      : {kind:?}");
+    outln!("hit rate (H)     : {:.3}", derived.hit_rate);
+    outln!("replicated hit(h): {:.3}", derived.replicated_hit);
+    outln!("forwarded (Q)    : {:.3}", derived.forward_fraction);
+    outln!("throughput bound : {bound:.0} requests/s");
     if let Some(solution) = model.solve_derived(&derived, bound * 0.95) {
         let bottleneck = solution
             .bottleneck()
             .ok_or("model solution has no stations to report a bottleneck from")?;
-        println!(
+        outln!(
             "at 95% load      : {:.2} ms mean response, bottleneck = {} ({:.0}% busy)",
             solution.response_s * 1e3,
             bottleneck.name,
@@ -94,35 +105,33 @@ fn cmd_simulate(p: &args::Parsed) -> Result<(), String> {
     config.persistent_mean = p.get("persistent", 1.0f64)?;
     config.dfs_remote = p.flag("dfs");
     config.seed = p.get("seed", 42u64)?;
-    config
-        .validate()
-        .map_err(|e| format!("invalid configuration: {e}"))?;
+    let config = validated(config)?;
     let policy = policy_by_name(&p.get_str("policy", "l2s"))?;
     let trace = build_trace(p)?;
     let report = simulate(&config, policy, &trace);
-    println!("policy            : {}", report.policy);
-    println!("nodes             : {}", report.nodes);
-    println!("completed         : {}", report.completed);
-    println!(
+    outln!("policy            : {}", report.policy);
+    outln!("nodes             : {}", report.nodes);
+    outln!("completed         : {}", report.completed);
+    outln!(
         "throughput        : {:.0} requests/s",
         report.throughput_rps
     );
-    println!("miss rate         : {:.2}%", report.miss_rate * 100.0);
-    println!(
+    outln!("miss rate         : {:.2}%", report.miss_rate * 100.0);
+    outln!(
         "forwarded         : {:.2}%",
         report.forwarded_fraction * 100.0
     );
-    println!("cpu idle          : {:.2}%", report.cpu_idle * 100.0);
-    println!(
+    outln!("cpu idle          : {:.2}%", report.cpu_idle * 100.0);
+    outln!(
         "router utilization: {:.2}%",
         report.router_utilization * 100.0
     );
-    println!("mean response     : {:.2} ms", report.mean_response_s * 1e3);
+    outln!("mean response     : {:.2} ms", report.mean_response_s * 1e3);
     match report.p99_response_s {
-        Some(p99) => println!("p99 response      : {:.2} ms", p99 * 1e3),
-        None => println!("p99 response      : n/a (no samples recorded)"),
+        Some(p99) => outln!("p99 response      : {:.2} ms", p99 * 1e3),
+        None => outln!("p99 response      : n/a (no samples recorded)"),
     }
-    println!(
+    outln!(
         "control messages  : {:.2} per request",
         report.control_msgs_per_request
     );
@@ -132,27 +141,31 @@ fn cmd_simulate(p: &args::Parsed) -> Result<(), String> {
 fn cmd_trace(p: &args::Parsed) -> Result<(), String> {
     let trace = build_trace(p)?;
     let stats = TraceStats::compute(&trace);
-    println!("name            : {}", stats.name);
-    println!("files           : {}", stats.num_files);
-    println!("requests        : {}", stats.num_requests);
-    println!("avg file size   : {:.1} KB", stats.avg_file_kb);
-    println!("avg request size: {:.1} KB", stats.avg_request_kb);
-    println!("working set     : {:.1} MB", stats.working_set_kb / 1024.0);
-    println!("distinct files  : {}", stats.distinct_files);
-    println!("zipf alpha (fit): {:.2}", stats.alpha);
+    outln!("name            : {}", stats.name);
+    outln!("files           : {}", stats.num_files);
+    outln!("requests        : {}", stats.num_requests);
+    outln!("avg file size   : {:.1} KB", stats.avg_file_kb);
+    outln!("avg request size: {:.1} KB", stats.avg_request_kb);
+    outln!("working set     : {:.1} MB", stats.working_set_kb / 1024.0);
+    outln!("distinct files  : {}", stats.distinct_files);
+    outln!("zipf alpha (fit): {:.2}", stats.alpha);
     Ok(())
 }
 
 fn cmd_compare(p: &args::Parsed) -> Result<(), String> {
-    let config = cluster_config(p)?;
+    let config = validated(cluster_config(p)?)?;
     let trace = build_trace(p)?;
-    println!(
+    outln!(
         "{:>16} {:>12} {:>8} {:>10} {:>9}",
-        "policy", "throughput", "miss", "forwarded", "idle"
+        "policy",
+        "throughput",
+        "miss",
+        "forwarded",
+        "idle"
     );
     for kind in PolicyKind::all() {
         let r = simulate(&config, kind, &trace);
-        println!(
+        outln!(
             "{:>16} {:>8.0} r/s {:>7.1}% {:>9.1}% {:>8.1}%",
             r.policy,
             r.throughput_rps,
@@ -189,15 +202,12 @@ fn main() {
     // `--help` asks for the usage wherever it appears, before or after
     // a subcommand.
     if argv.iter().any(|a| a == "--help") {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return;
     }
     let parsed = match args::parse(argv) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
+        Err(e) => out::fail(&format!("{e}\n\n{USAGE}")),
     };
     let result = match parsed.command.as_str() {
         "model" => cmd_model(&parsed),
@@ -205,13 +215,12 @@ fn main() {
         "trace" => cmd_trace(&parsed),
         "compare" => cmd_compare(&parsed),
         "help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}")),
     };
     if let Err(e) = result {
-        eprintln!("error: {e}\n\n{USAGE}");
-        std::process::exit(2);
+        out::fail(&format!("{e}\n\n{USAGE}"));
     }
 }

@@ -105,6 +105,18 @@ impl Parsed {
         }
     }
 
+    /// `--cache-mb` (default `default_mb`) in KB, the unit the cluster
+    /// sizes caches in: a megabyte count whose KB value is not finite
+    /// (`1e306`) is an error naming the flag, like a non-positive one.
+    pub fn cache_kb(&self, default_mb: f64) -> Result<f64, String> {
+        let kb = self.positive("cache-mb", default_mb)? * 1024.0;
+        if kb.is_finite() {
+            Ok(kb)
+        } else {
+            Err("--cache-mb is too large: its size in KB is not finite".into())
+        }
+    }
+
     /// Fails naming the first option the command never looked up: a
     /// misspelt flag, or one that does not apply to this command.
     pub fn finish(&self) -> Result<(), String> {

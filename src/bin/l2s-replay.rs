@@ -24,8 +24,11 @@ use std::path::PathBuf;
 
 #[path = "common/args.rs"]
 mod args;
+#[path = "common/out.rs"]
+mod out;
 
 use args::{policy_by_name, trace_by_name};
+use out::outln;
 
 const USAGE: &str = "\
 l2s-replay — live CLF replay front-end (HPDC 2000 reproduction)
@@ -58,7 +61,7 @@ struct Opts {
     trace: Option<String>,
     policy: PolicyKind,
     nodes: usize,
-    cache_mb: f64,
+    cache_kb: f64,
     files: usize,
     requests: Option<usize>,
     seed: u64,
@@ -95,7 +98,7 @@ fn parse_opts(p: &args::Parsed) -> Result<Opts, String> {
         trace,
         policy: policy_by_name(&p.get_str("policy", "l2s"))?,
         nodes: p.count("nodes", 8)?,
-        cache_mb: p.positive("cache-mb", 32.0)?,
+        cache_kb: p.cache_kb(32.0)?,
         files: if synthetic {
             p.count("files", 2_000)?
         } else {
@@ -127,7 +130,7 @@ fn parse_opts(p: &args::Parsed) -> Result<Opts, String> {
 
 fn replay_config(opts: &Opts) -> ReplayConfig {
     let mut cfg = ReplayConfig::new(opts.policy, opts.nodes);
-    cfg.cache_kb = opts.cache_mb * 1024.0;
+    cfg.cache_kb = opts.cache_kb;
     cfg.snapshot_every_s = opts.snapshot_secs;
     cfg.max_requests = opts.requests;
     cfg
@@ -143,7 +146,7 @@ fn clock(opts: &Opts) -> Box<dyn Clock> {
 }
 
 fn print_snapshot(r: &SimReport) {
-    println!(
+    outln!(
         "[t={:>8.1}s] completed {:>9}  failed {:>6}  {:>8.0} r/s  miss {:>5.2}%  \
          fwd {:>5.2}%  idle {:>5.2}%  mean {:>7.2} ms",
         r.elapsed.as_secs_f64(),
@@ -158,21 +161,21 @@ fn print_snapshot(r: &SimReport) {
 }
 
 fn print_final(r: &SimReport) {
-    println!("policy            : {}", r.policy);
-    println!("nodes             : {}", r.nodes);
-    println!("completed         : {}", r.completed);
-    println!("failed            : {}", r.failed);
-    println!("elapsed (virtual) : {:.1} s", r.elapsed.as_secs_f64());
-    println!("throughput        : {:.0} requests/s", r.throughput_rps);
-    println!("miss rate         : {:.2}%", r.miss_rate * 100.0);
-    println!("forwarded         : {:.2}%", r.forwarded_fraction * 100.0);
-    println!("cpu idle          : {:.2}%", r.cpu_idle * 100.0);
-    println!("mean response     : {:.2} ms", r.mean_response_s * 1e3);
+    outln!("policy            : {}", r.policy);
+    outln!("nodes             : {}", r.nodes);
+    outln!("completed         : {}", r.completed);
+    outln!("failed            : {}", r.failed);
+    outln!("elapsed (virtual) : {:.1} s", r.elapsed.as_secs_f64());
+    outln!("throughput        : {:.0} requests/s", r.throughput_rps);
+    outln!("miss rate         : {:.2}%", r.miss_rate * 100.0);
+    outln!("forwarded         : {:.2}%", r.forwarded_fraction * 100.0);
+    outln!("cpu idle          : {:.2}%", r.cpu_idle * 100.0);
+    outln!("mean response     : {:.2} ms", r.mean_response_s * 1e3);
     match r.p99_response_s {
-        Some(p99) => println!("p99 response      : {:.2} ms", p99 * 1e3),
-        None => println!("p99 response      : n/a (no samples recorded)"),
+        Some(p99) => outln!("p99 response      : {:.2} ms", p99 * 1e3),
+        None => outln!("p99 response      : n/a (no samples recorded)"),
     }
-    println!(
+    outln!(
         "control messages  : {:.2} per request",
         r.control_msgs_per_request
     );
@@ -194,7 +197,7 @@ fn run_stream<R: BufRead + Send>(opts: &Opts, log: &str, reader: R) -> Result<Si
     if stats.kept == 0 {
         return Err(format!("--log {log} keeps no request: {stats}"));
     }
-    println!("log lines         : {stats}");
+    outln!("log lines         : {stats}");
     Ok(report)
 }
 
@@ -229,7 +232,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     print_final(&report);
     if let Some(path) = &opts.csv {
         write_report_csv(&report, path).map_err(|e| format!("write {}: {e}", path.display()))?;
-        println!("CSV: {}", path.display());
+        outln!("CSV: {}", path.display());
     }
     Ok(())
 }
@@ -248,16 +251,12 @@ fn main() {
     let opts = match parsed {
         Ok(Some(o)) => o,
         Ok(None) => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return;
         }
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
+        Err(e) => out::fail(&format!("{e}\n\n{USAGE}")),
     };
     if let Err(e) = run(&opts) {
-        eprintln!("error: {e}\n\n{USAGE}");
-        std::process::exit(2);
+        out::fail(&format!("{e}\n\n{USAGE}"));
     }
 }

@@ -1,33 +1,35 @@
 //! End-to-end tests of the `clusterlab` and `l2s-replay` CLI binaries.
 
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-fn clusterlab(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_clusterlab"))
-        .args(args)
-        .output()
-        .expect("binary runs")
-}
-
-/// Runs `l2s-replay`, killing it if it is still running after 30 s: a
-/// timed replay paced by the wall clock can otherwise wait forever.
-fn l2s_replay(args: &[&str]) -> Output {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_l2s-replay"))
+/// Runs `bin`, killing it if it is still running after 30 s: a timed
+/// replay paced by the wall clock can otherwise wait forever.
+fn run_bounded(bin: &str, args: &[&str]) -> Output {
+    let mut child = Command::new(bin)
         .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary runs");
     let deadline = Instant::now() + Duration::from_secs(30);
-    while child.try_wait().expect("wait on l2s-replay").is_none() {
+    while child.try_wait().expect("wait on the binary").is_none() {
         if Instant::now() > deadline {
-            child.kill().expect("kill l2s-replay");
-            panic!("l2s-replay {args:?} did not finish within 30 s");
+            child.kill().expect("kill the binary");
+            panic!("{bin} {args:?} did not finish within 30 s");
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(5));
     }
-    child.wait_with_output().expect("collect l2s-replay output")
+    child.wait_with_output().expect("collect the output")
+}
+
+fn clusterlab(args: &[&str]) -> Output {
+    run_bounded(env!("CARGO_BIN_EXE_clusterlab"), args)
+}
+
+fn l2s_replay(args: &[&str]) -> Output {
+    run_bounded(env!("CARGO_BIN_EXE_l2s-replay"), args)
 }
 
 /// Asserts that a run exited 2 (a usage error, not a panic's 101) with a
@@ -151,6 +153,10 @@ fn clusterlab_rejects_bad_flags_with_exit_2() {
         ("--nodes", &["simulate", "--nodes", "0"][..]),
         ("--cache-mb", &["simulate", "--cache-mb", "-5"]),
         ("--cache-mb", &["simulate", "--cache-mb", "nan"]),
+        // Finite in MB but not in KB: simulate blamed `cache_kb`, and
+        // compare panicked in the engine (exit 101).
+        ("--cache-mb", &["simulate", "--cache-mb", "1e306"]),
+        ("--cache-mb", &["compare", "--cache-mb", "1e306"]),
         ("--files", &["simulate", "--files", "0"]),
         ("--requests", &["simulate", "--requests", "0"]),
         // Integer flags parse as integers, never through a float cast.
@@ -217,6 +223,17 @@ fn l2s_replay_rejects_bad_flags_with_exit_2() {
                 "-1",
                 "--as-fast-as-possible",
             ][..],
+        ),
+        // Ran with an infinite cache in release and panicked in debug.
+        (
+            "--cache-mb",
+            &[
+                "--trace",
+                "calgary",
+                "--cache-mb",
+                "1e306",
+                "--as-fast-as-possible",
+            ],
         ),
         ("--files", &["--trace", "calgary", "--files", "0"]),
         ("--requests", &["--trace", "calgary", "--requests", "0"]),
@@ -469,4 +486,133 @@ fn both_clis_keep_the_same_lines_of_one_log() {
     );
     assert_eq!(summary(&lab), summary(&replay));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly_with_exit_0() {
+    // Both tools used to panic on the next line after their reader went
+    // away ("failed printing to stdout: Broken pipe", exit 101).
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_clusterlab"),
+            &[
+                "compare",
+                "--trace",
+                "calgary",
+                "--requests",
+                "3000",
+                "--files",
+                "300",
+                "--nodes",
+                "4",
+            ][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_l2s-replay"),
+            &[
+                "--trace",
+                "calgary",
+                "--nodes",
+                "4",
+                "--requests",
+                "20000",
+                "--rate",
+                "500",
+                "--as-fast-as-possible",
+            ],
+        ),
+    ] {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut first = String::new();
+        stdout.read_line(&mut first).expect("read one line");
+        assert!(!first.is_empty(), "{args:?} printed nothing");
+        drop(stdout);
+        let out = child.wait_with_output().expect("collect the output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn every_numeric_flag_survives_its_extremes() {
+    // Exit 0 (the value is usable) or 2 (rejected), never a panic or a
+    // run that does not end. Paced replay is left out: a
+    // tiny --rate waits for centuries on the wall clock by design.
+    let small = ["--requests", "300", "--files", "50"];
+    let replay = ["--trace", "calgary", "--as-fast-as-possible"];
+    let rows: &[(&str, &[&str], &[&str])] = &[
+        (
+            "clusterlab",
+            &["model"],
+            &["--nodes", "--hit", "--size", "--replication", "--cache-mb"],
+        ),
+        (
+            "clusterlab",
+            &["simulate"],
+            &[
+                "--nodes",
+                "--cache-mb",
+                "--requests",
+                "--files",
+                "--seed",
+                "--persistent",
+            ],
+        ),
+        (
+            "clusterlab",
+            &["trace"],
+            &["--requests", "--files", "--seed"],
+        ),
+        (
+            "clusterlab",
+            &["compare"],
+            &["--nodes", "--cache-mb", "--requests", "--files", "--seed"],
+        ),
+        (
+            "l2s-replay",
+            &replay,
+            &[
+                "--nodes",
+                "--cache-mb",
+                "--files",
+                "--requests",
+                "--seed",
+                "--rate",
+                "--snapshot-secs",
+            ],
+        ),
+    ];
+    for &(tool, base, flags) in rows {
+        for &flag in flags {
+            for value in ["0", "-1", "NaN", "inf", "1e306", "1e-300"] {
+                let mut args = base.to_vec();
+                if base[0] != "model" {
+                    for pair in small.chunks(2) {
+                        if pair[0] != flag {
+                            args.extend(pair);
+                        }
+                    }
+                }
+                args.extend([flag, value]);
+                let out = match tool {
+                    "clusterlab" => clusterlab(&args),
+                    _ => l2s_replay(&args),
+                };
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    matches!(out.status.code(), Some(0 | 2)),
+                    "{tool} {args:?} exited {:?}: {err}",
+                    out.status.code()
+                );
+                assert!(!err.contains("panicked"), "{tool} {args:?}: {err}");
+            }
+        }
+    }
 }

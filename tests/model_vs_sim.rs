@@ -18,7 +18,6 @@ fn matching_model(stats: &TraceStats, config: &SimConfig, replication: f64) -> Q
         alpha: stats.alpha.max(0.05),
         cache_kb: config.cache_kb,
         avg_file_kb: stats.avg_request_kb,
-        ..ModelParams::default()
     })
     .expect("valid parameters")
 }
