@@ -1,7 +1,7 @@
-//! The resident-file directory shared by the caches: `FileId` -> slot.
+//! The file cache's resident-file directory: `FileId` -> slot.
 //!
-//! A cache keeps its resident files in a slot pool; the directory finds
-//! a file's slot. It is an open-addressing table of `(file, slot)`
+//! The cache keeps its resident files in a slot pool; the directory
+//! finds a file's slot. It is an open-addressing table of `(file, slot)`
 //! cells, sized to the files resident rather than to the highest file
 //! id ever seen, so a node's directory costs bytes per resident file —
 //! not per file in the population, and not per unit of id space (an id
@@ -207,8 +207,8 @@ mod tests {
             .collect()
     }
 
-    /// Drives a directory the way the caches do: slot ids are recycled
-    /// through a free list, so a slot is reused by other files over time.
+    /// Drives a directory with recycled slot ids: they go through a free
+    /// list, so a slot is reused by other files over time.
     #[derive(Default)]
     struct Pool {
         slots: u32,

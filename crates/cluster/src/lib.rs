@@ -4,9 +4,9 @@
 //! CPU, main-memory file cache, disk, and a network interface. This crate
 //! models those pieces:
 //!
-//! * [`LruCache`] — a byte-capacity LRU cache of whole files, the unit of
-//!   caching in all three simulated servers — plus [`GdsCache`]
-//!   (GreedyDual-Size) as an ablation, both behind [`FileCache`];
+//! * [`FileCache`] — a byte-capacity cache of whole files, the unit of
+//!   caching in all three simulated servers, run by LRU (the paper's
+//!   policy) or GreedyDual-Size (an ablation) as [`CachePolicy`] picks;
 //! * [`NodeCosts`] — every per-operation service time from Table 1 and
 //!   Section 5.1 (parse, forward, memory reply, disk read, NI transfer,
 //!   and the M-VIA message cost breakdown), with Table 1's rates as
@@ -21,18 +21,14 @@
 mod cache;
 mod costs;
 mod directory;
-mod filecache;
-mod gds;
 mod hetero;
 mod node;
 
-pub use cache::{CacheStats, LruCache};
+pub use cache::{CachePolicy, CacheStats, FileCache};
 pub use costs::{
     NodeCosts, DISK_KB_PER_S, DISK_OVERHEAD_S, FORWARD_RATE, MEM_KB_PER_S, MEM_OVERHEAD_S,
     NI_OUT_OVERHEAD_S, NI_REQUEST_RATE, PARSE_RATE,
 };
-pub use filecache::{CachePolicy, FileCache};
-pub use gds::GdsCache;
 pub use hetero::{HeteroSpec, NodeClass, NodeProfile};
 pub use node::{build_nodes, build_nodes_profiled, NodeHardware};
 

@@ -1,13 +1,14 @@
 //! Property-based tests for the node-hardware substrate.
 //!
-//! Beyond the accounting invariants, the optimized cache structures are
-//! checked against deliberately naive reference implementations: the
-//! dense-index LRU and the lazy-invalidation GDS heap must produce the
-//! *same eviction sequence* as an O(n)-per-op model across random
-//! workloads, so the hot-path data structures cannot silently change
-//! simulation results.
+//! The file cache's accounting invariants are checked under both
+//! replacement policies, across crash wipes. Beyond them, each policy
+//! is checked against a deliberately naive reference implementation:
+//! the LRU's stamp harvest and GreedyDual-Size's lazily invalidated
+//! heap must produce the *same eviction sequence* as an O(n)-per-op
+//! model across random workloads, so the hot-path data structures
+//! cannot silently change simulation results.
 
-use l2s_cluster::{FileId, GdsCache, LruCache, NodeCosts};
+use l2s_cluster::{CachePolicy, FileCache, FileId, NodeCosts};
 use proptest::prelude::*;
 
 /// Reference LRU: a plain MRU-first vector, O(n) per operation.
@@ -122,16 +123,26 @@ fn file_kb(file: u32) -> f64 {
     1.0 + (file % 23) as f64 * 3.25
 }
 
+/// The policy a drawn flag picks.
+fn policy(gds: bool) -> CachePolicy {
+    if gds {
+        CachePolicy::GreedyDualSize
+    } else {
+        CachePolicy::Lru
+    }
+}
+
 proptest! {
-    /// The cache never exceeds capacity, never double-counts a file, and
-    /// hit/miss statistics tally with lookups, across touches, inserts
-    /// and the occasional crash wipe.
+    /// Under either policy the cache never exceeds capacity, never
+    /// double-counts a file, and hit/miss statistics tally with
+    /// lookups, across touches, inserts and the occasional crash wipe.
     #[test]
-    fn lru_accounting_invariants(
+    fn cache_accounting_invariants(
+        gds in prop::bool::ANY,
         capacity in 10.0f64..500.0,
         ops in prop::collection::vec((0u32..200, 0.5f64..60.0, 0u8..16), 1..500),
     ) {
-        let mut cache = LruCache::new(capacity);
+        let mut cache = FileCache::new(policy(gds), capacity);
         let mut lookups = 0u64;
         for (file, kb, op) in ops {
             match op {
@@ -145,38 +156,42 @@ proptest! {
                 _ => cache.clear(),
             }
             prop_assert!(cache.used_kb() <= capacity + 1e-9);
-            let listed: f64 = cache.iter_mru().map(|(_, s)| s).sum();
+            let listed: f64 = cache.iter_resident().map(|(_, s)| s).sum();
             prop_assert!((listed - cache.used_kb()).abs() < 1e-6);
             let stats = cache.stats();
             prop_assert_eq!(stats.hits + stats.misses, lookups);
         }
     }
 
-    /// MRU iteration yields each resident file exactly once.
+    /// Under either policy, iteration yields each resident file exactly
+    /// once.
     #[test]
-    fn lru_iteration_is_a_set(ops in prop::collection::vec((0u32..50, 1.0f64..10.0), 1..300)) {
-        let mut cache = LruCache::new(120.0);
+    fn resident_iteration_is_a_set(
+        gds in prop::bool::ANY,
+        ops in prop::collection::vec((0u32..50, 1.0f64..10.0), 1..300),
+    ) {
+        let mut cache = FileCache::new(policy(gds), 120.0);
         for (file, kb) in ops {
             cache.insert(file, kb);
         }
-        let files: Vec<_> = cache.iter_mru().map(|(f, _)| f).collect();
+        let files: Vec<_> = cache.iter_resident().map(|(f, _)| f).collect();
         let mut dedup = files.clone();
         dedup.sort_unstable();
         dedup.dedup();
-        prop_assert_eq!(dedup.len(), files.len(), "duplicate in MRU list");
+        prop_assert_eq!(dedup.len(), files.len(), "duplicate in resident list");
         for f in files {
             prop_assert!(cache.contains(f));
         }
     }
 
-    /// The dense-index LRU evicts exactly what a naive MRU-vector LRU
+    /// The stamp-harvest LRU evicts exactly what a naive MRU-vector LRU
     /// evicts, in the same order, across random touch/insert workloads.
     #[test]
     fn lru_matches_naive_reference_evictions(
         capacity in 20.0f64..400.0,
         ops in prop::collection::vec((0u32..80, prop::bool::ANY), 1..600),
     ) {
-        let mut real = LruCache::new(capacity);
+        let mut real = FileCache::new(CachePolicy::Lru, capacity);
         let mut naive = NaiveLru::new(capacity);
         for (file, is_touch) in ops {
             if is_touch {
@@ -201,7 +216,7 @@ proptest! {
         capacity in 20.0f64..400.0,
         ops in prop::collection::vec((0u32..80, prop::bool::ANY), 1..600),
     ) {
-        let mut real = GdsCache::new(capacity);
+        let mut real = FileCache::new(CachePolicy::GreedyDualSize, capacity);
         let mut naive = NaiveGds::new(capacity);
         for (file, is_touch) in ops {
             if is_touch {

@@ -112,8 +112,8 @@ fn committed_tree_is_deny_clean_with_no_growth_or_stale_allows() {
 const TEST_ONLY_KEEP: &[(&str, &str, &str)] = &[
     (
         "crates/cluster/src/cache.rs",
-        "iter_mru",
-        "lists the resident set, which the LRU proptests sum against `used_kb`",
+        "iter_resident",
+        "lists the resident set, which the cache proptests sum against `used_kb`",
     ),
     (
         "crates/core/src/l2s_policy.rs",

@@ -71,6 +71,14 @@ impl ModelParams {
                 return Err(format!("{name} must be positive and finite"));
             }
         }
+        // Below one file `harmonic(x)` is `x`, so the hit-rate axis
+        // would imply a population of less than one file.
+        if self.cache_kb < self.avg_file_kb {
+            return Err(format!(
+                "cache_kb ({:?} KB) must hold at least one file of avg_file_kb ({:?} KB)",
+                self.cache_kb, self.avg_file_kb
+            ));
+        }
         Ok(())
     }
 
@@ -149,5 +157,10 @@ mod tests {
         p.cache_kb = 1024.0;
         p.avg_file_kb = f64::NAN;
         assert!(p.validate().is_err());
+        // A cache smaller than one file.
+        p.avg_file_kb = 1025.0;
+        assert!(p.validate().is_err());
+        p.avg_file_kb = 1024.0;
+        p.validate().unwrap();
     }
 }

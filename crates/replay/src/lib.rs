@@ -53,7 +53,9 @@ const READ_AHEAD: usize = 4096;
 /// each `cfg.snapshot_every_s` boundary of virtual time the records
 /// pass, once per record at most. Returns the final report
 /// once the stream ends, or the stream's first I/O error after
-/// replaying every record read before it.
+/// replaying every record read before it. A record past the clock's
+/// range ends the replay with an [`io::ErrorKind::InvalidData`] error
+/// (see [`replay_trace_timed`]).
 ///
 /// Parsing runs on a scoped reader thread that sends each kept record
 /// through a bounded channel, so reading the log overlaps with the
@@ -62,8 +64,8 @@ const READ_AHEAD: usize = 4096;
 /// parsing and replaying one record at a time:
 ///
 /// * the reader stops one record past `cfg.max_requests`, the record
-///   on which the replay loop notices the cap, so `stream.stats()`
-///   counts the same lines;
+///   on which the replay loop notices the cap, or at the first record
+///   past the clock's range, so `stream.stats()` counts the same lines;
 /// * the replay loop rebuilds the size table from the records (each
 ///   carries its file's running maximum, and ids are dense in
 ///   first-seen order), so the policy's size hints equal
@@ -89,8 +91,10 @@ pub fn replay_stream<R: BufRead + Send>(
                 let Some(rec) = stream.next_record()? else {
                     break;
                 };
-                if tx.send(rec).is_err() {
-                    // The replay loop is gone: it panicked.
+                let last = past_the_clock(rec.at_s).is_some();
+                if tx.send(rec).is_err() || last {
+                    // Either the replay loop is gone (it panicked) or it
+                    // stops on this record.
                     break;
                 }
             }
@@ -98,7 +102,7 @@ pub fn replay_stream<R: BufRead + Send>(
         });
         let report = replay_records(cfg, rx, Vec::new(), clock, on_snapshot);
         match reader.join() {
-            Ok(read) => read.map(|()| report),
+            Ok(read) => report.and_then(|report| read.map(|()| report)),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     })
@@ -108,6 +112,12 @@ pub fn replay_stream<R: BufRead + Send>(
 /// timestamps, so arrivals are a deterministic Poisson process at
 /// `rate_rps`, seeded with `seed`). Otherwise identical to
 /// [`replay_stream`].
+///
+/// The replay clock counts u64 nanoseconds, about 584 years. Both
+/// replays stop at the first record that arrives later than that (a
+/// `rate_rps` of 1e-300, or a log spanning a millennium) and return an
+/// [`io::ErrorKind::InvalidData`] error naming its arrival, instead of
+/// replaying it at the clock's saturated end.
 pub fn replay_trace_timed(
     cfg: &ReplayConfig,
     trace: &Trace,
@@ -115,7 +125,7 @@ pub fn replay_trace_timed(
     seed: u64,
     clock: &mut dyn Clock,
     on_snapshot: impl FnMut(&SimReport),
-) -> SimReport {
+) -> io::Result<SimReport> {
     let files = trace.files();
     let mut rng = DetRng::new(seed);
     let mut at_s = 0.0f64;
@@ -132,7 +142,8 @@ pub fn replay_trace_timed(
 }
 
 /// The one timed replay loop. For each record, in order: stop once
-/// `cfg.max_requests` requests are in; hint the size table to the
+/// `cfg.max_requests` requests are in; fail if the record arrives past
+/// the clock's range; hint the size table to the
 /// policy when the file population has doubled; wait on `clock` until
 /// the record is due; if a snapshot boundary has passed, emit one
 /// snapshot, at the last boundary at or before the record; offer the
@@ -158,7 +169,7 @@ fn replay_records(
     mut sizes_kb: Vec<f64>,
     clock: &mut dyn Clock,
     mut on_snapshot: impl FnMut(&SimReport),
-) -> SimReport {
+) -> io::Result<SimReport> {
     let mut engine = ReplayEngine::new(cfg.clone());
     let snap_ns = if cfg.snapshot_every_s > 0.0 {
         SimTime::from_secs_f64(cfg.snapshot_every_s).as_nanos()
@@ -173,6 +184,9 @@ fn replay_records(
             .is_some_and(|cap| engine.injected() >= cast::len_u64(cap))
         {
             break;
+        }
+        if let Some(err) = past_the_clock(rec.at_s) {
+            return Err(err);
         }
         match sizes_kb.get_mut(rec.file.index()) {
             Some(size) => *size = rec.size_kb,
@@ -192,7 +206,23 @@ fn replay_records(
         }
         engine.offer(at, rec.file.raw(), rec.size_kb);
     }
-    engine.finish()
+    Ok(engine.finish())
+}
+
+/// The error for an arrival at `at_s` seconds, if the clock cannot
+/// represent it: `SimTime` counts u64 nanoseconds and saturates past
+/// them.
+fn past_the_clock(at_s: f64) -> Option<io::Error> {
+    let range_s = SimTime::MAX.as_secs_f64();
+    (at_s >= range_s).then(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "a request arrives at {at_s:.3e} s, past the replay clock's range of \
+                 {range_s:.3e} s (about 584 years)"
+            ),
+        )
+    })
 }
 
 /// Renders a report as one CSV table, using the same
@@ -320,7 +350,7 @@ mod tests {
         let cfg = ReplayConfig::new(PolicyKind::Jsq, 4);
         let run = || {
             let mut clock = VirtualClock::new();
-            replay_trace_timed(&cfg, &trace, 400.0, 42, &mut clock, |_| {})
+            replay_trace_timed(&cfg, &trace, 400.0, 42, &mut clock, |_| {}).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b);

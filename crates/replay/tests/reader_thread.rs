@@ -2,7 +2,8 @@
 //! to the loop it replaced, which parsed and replayed one record at a
 //! time on the caller's thread: the same final report, the same
 //! snapshots, the same `ClfStreamStats`, at every request cap, and the
-//! same error or panic when the reader fails.
+//! same error or panic when the reader fails or a record arrives past
+//! the clock's range.
 
 use l2s::PolicyKind;
 use l2s_replay::{replay_stream, ReplayConfig, ReplayEngine};
@@ -37,6 +38,19 @@ fn sequential_replay<R: BufRead>(
             .is_some_and(|cap| engine.injected() >= cast::len_u64(cap))
         {
             break;
+        }
+        // The clock counts u64 nanoseconds; a later arrival ends the
+        // replay.
+        let range_s = SimTime::MAX.as_secs_f64();
+        if rec.at_s >= range_s {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "a request arrives at {:.3e} s, past the replay clock's range of \
+                     {range_s:.3e} s (about 584 years)",
+                    rec.at_s
+                ),
+            ));
         }
         if hinted == 0 || stream.distinct_files() >= hinted * 2 {
             engine.hint_sizes(stream.sizes_kb());
@@ -217,6 +231,37 @@ fn reader_error_returns_err_after_the_same_snapshots() {
                     "{lines} lines"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn an_arrival_past_the_clock_ends_the_replay_at_that_record() {
+    // One request dated 1000, then 5000 in 2000: a millennium is past
+    // the clock's 584 years. The reader must stop at the second record,
+    // not read ahead through the channel.
+    let mut log = "h - - [01/Jan/1000:00:00:00 +0000] \"GET /f0 HTTP/1.0\" 200 1024\n".to_string();
+    for t in 0..5_000 {
+        log.push_str(&format!(
+            "h - - {} \"GET /f{} HTTP/1.0\" 200 2048\n",
+            date(t),
+            t % 64
+        ));
+    }
+    for cap in [None, Some(1), Some(2)] {
+        let mut cfg = ReplayConfig::new(PolicyKind::L2s, 4);
+        cfg.max_requests = cap;
+        let (want, got) = both(&cfg, || log.as_bytes());
+        assert_eq!(got, want, "cap {cap:?}");
+        assert_eq!(got.stats.kept, 2, "cap {cap:?}");
+        if cap == Some(1) {
+            assert_eq!(got.result.unwrap().completed, 1);
+        } else {
+            let err = got.result.unwrap_err();
+            assert!(
+                err.starts_with("InvalidData: a request arrives at "),
+                "{err}"
+            );
         }
     }
 }

@@ -78,7 +78,8 @@ fn cmd_model(p: &args::Parsed) -> Result<(), String> {
         other => return Err(format!("unknown kind {other:?} (expected lc|lo)")),
     };
     p.finish()?;
-    let model = QueueModel::new(params).map_err(|e| e.to_string())?;
+    let model = QueueModel::new(params)
+        .map_err(|e| format!("invalid model (--nodes, --replication, --cache-mb, --size): {e}"))?;
     let derived = model.derived_from_hlo(kind, hit);
     let bound = model.max_throughput_derived(&derived);
     outln!("server kind      : {kind:?}");

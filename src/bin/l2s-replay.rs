@@ -192,7 +192,7 @@ fn run_stream<R: BufRead + Send>(opts: &Opts, log: &str, reader: R) -> Result<Si
         clock(opts).as_mut(),
         print_snapshot,
     )
-    .map_err(|e| format!("reading log: {e}"))?;
+    .map_err(|e| format!("--log {log}: {e}"))?;
     let stats = stream.stats();
     if stats.kept == 0 {
         return Err(format!("--log {log} keeps no request: {stats}"));
@@ -226,6 +226,7 @@ fn run(opts: &Opts) -> Result<(), String> {
                 clock(opts).as_mut(),
                 print_snapshot,
             )
+            .map_err(|e| format!("--trace {name} at --rate {:?}: {e}", opts.rate_rps))?
         }
         _ => unreachable!("parse_opts enforces exactly one source"),
     };

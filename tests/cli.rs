@@ -169,6 +169,11 @@ fn clusterlab_rejects_bad_flags_with_exit_2() {
         ("--hit", &["model", "--hit", "2"]),
         ("--hit", &["model", "--hit", "-1"]),
         ("--hit", &["model", "--hit", "nan"]),
+        // A cache below one file printed H = 1.000; the message names
+        // both --cache-mb and --size.
+        ("--size", &["model", "--cache-mb", "1e-300"]),
+        ("--cache-mb", &["model", "--cache-mb", "0.01"]),
+        ("--cache-mb", &["model", "--size", "1e306"]),
     ] {
         assert_rejects(&clusterlab(args), flag, args);
     }
@@ -207,6 +212,55 @@ fn a_log_that_keeps_no_request_exits_2() {
             );
             assert!(!csv.exists(), "{args:?} wrote a CSV report");
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_arrival_past_the_clock_exits_2() {
+    // The replay clock counts u64 nanoseconds, about 584 years. These
+    // runs printed `elapsed (virtual) : 18446744073.7 s` and
+    // `throughput : 0 requests/s`, and exited 0.
+    let dir = std::env::temp_dir().join(format!("l2s-replay-millennium-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("millennium.log");
+    std::fs::write(
+        &log,
+        "h - - [01/Jan/1000:00:00:00 +0000] \"GET /a HTTP/1.0\" 200 1024\n\
+         h - - [01/Jan/2000:00:00:00 +0000] \"GET /b HTTP/1.0\" 200 1024\n",
+    )
+    .unwrap();
+    let csv = dir.join("report.csv");
+    let (log, csv_arg) = (log.to_str().unwrap(), csv.to_str().unwrap());
+    let trace = [
+        "--trace",
+        "calgary",
+        "--requests",
+        "300",
+        "--files",
+        "50",
+        "--rate",
+        "1e-300",
+        "--as-fast-as-possible",
+        "--csv",
+        csv_arg,
+    ];
+    let paced = ["--log", log, "--csv", csv_arg];
+    let fast = ["--log", log, "--csv", csv_arg, "--as-fast-as-possible"];
+    for (flag, args) in [("--rate", &trace[..]), ("--log", &paced), ("--log", &fast)] {
+        let out = l2s_replay(args);
+        assert_rejects(&out, flag, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("past the replay clock's range of 1.845e10 s"),
+            "{args:?}: {err}"
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !text.contains("throughput"),
+            "{args:?} printed a report: {text}"
+        );
+        assert!(!csv.exists(), "{args:?} wrote a CSV report");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! Property-based invariants across the workspace (proptest).
 
-use cluster_server_eval::cluster::LruCache;
+use cluster_server_eval::cluster::{CachePolicy, FileCache};
 use cluster_server_eval::devs::EventQueue;
 use cluster_server_eval::model::{ModelParams, QueueModel, ServerKind};
 use cluster_server_eval::policy::{PolicyKind, PolicyParams};
@@ -29,11 +29,11 @@ proptest! {
         }
     }
 
-    /// The LRU cache never exceeds capacity and its index never
-    /// disagrees with its recency list, for arbitrary op sequences.
+    /// The LRU cache never exceeds capacity and its directory never
+    /// disagrees with its pool, for arbitrary op sequences.
     #[test]
     fn lru_respects_capacity(ops in prop::collection::vec((0u32..100, 1.0f64..50.0, any::<bool>()), 1..400)) {
-        let mut cache = LruCache::new(200.0);
+        let mut cache = FileCache::new(CachePolicy::Lru, 200.0);
         for (file, kb, is_touch) in ops {
             if is_touch {
                 cache.touch(file);
@@ -41,7 +41,7 @@ proptest! {
                 cache.insert(file, kb);
             }
             prop_assert!(cache.used_kb() <= 200.0 + 1e-9);
-            prop_assert_eq!(cache.iter_mru().count(), cache.len());
+            prop_assert_eq!(cache.iter_resident().count(), cache.len());
         }
     }
 
