@@ -98,8 +98,8 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
         "model_bound_rps",
     ]);
     let cache_kb = paper_config(ctx, 1).cache_kb;
-    for s in 0..specs.len() {
-        let stats = TraceStats::compute(&paper_trace(&specs[s]));
+    for (s, spec) in specs.iter().enumerate() {
+        let stats = TraceStats::compute(&paper_trace(spec));
         let mut prev_bound = 0.0;
         for (m, (mix_name, mix)) in mixes.iter().enumerate() {
             let bound = model_bound(&stats, mix, cache_kb)?;
@@ -107,13 +107,13 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
                 return Err(format!(
                     "{}/{mix_name}: hetero bound {bound:.1} fell below the \
                      milder mix's {prev_bound:.1} — the mixes only add CPU capacity",
-                    specs[s].name
+                    spec.name
                 ));
             }
             prev_bound = bound;
             println!(
                 "\n{} trace, {NODES} nodes, {mix_name} hardware (bound {bound:.0} r/s):",
-                specs[s].name
+                spec.name
             );
             println!(
                 "{:>14} {:>10} {:>8} {:>9} {:>10}",
@@ -133,7 +133,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
                     r.completion_imbalance()
                 );
                 table.row([
-                    specs[s].name.to_string(),
+                    spec.name.to_string(),
                     mix_name.to_string(),
                     kind.name().to_string(),
                     format!("{:.1}", r.throughput_rps),
@@ -145,7 +145,7 @@ pub fn run(ctx: &RunCtx) -> Result<(), String> {
             }
             // The closed-form validation row for this (trace, mix).
             table.row([
-                specs[s].name.to_string(),
+                spec.name.to_string(),
                 mix_name.to_string(),
                 "model_bound".to_string(),
                 format!("{:.1}", bound),

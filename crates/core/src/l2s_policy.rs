@@ -200,7 +200,6 @@ impl Distributor for L2s {
     fn assign(&mut self, now: SimTime, initial: NodeId, file: FileId) -> NodeId {
         self.ensure_file(file);
         let cfg = self.config;
-        let nodes = self.nodes;
         // Disjoint borrows of the policy's tables so the hot path never
         // clones the view row, the candidate list, or the server set.
         let L2s {
@@ -218,8 +217,8 @@ impl Distributor for L2s {
         // A server-set change is announced to every *live* peer (all
         // `N - 1` of them while the cluster is healthy).
         let broadcast_set_change = |outbox: &mut Vec<(NodeId, NodeId)>| {
-            for o in 0..nodes {
-                if o != initial && alive[o] {
+            for (o, &up) in alive.iter().enumerate() {
+                if o != initial && up {
                     outbox.push((initial, o));
                 }
             }
@@ -250,14 +249,14 @@ impl Distributor for L2s {
             if members.contains(&initial) && own_load <= cfg.t_high {
                 initial
             } else {
-                let n = argmin_rotating(members, &view, tie_cursor);
+                let n = argmin_rotating(members, view, tie_cursor);
                 if view(n) <= cfg.t_high {
                     n
                 } else if own_load > cfg.t_high {
                     // Both the initial node and the least-loaded member
                     // are overloaded: replicate onto the least-loaded
                     // node overall.
-                    let m = argmin_rotating(all_nodes, &view, tie_cursor);
+                    let m = argmin_rotating(all_nodes, view, tie_cursor);
                     let set = &mut sets[file.index()];
                     if !set.members.contains(&m) {
                         set.members.push(m);
@@ -277,7 +276,7 @@ impl Distributor for L2s {
             let chosen = if own_load <= cfg.t_high {
                 initial
             } else {
-                argmin_rotating(all_nodes, &view, tie_cursor)
+                argmin_rotating(all_nodes, view, tie_cursor)
             };
             let set = &mut sets[file.index()];
             set.members.push(chosen);

@@ -297,25 +297,6 @@ pub trait Distributor {
     }
 }
 
-/// Shared helper: index of the minimum value, lowest index winning ties.
-/// Returns 0 for an empty iterator (policies always have at least one
-/// node, enforced by their constructors).
-///
-/// Production call sites moved to [`LoadIndex`]; this stays as the
-/// reference model the index's equivalence tests compare against.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn argmin<T: PartialOrd + Copy>(values: impl Iterator<Item = (usize, T)>) -> usize {
-    let mut best: Option<(usize, T)> = None;
-    for (i, v) in values {
-        match best {
-            None => best = Some((i, v)),
-            Some((_, bv)) if v < bv => best = Some((i, v)),
-            _ => {}
-        }
-    }
-    best.map(|(i, _)| i).unwrap_or(0)
-}
-
 /// Least-loaded choice with *rotating* tie-breaking.
 ///
 /// Load views are quantized (they only move on threshold-triggered
@@ -364,12 +345,6 @@ mod tests {
             assert!(!kind.name().is_empty());
             assert!(!policy.serving_nodes().is_empty());
         }
-    }
-
-    #[test]
-    fn argmin_prefers_lowest_index_on_ties() {
-        let v = [3.0, 1.0, 1.0, 2.0];
-        assert_eq!(argmin(v.iter().copied().enumerate()), 1);
     }
 
     #[test]

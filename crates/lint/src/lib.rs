@@ -43,15 +43,10 @@
 //!
 //! ```text
 //! <rule> <path> <justification>            # suppress rule in file
-//! <rule> <path> warn <justification>       # demote deny findings to warn
-//! <rule> <path> deny <justification>       # promote warn findings to deny
 //! ```
 //!
 //! The justification is mandatory; unused entries are reported so the
-//! file cannot rot. The optional severity column turns an entry into a
-//! reclassification instead of a suppression: `warn` moves a deny rule's
-//! findings into the ratchet for a legacy file, `deny` locks a cleaned
-//! file so warn-level debt can never return to it.
+//! file cannot rot.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -128,26 +123,14 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// What an allowlist entry does to matching findings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllowAction {
-    /// Drop the finding entirely.
-    Suppress,
-    /// Reclassify deny findings as warn (into the baseline ratchet).
-    Demote,
-    /// Reclassify warn findings as deny (lock a cleaned file).
-    Promote,
-}
-
-/// One vetted exception from `lint-allow.txt`.
+/// One vetted exception from `lint-allow.txt`: the rule's findings in
+/// the file are suppressed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowEntry {
     /// The rule being excepted.
     pub rule: String,
     /// Repository-relative file the exception applies to.
     pub path: String,
-    /// What the entry does (suppress, demote, promote).
-    pub action: AllowAction,
     /// Why the exception is sound (mandatory).
     pub justification: String,
     used: bool,
@@ -167,7 +150,7 @@ impl Allowlist {
     }
 
     /// Parses the `lint-allow.txt` format: one entry per line as
-    /// `<rule> <path> [deny|warn] <justification>`; `#` comments and
+    /// `<rule> <path> <justification>`; `#` comments and
     /// blank lines are ignored. A missing justification is an error —
     /// exceptions must be argued, not just declared.
     pub fn parse(text: &str) -> Result<Self, String> {
@@ -181,19 +164,11 @@ impl Allowlist {
             let (Some(rule), Some(path), Some(rest)) = (parts.next(), parts.next(), parts.next())
             else {
                 return Err(format!(
-                    "lint-allow.txt:{}: expected `<rule> <path> [deny|warn] <justification>`, got `{line}`",
+                    "lint-allow.txt:{}: expected `<rule> <path> <justification>`, got `{line}`",
                     idx + 1
                 ));
             };
-            let rest = rest.trim();
-            let (action, justification) = match rest.split_once(char::is_whitespace) {
-                Some(("deny", j)) => (AllowAction::Promote, j.trim()),
-                Some(("warn", j)) => (AllowAction::Demote, j.trim()),
-                // A bare severity column with nothing after it falls
-                // through to the missing-justification error below.
-                _ if rest == "deny" || rest == "warn" => (AllowAction::Suppress, ""),
-                _ => (AllowAction::Suppress, rest),
-            };
+            let justification = rest.trim();
             if justification.is_empty() {
                 return Err(format!(
                     "lint-allow.txt:{}: entry for {rule} {path} has no justification",
@@ -203,7 +178,6 @@ impl Allowlist {
             entries.push(AllowEntry {
                 rule: rule.to_string(),
                 path: path.to_string(),
-                action,
                 justification: justification.to_string(),
                 used: false,
             });
@@ -211,38 +185,19 @@ impl Allowlist {
         Ok(Allowlist { entries })
     }
 
-    /// Applies the allowlist to raw findings: suppression drops them,
-    /// demotion/promotion retags their severity. Matching entries are
-    /// marked used.
-    fn apply(&mut self, diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
-        let mut out = Vec::with_capacity(diags.len());
-        'diag: for mut d in diags {
-            // Suppression wins over reclassification.
-            for e in &mut self.entries {
-                if e.action == AllowAction::Suppress && e.rule == d.rule && e.path == d.path {
-                    e.used = true;
-                    continue 'diag;
-                }
-            }
-            for e in &mut self.entries {
-                if e.rule != d.rule || e.path != d.path {
-                    continue;
-                }
-                match e.action {
-                    AllowAction::Demote if d.severity == Severity::Deny => {
-                        d.severity = Severity::Warn;
-                        e.used = true;
-                    }
-                    AllowAction::Promote if d.severity == Severity::Warn => {
-                        d.severity = Severity::Deny;
-                        e.used = true;
-                    }
-                    _ => {}
-                }
-            }
-            out.push(d);
-        }
-        out
+    /// Applies the allowlist to raw findings: a finding of an entry's
+    /// rule in its file is dropped, and the first such entry is marked
+    /// used.
+    fn apply(&mut self, mut diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
+        diags.retain(|d| {
+            let mut entries = self.entries.iter_mut();
+            let Some(e) = entries.find(|e| e.rule == d.rule && e.path == d.path) else {
+                return true;
+            };
+            e.used = true;
+            false
+        });
+        diags
     }
 
     /// Entries that affected nothing in the last run — stale exceptions
@@ -883,37 +838,8 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_severity_column_demotes_and_promotes() {
-        let lib = format!(
-            "{HEADER}pub fn f(v: Option<u32>) -> u32 {{ v.unwrap() }}\n\
-             pub fn g(x: u64) -> f64 {{ x as f64 }}\n"
-        );
-        let ws = Workspace::new(&[("net/src/lib.rs", lib.as_str())]);
-        let mut allow = Allowlist::parse(
-            "panic crates/net/src/lib.rs warn legacy file, ratchet the debt\n\
-             lossy-cast crates/net/src/lib.rs deny cleaned file, lock it\n",
-        )
-        .unwrap();
-        let report = ws.lint_with(&mut allow);
-        let panic = report
-            .diagnostics
-            .iter()
-            .find(|d| d.rule == "panic")
-            .unwrap();
-        let cast = report
-            .diagnostics
-            .iter()
-            .find(|d| d.rule == "lossy-cast")
-            .unwrap();
-        assert_eq!(panic.severity, Severity::Warn, "deny entry demoted to warn");
-        assert_eq!(cast.severity, Severity::Deny, "warn entry promoted to deny");
-        assert!(allow.unused().is_empty());
-    }
-
-    #[test]
     fn allowlist_rejects_entries_without_justification() {
         assert!(Allowlist::parse("panic crates/net/src/lib.rs\n").is_err());
-        assert!(Allowlist::parse("panic crates/net/src/lib.rs warn\n").is_err());
         assert!(Allowlist::parse("# just a comment\n\n")
             .unwrap()
             .unused()

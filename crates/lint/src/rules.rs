@@ -398,13 +398,11 @@ pub fn test_regions(sig: &[Token], src: &str) -> Vec<bool> {
                     end = k;
                     break;
                 }
-                "{" => {
-                    if depth == 0 {
-                        if let Some(c) = matching(sig, src, k, "{", "}") {
-                            end = c;
-                        }
-                        break;
+                "{" if depth == 0 => {
+                    if let Some(c) = matching(sig, src, k, "{", "}") {
+                        end = c;
                     }
+                    break;
                 }
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth = depth.saturating_sub(1),

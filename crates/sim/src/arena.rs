@@ -1,40 +1,30 @@
-//! Cache-line arena for in-flight request state.
+//! The request arena: one cache-line record per in-flight request.
 //!
-//! The old engine kept one 80-byte `Req` struct per request in an
-//! unaligned slab, so most records straddled two cache lines. The state
-//! is now split into three views keyed by the same `ReqId` — [`Route`]
-//! (16 bytes: file, initial/service node, epoch — read by
-//! `event_target` and the liveness gate on *every* event), [`Timing`]
-//! (lifecycle stamps, touched at decision and completion), and [`Flow`]
-//! (reply chunking and connection bookkeeping) — packed together into
-//! one 64-byte-aligned record per request.
+//! Every lifecycle event reads its request's [`Req`] (the liveness
+//! gate alone needs its nodes and epoch), and with a few thousand
+//! requests in flight the arena does not stay in L2: a request's events
+//! are thousands of events apart, so each access is a last-level-cache
+//! round trip. A record is therefore packed into one 64-byte line
+//! (nodes are stored narrow, as `u32`), and its alignment keeps it from
+//! ever straddling two.
 //!
-//! Why one aligned record rather than three parallel lanes: with a few
-//! thousand requests in flight the arena no longer stays resident in
-//! L2 (at 1024 nodes the per-node cache directories and slot pools
-//! still total megabytes, and a request's events are separated by
-//! thousands of other events), so *every* arena access is a
-//! last-level-cache round trip. Lanes would
-//! turn an event that reads route and writes a stamp into two such
-//! trips; the packed record makes any combination of views exactly
-//! one. The alignment guarantees the record never straddles lines.
-//!
-//! Slots are recycled through a free list exactly like the old slab, so
-//! the arena's footprint is the admission window, not the request
-//! count.
+//! Slots are recycled through a free list, so the arena's footprint is
+//! the admission window, not the request count, and the number of
+//! requests in flight is the slots minus the free list.
 
 use l2s::NodeId;
 use l2s_trace::FileId;
-use l2s_util::{cast, SimDuration, SimTime};
+use l2s_util::{cast, invariant, SimDuration, SimTime};
+use std::ops::{Index, IndexMut};
 
 /// Index into the request arena.
 pub(crate) type ReqId = u32;
 
-/// Routing lane: where a request is and which node's fate it shares.
-/// Nodes are stored narrow (`u32`) to keep the lane at 16 bytes; the
-/// accessors widen back to [`NodeId`].
+/// One in-flight request: where it is, its lifecycle stamps, and its
+/// reply, connection and retry bookkeeping.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Route {
+#[repr(align(64))]
+pub(crate) struct Req {
     /// The requested file.
     pub file: FileId,
     initial: u32,
@@ -44,67 +34,13 @@ pub(crate) struct Route {
     /// event (scheduled before the crash) no longer matches and the
     /// request is aborted when it fires.
     pub epoch: u32,
-}
-
-impl Route {
-    /// A fresh route: both nodes start at the arrival node.
-    pub fn new(file: FileId, node: NodeId, epoch: u32) -> Self {
-        let n = cast::index_u32(node);
-        Route {
-            file,
-            initial: n,
-            service: n,
-            epoch,
-        }
-    }
-
-    /// The node the request arrived at.
-    #[inline]
-    pub fn initial(&self) -> NodeId {
-        cast::wide_usize(self.initial)
-    }
-
-    /// The node serving the request (equals `initial` until a hand-off).
-    #[inline]
-    pub fn service(&self) -> NodeId {
-        cast::wide_usize(self.service)
-    }
-
-    #[inline]
-    pub fn set_initial(&mut self, node: NodeId) {
-        self.initial = cast::index_u32(node);
-    }
-
-    #[inline]
-    pub fn set_service(&mut self, node: NodeId) {
-        self.service = cast::index_u32(node);
-    }
-}
-
-/// Timing lane: the three lifecycle stamps the report's segment means
-/// are computed from.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Timing {
+    /// When the client issued the request; a retry keeps it, so the
+    /// response time spans the whole client experience.
     pub injected: SimTime,
+    /// When the policy decided where it is served.
     pub decided: SimTime,
+    /// When the service node started serving it.
     pub served: SimTime,
-}
-
-impl Timing {
-    /// All three stamps at `now` (a request that has not progressed).
-    pub fn at(now: SimTime) -> Self {
-        Timing {
-            injected: now,
-            decided: now,
-            served: now,
-        }
-    }
-}
-
-/// Flow lane: reply chunking, persistent-connection, and fault-retry
-/// bookkeeping.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Flow {
     /// Reply CPU work not yet charged (chunked into scheduling quanta).
     pub reply_remaining: SimDuration,
     /// Further requests this client connection will issue after the
@@ -122,10 +58,27 @@ pub(crate) struct Flow {
     pub assigned: bool,
 }
 
-impl Flow {
-    /// Flow state for a fresh injection.
-    pub fn fresh(conn_remaining: u32, continuation: bool, retries_left: u32) -> Self {
-        Flow {
+impl Req {
+    /// A request for `file` entering at `node` at `now`: both nodes are
+    /// the arrival node and every stamp is `now`.
+    pub fn new(
+        file: FileId,
+        node: NodeId,
+        epoch: u32,
+        now: SimTime,
+        conn_remaining: u32,
+        continuation: bool,
+        retries_left: u32,
+    ) -> Self {
+        let n = cast::index_u32(node);
+        Req {
+            file,
+            initial: n,
+            service: n,
+            epoch,
+            injected: now,
+            decided: now,
+            served: now,
             reply_remaining: SimDuration::ZERO,
             conn_remaining,
             retries_left,
@@ -134,22 +87,29 @@ impl Flow {
             assigned: false,
         }
     }
+
+    /// The node the request arrived at.
+    #[inline]
+    pub fn initial(&self) -> NodeId {
+        cast::wide_usize(self.initial)
+    }
+
+    /// The node serving the request (equals `initial` until a hand-off).
+    #[inline]
+    pub fn service(&self) -> NodeId {
+        cast::wide_usize(self.service)
+    }
+
+    #[inline]
+    pub fn set_service(&mut self, node: NodeId) {
+        self.service = cast::index_u32(node);
+    }
 }
 
-/// One request's full record, padded and aligned so it occupies exactly
-/// one cache line (16 + 24 + 16 = 56 payload bytes, aligned up to 64).
-#[derive(Clone, Copy, Debug)]
-#[repr(align(64))]
-struct Rec {
-    route: Route,
-    timing: Timing,
-    flow: Flow,
-}
-
-/// The request arena: one cache-line record per in-flight request plus
-/// a free list of recyclable slots.
+/// The request arena: one [`Req`] per slot plus a free list of
+/// recyclable slots.
 pub(crate) struct ReqArena {
-    records: Vec<Rec>,
+    records: Vec<Req>,
     free: Vec<ReqId>,
 }
 
@@ -165,19 +125,14 @@ impl ReqArena {
 
     /// Claims a slot (recycling a released one when available) and
     /// installs the request's record.
-    pub fn alloc(&mut self, route: Route, timing: Timing, flow: Flow) -> ReqId {
-        let rec = Rec {
-            route,
-            timing,
-            flow,
-        };
+    pub fn alloc(&mut self, req: Req) -> ReqId {
         match self.free.pop() {
             Some(id) => {
-                self.records[cast::wide_usize(id)] = rec;
+                self[id] = req;
                 id
             }
             None => {
-                self.records.push(rec);
+                self.records.push(req);
                 cast::index_u32(self.records.len() - 1)
             }
         }
@@ -185,37 +140,33 @@ impl ReqArena {
 
     /// Returns a slot to the free list.
     pub fn release(&mut self, id: ReqId) {
+        invariant!(
+            self.in_flight() > 0,
+            "request accounting underflow: release with none in flight"
+        );
         self.free.push(id);
     }
 
+    /// Requests allocated and not yet released.
     #[inline]
-    pub fn route(&self, id: ReqId) -> &Route {
-        &self.records[cast::wide_usize(id)].route
+    pub fn in_flight(&self) -> usize {
+        self.records.len() - self.free.len()
     }
+}
+
+impl Index<ReqId> for ReqArena {
+    type Output = Req;
 
     #[inline]
-    pub fn route_mut(&mut self, id: ReqId) -> &mut Route {
-        &mut self.records[cast::wide_usize(id)].route
+    fn index(&self, id: ReqId) -> &Req {
+        &self.records[cast::wide_usize(id)]
     }
+}
 
+impl IndexMut<ReqId> for ReqArena {
     #[inline]
-    pub fn timing(&self, id: ReqId) -> &Timing {
-        &self.records[cast::wide_usize(id)].timing
-    }
-
-    #[inline]
-    pub fn timing_mut(&mut self, id: ReqId) -> &mut Timing {
-        &mut self.records[cast::wide_usize(id)].timing
-    }
-
-    #[inline]
-    pub fn flow(&self, id: ReqId) -> &Flow {
-        &self.records[cast::wide_usize(id)].flow
-    }
-
-    #[inline]
-    pub fn flow_mut(&mut self, id: ReqId) -> &mut Flow {
-        &mut self.records[cast::wide_usize(id)].flow
+    fn index_mut(&mut self, id: ReqId) -> &mut Req {
+        &mut self.records[cast::wide_usize(id)]
     }
 }
 
@@ -223,36 +174,43 @@ impl ReqArena {
 mod tests {
     use super::*;
 
+    fn req(file: u32) -> Req {
+        Req::new(FileId::from(file), 1, 0, SimTime::ZERO, 0, false, 1)
+    }
+
     #[test]
     fn record_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Route>(), 16);
-        assert_eq!(std::mem::size_of::<Rec>(), 64);
-        assert_eq!(std::mem::align_of::<Rec>(), 64);
+        assert_eq!(std::mem::size_of::<Req>(), 64);
+        assert_eq!(std::mem::align_of::<Req>(), 64);
     }
 
     #[test]
     fn alloc_recycles_released_slots() {
         let mut arena = ReqArena::with_capacity(4);
-        let mk = |f: u32| {
-            (
-                Route::new(FileId::from(f), 1, 0),
-                Timing::at(SimTime::ZERO),
-                Flow::fresh(0, false, 1),
-            )
-        };
-        let (r, t, f) = mk(5);
-        let a = arena.alloc(r, t, f);
-        let (r, t, f) = mk(6);
-        let b = arena.alloc(r, t, f);
+        assert_eq!(arena.in_flight(), 0);
+        let a = arena.alloc(req(5));
+        let b = arena.alloc(req(6));
         assert_ne!(a, b);
+        assert_eq!(arena.in_flight(), 2);
         arena.release(a);
-        let (r, t, f) = mk(7);
-        let c = arena.alloc(r, t, f);
+        assert_eq!(arena.in_flight(), 1);
+        let c = arena.alloc(req(7));
         assert_eq!(c, a, "released slot is recycled");
-        assert_eq!(arena.route(c).file, FileId::from(7));
-        assert_eq!(arena.route(b).file, FileId::from(6));
-        arena.route_mut(b).set_service(3);
-        assert_eq!(arena.route(b).service(), 3);
-        assert_eq!(arena.route(b).initial(), 1);
+        assert_eq!(arena.in_flight(), 2);
+        assert_eq!(arena[c].file, FileId::from(7));
+        assert_eq!(arena[b].file, FileId::from(6));
+        arena[b].set_service(3);
+        assert_eq!(arena[b].service(), 3);
+        assert_eq!(arena[b].initial(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "release with none in flight")]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+    fn release_with_nothing_in_flight_trips_the_invariant() {
+        let mut arena = ReqArena::with_capacity(1);
+        let a = arena.alloc(req(1));
+        arena.release(a);
+        arena.release(a);
     }
 }

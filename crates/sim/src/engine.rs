@@ -1,6 +1,6 @@
 //! The event-driven simulation engine.
 
-use crate::arena::{Flow, ReqArena, ReqId, Route, Timing};
+use crate::arena::{Req, ReqArena, ReqId};
 use crate::workload::{ModulatedWorkload, TraceWorkload, Workload};
 use crate::{ratio, ArrivalMode, FaultKind, SimConfig, SimReport};
 use l2s::{Distributor, NodeId, PolicyKind};
@@ -44,11 +44,13 @@ enum Ev {
     HandoffOut(ReqId),
     /// Hand-off message reached the service node's inbound NI.
     HandoffIn(ReqId),
-    /// Ready on the service node: cache lookup, then memory or disk.
+    /// Ready on the service node: the cache lookup fixes the reply's CPU
+    /// work; a miss first reads the file from disk, locally or at its
+    /// DFS home.
     Serve(ReqId),
-    /// Disk read finished; the reply runs on the CPU.
-    ReplyReady(ReqId),
-    /// One CPU quantum of reply processing finished; more remains.
+    /// The file is in memory (a hit, a finished disk read, or the DFS
+    /// file's arrival) or a CPU quantum of the reply finished: charge
+    /// the next quantum.
     ReplyChunk(ReqId),
     /// Reply entered the service node's outbound NI.
     NicOut(ReqId),
@@ -216,8 +218,8 @@ struct Engine<'t> {
     fabric: Fabric,
     queue: EventQueue<Ev>,
     arena: ReqArena,
+    /// Requests drawn from the workload this pass.
     next_request: usize,
-    outstanding: usize,
     /// Cached lower bound on the next router admission: while the clock
     /// is below this, `try_inject` skips the per-event admission query
     /// entirely. Valid because the bound only ever moves later — see
@@ -256,8 +258,8 @@ struct Engine<'t> {
 /// Home node of `file` under the hash-placed distributed file system
 /// (Fibonacci hashing, matching the pure-locality baseline's spread).
 fn dfs_home(file: FileId, nodes: usize) -> NodeId {
-    let h = (file.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (h % nodes as u64) as NodeId
+    let h = u64::from(file.raw()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    cast::index_usize(h % cast::len_u64(nodes))
 }
 
 /// Runs one simulation of `trace` under `policy_kind` and returns the
@@ -322,14 +324,11 @@ fn run(
 
     let mut policy = policy_kind.build(config.nodes, &config.policy_params());
     // Files are interned densely, so policies can size their per-file
-    // tables once instead of growing them request by request.
+    // tables once instead of growing them request by request, and
+    // size-aware splitters (SITA) cover the run's actual byte
+    // distribution.
     policy.hint_files(workload.files().len());
-    if policy_kind == PolicyKind::Sita {
-        // SITA splits by size: hand it the file population up front so
-        // its bands cover the run's actual byte distribution.
-        let sizes: Vec<f64> = workload.files().iter().map(|(_, kb)| kb).collect();
-        policy.hint_file_sizes(&sizes);
-    }
+    policy.hint_file_sizes(workload.files().sizes_kb());
     let profiles = config.hetero.profiles(config.nodes, config.cache_kb);
     let window = config.total_window();
     let cc = CostCache::new(config, workload.files());
@@ -350,7 +349,6 @@ fn run(
         queue: EventQueue::with_capacity(window + 1),
         arena: ReqArena::with_capacity(window),
         next_request: 0,
-        outstanding: 0,
         router_gate: SimTime::ZERO,
         measure: Measure {
             response_s: Vec::with_capacity(sample_cap),
@@ -404,9 +402,9 @@ impl<'t> Engine<'t> {
             }
         }
         invariant!(
-            self.outstanding == 0,
+            self.arena.in_flight() == 0,
             "drain invariant violated: {n} request(s) left in flight",
-            n = self.outstanding
+            n = self.arena.in_flight()
         );
     }
 
@@ -443,45 +441,21 @@ impl<'t> Engine<'t> {
         let p = 1.0 / mean;
         let u = self.rng.f64_open();
         let k = 1.0 + (u.ln() / (1.0 - p).ln()).floor();
-        k.clamp(1.0, 10_000.0) as u32
+        cast::index_u32(cast::floor_index(k.clamp(1.0, 10_000.0)))
     }
 
-    /// Draws the next request's file from the workload. `None` means the
-    /// source ran dry — possibly before its advertised `len` — in which
-    /// case the pass's request budget is clamped to what was actually
-    /// drawn, so every injection loop winds down instead of fabricating
-    /// requests for a default file.
+    /// Draws the next request's file from the workload and counts it
+    /// against the pass's budget. `None` means the source ran dry —
+    /// possibly before its advertised `len` — in which case the budget
+    /// is clamped to what was actually drawn, so every injection loop
+    /// winds down instead of fabricating requests for a default file.
     fn next_workload_file(&mut self) -> Option<FileId> {
         let file = self.workload.next_file();
-        if file.is_none() {
-            self.limit = self.next_request;
+        match file {
+            Some(_) => self.next_request += 1,
+            None => self.limit = self.next_request,
         }
         file
-    }
-
-    /// Injects one request for `file` at `initial`, entering through the
-    /// router. Returns the request id.
-    fn launch_request(
-        &mut self,
-        now: SimTime,
-        initial: NodeId,
-        conn_remaining: u32,
-        continuation: bool,
-        file: FileId,
-    ) -> ReqId {
-        self.next_request += 1;
-        let id = self.arena.alloc(
-            Route::new(file, initial, self.node_epoch[initial]),
-            Timing::at(now),
-            Flow::fresh(conn_remaining, continuation, FAULT_RETRIES),
-        );
-        let cleared = self
-            .fabric
-            .router_transit_service(now, self.cc.router_request);
-        let at_node = self.fabric.switch_transit(cleared);
-        self.queue.schedule(at_node, Ev::NicIn(id));
-        self.outstanding += 1;
-        id
     }
 
     /// Zeroes all statistics after the warm-up pass; cache contents,
@@ -528,7 +502,8 @@ impl<'t> Engine<'t> {
         if now < self.router_gate {
             return;
         }
-        while self.next_request < self.limit && self.outstanding < self.config.total_window() {
+        let window = self.config.total_window();
+        while self.next_request < self.limit && self.arena.in_flight() < window {
             if let Some(gate) = self.fabric.next_admission(now) {
                 self.router_gate = gate;
                 return;
@@ -536,24 +511,70 @@ impl<'t> Engine<'t> {
             let Some(file) = self.next_workload_file() else {
                 return;
             };
-            let Some(initial) = self.policy.arrival_node() else {
-                // No node can accept the connection (every candidate is
-                // down): the request is consumed and counted failed —
-                // it must not silently resurrect node 0.
-                self.reject_arrival();
-                continue;
-            };
-            let conn = self.draw_connection_len() - 1;
-            self.launch_request(now, initial, conn, false, file);
+            self.arrive(now, file);
         }
     }
 
-    /// Counts a request whose connection attempt found no live node: it
-    /// is consumed from the workload and recorded as failed without ever
-    /// entering the router.
-    fn reject_arrival(&mut self) {
-        self.next_request += 1;
-        self.measure.failed += 1;
+    /// A new client connection for `file`, from the closed loop or an
+    /// open-loop arrival: it lands where the policy says and enters
+    /// through the router. When no node can accept it (every candidate
+    /// is down) the request fails at the client without entering — it
+    /// must not silently resurrect node 0.
+    fn arrive(&mut self, now: SimTime, file: FileId) {
+        match self.policy.arrival_node() {
+            Some(initial) => {
+                let conn = self.draw_connection_len() - 1;
+                self.launch(now, file, initial, conn, false);
+            }
+            None => self.measure.failed += 1,
+        }
+    }
+
+    /// Opens the record of a request for `file` accepted at `initial`,
+    /// with `conn` more requests to follow on its connection, and sends
+    /// it in.
+    fn launch(
+        &mut self,
+        now: SimTime,
+        file: FileId,
+        initial: NodeId,
+        conn: u32,
+        continuation: bool,
+    ) {
+        let epoch = self.node_epoch[initial];
+        let req = Req::new(file, initial, epoch, now, conn, continuation, FAULT_RETRIES);
+        let id = self.arena.alloc(req);
+        self.enter(now, id);
+    }
+
+    /// Carries a request through the router and the switch to its
+    /// initial node's inbound NI.
+    fn enter(&mut self, now: SimTime, id: ReqId) {
+        let cleared = self
+            .fabric
+            .router_transit_service(now, self.cc.router_request);
+        let at_node = self.fabric.switch_transit(cleared);
+        self.queue.schedule(at_node, Ev::NicIn(id));
+    }
+
+    /// Puts request `id`'s message on the wire at `at`: through `from`'s
+    /// outbound NI (`ni` of service) and the switch to `to`, where
+    /// `next` fires. The pending event now runs on `to`, so the request
+    /// tracks that node's epoch from here on: once the message is on the
+    /// wire, the sender's fate no longer matters.
+    fn ship(
+        &mut self,
+        id: ReqId,
+        at: SimTime,
+        from: NodeId,
+        ni: SimDuration,
+        to: NodeId,
+        next: fn(ReqId) -> Ev,
+    ) {
+        let sent = self.nodes[from].ni_out.schedule(at, ni);
+        let arrived = self.fabric.switch_transit(sent);
+        self.arena[id].epoch = self.node_epoch[to];
+        self.queue.schedule(arrived, next(id));
     }
 
     /// The node a request-lifecycle event executes on, if any. Events
@@ -562,16 +583,15 @@ impl<'t> Engine<'t> {
     fn event_target(&self, ev: Ev) -> Option<(ReqId, NodeId)> {
         match ev {
             Ev::NicIn(id) | Ev::Parse(id) | Ev::Decide(id) | Ev::HandoffOut(id) => {
-                Some((id, self.arena.route(id).initial()))
+                Some((id, self.arena[id].initial()))
             }
             Ev::HandoffIn(id)
             | Ev::Serve(id)
-            | Ev::ReplyReady(id)
             | Ev::ReplyChunk(id)
             | Ev::NicOut(id)
-            | Ev::DfsBack(id) => Some((id, self.arena.route(id).service())),
+            | Ev::DfsBack(id) => Some((id, self.arena[id].service())),
             Ev::DfsRead(id) | Ev::DfsTransfer(id) => {
-                Some((id, dfs_home(self.arena.route(id).file, self.config.nodes)))
+                Some((id, dfs_home(self.arena[id].file, self.config.nodes)))
             }
             Ev::RouterOut(_) | Ev::Done(_) | Ev::ClientArrival | Ev::Fault(..) | Ev::Retry(_) => {
                 None
@@ -583,32 +603,38 @@ impl<'t> Engine<'t> {
         // Liveness gate: an event whose node is down, or whose node
         // crashed (and possibly rebooted) since the event was
         // scheduled, finds its work gone — the request aborts here, at
-        // the time the lost operation would have completed.
+        // the time the lost operation would have completed, and the
+        // policy's load accounting is settled through the matching
+        // abort hook.
         if let Some((id, node)) = self.event_target(ev) {
-            if !self.alive[node] || self.arena.route(id).epoch != self.node_epoch[node] {
-                self.fail_request(now, id);
+            let req = &self.arena[id];
+            if !self.alive[node] || req.epoch != self.node_epoch[node] {
+                if req.assigned {
+                    self.policy.abort_assigned(now, req.service(), req.file);
+                    self.charge_messages(now);
+                } else {
+                    self.policy.abort_undecided(now, req.initial());
+                }
+                self.retry_or_give_up(id);
                 return;
             }
         }
         match ev {
             Ev::NicIn(id) => {
-                let node = self.arena.route(id).initial();
+                let node = self.arena[id].initial();
                 let done = self.nodes[node].ni_in.schedule(now, self.cc.ni_in);
                 self.queue.schedule(done, Ev::Parse(id));
             }
             Ev::Parse(id) => {
-                let node = self.arena.route(id).initial();
+                let node = self.arena[id].initial();
                 let svc = self.cpu_time(node, self.cc.parse);
                 let done = self.nodes[node].cpu.schedule(now, svc);
                 self.queue.schedule(done, Ev::Decide(id));
             }
             Ev::Decide(id) => {
-                let (initial, file) = {
-                    let r = self.arena.route(id);
-                    (r.initial(), r.file)
-                };
-                let continuation = self.arena.flow(id).continuation;
-                let service = if continuation {
+                let req = &self.arena[id];
+                let (initial, file) = (req.initial(), req.file);
+                let service = if req.continuation {
                     self.policy.assign_continuation(now, initial, file)
                 } else {
                     self.policy.assign(now, initial, file)
@@ -627,13 +653,11 @@ impl<'t> Engine<'t> {
                     });
                     self.observed_seq += 1;
                 }
-                self.arena.route_mut(id).set_service(service);
-                self.arena.timing_mut(id).decided = now;
-                {
-                    let flow = self.arena.flow_mut(id);
-                    flow.forwarded = forwarded;
-                    flow.assigned = true;
-                }
+                let req = &mut self.arena[id];
+                req.set_service(service);
+                req.decided = now;
+                req.forwarded = forwarded;
+                req.assigned = true;
                 if forwarded {
                     self.measure.forwarded += 1;
                     let svc = self.cpu_time(initial, self.cc.forward);
@@ -644,32 +668,23 @@ impl<'t> Engine<'t> {
                 }
             }
             Ev::HandoffOut(id) => {
-                let node = self.arena.route(id).initial();
-                let done = self.nodes[node].ni_out.schedule(now, self.cc.msg_ni);
-                let arrived = self.fabric.switch_transit(done);
-                // The pending event moves to the service node: track its
-                // epoch from here on (the hand-off is on the wire, so the
-                // initial node's fate no longer matters).
-                let service = self.arena.route(id).service();
-                self.arena.route_mut(id).epoch = self.node_epoch[service];
-                self.queue.schedule(arrived, Ev::HandoffIn(id));
+                let req = &self.arena[id];
+                let (initial, service) = (req.initial(), req.service());
+                self.ship(id, now, initial, self.cc.msg_ni, service, Ev::HandoffIn);
             }
             Ev::HandoffIn(id) => {
-                let node = self.arena.route(id).service();
+                let node = self.arena[id].service();
                 let done = self.nodes[node].ni_in.schedule(now, self.cc.msg_ni);
                 self.queue.schedule(done, Ev::Serve(id));
             }
             Ev::Serve(id) => {
-                self.arena.timing_mut(id).served = now;
-                let (node, file) = {
-                    let r = self.arena.route(id);
-                    (r.service(), r.file)
-                };
-                let forwarded = self.arena.flow(id).forwarded;
-                let hit = self.nodes[node].access_file(file, self.cc.file(file).kb);
-                if hit {
-                    self.arena.flow_mut(id).reply_remaining =
-                        self.reply_cpu_time(node, file, forwarded);
+                let req = &self.arena[id];
+                let (node, file) = (req.service(), req.file);
+                let reply = self.reply_cpu_time(node, file, req.forwarded);
+                let req = &mut self.arena[id];
+                req.served = now;
+                req.reply_remaining = reply;
+                if self.nodes[node].access_file(file, self.cc.file(file).kb) {
                     self.schedule_reply_chunk(id, now);
                 } else {
                     let home = dfs_home(file, self.config.nodes);
@@ -678,36 +693,19 @@ impl<'t> Engine<'t> {
                         // the cluster network.
                         let svc = self.cpu_time(node, self.cc.msg_cpu);
                         let sent = self.nodes[node].cpu.schedule(now, svc);
-                        let on_wire = self.nodes[node].ni_out.schedule(sent, self.cc.msg_ni);
-                        let arrived = self.fabric.switch_transit(on_wire);
-                        self.arena.route_mut(id).epoch = self.node_epoch[home];
-                        self.queue.schedule(arrived, Ev::DfsRead(id));
+                        self.ship(id, sent, node, self.cc.msg_ni, home, Ev::DfsRead);
                     } else {
                         let done = self.nodes[node]
                             .disk
                             .schedule(now, self.cc.file(file).disk_read);
-                        self.queue.schedule(done, Ev::ReplyReady(id));
+                        self.queue.schedule(done, Ev::ReplyChunk(id));
                     }
                 }
             }
-            Ev::ReplyReady(id) => {
-                let (node, file) = {
-                    let r = self.arena.route(id);
-                    (r.service(), r.file)
-                };
-                let forwarded = self.arena.flow(id).forwarded;
-                self.arena.flow_mut(id).reply_remaining =
-                    self.reply_cpu_time(node, file, forwarded);
-                self.schedule_reply_chunk(id, now);
-            }
-            Ev::ReplyChunk(id) => {
-                self.schedule_reply_chunk(id, now);
-            }
+            Ev::ReplyChunk(id) => self.schedule_reply_chunk(id, now),
             Ev::NicOut(id) => {
-                let (node, file) = {
-                    let r = self.arena.route(id);
-                    (r.service(), r.file)
-                };
+                let req = &self.arena[id];
+                let (node, file) = (req.service(), req.file);
                 let done = self.nodes[node]
                     .ni_out
                     .schedule(now, self.cc.file(file).ni_out);
@@ -715,34 +713,23 @@ impl<'t> Engine<'t> {
                 self.queue.schedule(at_router, Ev::RouterOut(id));
             }
             Ev::RouterOut(id) => {
-                let file = self.arena.route(id).file;
+                let file = self.arena[id].file;
                 let done = self
                     .fabric
                     .router_transit_service(now, self.cc.file(file).router);
                 self.queue.schedule(done, Ev::Done(id));
             }
             Ev::ClientArrival => {
+                // A refused connection fails at the client, but the
+                // arrival process keeps ticking.
                 if let Some(file) = self.next_workload_file() {
-                    match self.policy.arrival_node() {
-                        Some(initial) => {
-                            let conn = self.draw_connection_len() - 1;
-                            self.launch_request(now, initial, conn, false, file);
-                        }
-                        None => {
-                            // Connection refused everywhere: the request
-                            // fails at the client, but the arrival
-                            // process keeps ticking.
-                            self.reject_arrival();
-                        }
-                    }
+                    self.arrive(now, file);
                     self.schedule_next_arrival();
                 }
             }
             Ev::DfsRead(id) => {
-                let (node, file) = {
-                    let r = self.arena.route(id);
-                    (r.service(), r.file)
-                };
+                let req = &self.arena[id];
+                let (node, file) = (req.service(), req.file);
                 let home = dfs_home(file, self.config.nodes);
                 invariant!(
                     home != node,
@@ -754,71 +741,47 @@ impl<'t> Engine<'t> {
                 self.queue.schedule(done, Ev::DfsTransfer(id));
             }
             Ev::DfsTransfer(id) => {
-                let file = self.arena.route(id).file;
+                let req = &self.arena[id];
+                let (service, file) = (req.service(), req.file);
                 let home = dfs_home(file, self.config.nodes);
-                let done = self.nodes[home]
-                    .ni_out
-                    .schedule(now, self.cc.file(file).ni_out);
-                let arrived = self.fabric.switch_transit(done);
-                // The file is on the wire back to the service node.
-                let service = self.arena.route(id).service();
-                self.arena.route_mut(id).epoch = self.node_epoch[service];
-                self.queue.schedule(arrived, Ev::DfsBack(id));
+                let ni = self.cc.file(file).ni_out;
+                self.ship(id, now, home, ni, service, Ev::DfsBack);
             }
             Ev::DfsBack(id) => {
-                let (node, file) = {
-                    let r = self.arena.route(id);
-                    (r.service(), r.file)
-                };
+                let req = &self.arena[id];
+                let (node, file) = (req.service(), req.file);
                 // Receiving the file costs the NI the same as sending it.
                 let done = self.nodes[node]
                     .ni_in
                     .schedule(now, self.cc.file(file).ni_out);
-                self.queue.schedule(done, Ev::ReplyReady(id));
+                self.queue.schedule(done, Ev::ReplyChunk(id));
             }
             Ev::Done(id) => {
-                let (node, file) = {
-                    let r = self.arena.route(id);
-                    (r.service(), r.file)
-                };
-                let injected = {
-                    let t = self.arena.timing(id);
-                    self.measure
-                        .seg_ingress
-                        .push(t.decided.saturating_since(t.injected).as_secs_f64());
-                    self.measure
-                        .seg_handoff
-                        .push(t.served.saturating_since(t.decided).as_secs_f64());
-                    self.measure
-                        .seg_service
-                        .push(now.saturating_since(t.served).as_secs_f64());
-                    t.injected
-                };
-                self.policy.complete(now, node, file);
-                self.charge_messages(now);
-                self.nodes[node].completed += 1;
-                self.measure.completed += 1;
-                self.measure.phase_completed[self.measure.phase] += 1;
-                let response = now.saturating_since(injected).as_secs_f64();
+                let req = self.arena[id];
+                let node = req.service();
+                let m = &mut self.measure;
+                let secs = |from: SimTime, to: SimTime| to.saturating_since(from).as_secs_f64();
+                m.seg_ingress.push(secs(req.injected, req.decided));
+                m.seg_handoff.push(secs(req.decided, req.served));
+                m.seg_service.push(secs(req.served, now));
+                m.completed += 1;
+                m.phase_completed[m.phase] += 1;
                 if self.config.response_samples {
-                    self.measure.response_s.push(response);
+                    m.response_s.push(secs(req.injected, now));
                 } else {
-                    self.measure.resp_stats.push(response);
+                    m.resp_stats.push(secs(req.injected, now));
                 }
-                let conn_remaining = self.arena.flow(id).conn_remaining;
-                invariant!(
-                    self.outstanding > 0,
-                    "request accounting underflow: completion with none outstanding"
-                );
-                self.outstanding -= 1;
+                self.nodes[node].completed += 1;
+                self.policy.complete(now, node, req.file);
+                self.charge_messages(now);
                 self.arena.release(id);
-                if conn_remaining > 0 && self.next_request < self.limit {
+                if req.conn_remaining > 0 && self.next_request < self.limit {
                     if let Some(file) = self.next_workload_file() {
                         // Persistent connection: the next request of this
                         // connection arrives at the node that just served —
                         // it holds the connection and acts as initial node.
                         self.policy.arrival_continuation(node);
-                        self.launch_request(now, node, conn_remaining - 1, true, file);
+                        self.launch(now, file, node, req.conn_remaining - 1, true);
                     }
                 }
             }
@@ -832,91 +795,37 @@ impl<'t> Engine<'t> {
             }
             Ev::Retry(id) => {
                 // The client's retry is a fresh connection: it enters
-                // through the router and may land on any live node.
+                // through the router and may land on any live node. The
+                // abort settled the policy's accounting, so a retry that
+                // still finds no live node only retries or gives up.
                 let Some(initial) = self.policy.arrival_node() else {
-                    // Still nowhere to connect. The policy accounting was
-                    // already settled by `fail_request` before this retry
-                    // was scheduled, so no abort hooks here: either burn
-                    // another retry and keep waiting, or give up.
-                    let retries_left = self.arena.flow(id).retries_left;
-                    if retries_left > 0 {
-                        self.arena.flow_mut(id).retries_left -= 1;
-                        self.measure.retried += 1;
-                        self.queue.schedule_after(RETRY_DELAY, Ev::Retry(id));
-                    } else {
-                        self.measure.failed += 1;
-                        invariant!(
-                            self.outstanding > 0,
-                            "request accounting underflow: failure with none outstanding"
-                        );
-                        self.outstanding -= 1;
-                        self.arena.release(id);
-                    }
+                    self.retry_or_give_up(id);
                     return;
                 };
+                let old = self.arena[id];
                 let epoch = self.node_epoch[initial];
-                {
-                    let r = self.arena.route_mut(id);
-                    r.set_initial(initial);
-                    r.set_service(initial);
-                    r.epoch = epoch;
-                }
-                {
-                    let f = self.arena.flow_mut(id);
-                    f.forwarded = false;
-                    f.continuation = false;
-                    f.reply_remaining = SimDuration::ZERO;
-                }
-                {
-                    // `injected` is kept: response time spans the whole
-                    // client experience, retries included.
-                    let t = self.arena.timing_mut(id);
-                    t.decided = now;
-                    t.served = now;
-                }
-                let cleared = self
-                    .fabric
-                    .router_transit_service(now, self.cc.router_request);
-                let at_node = self.fabric.switch_transit(cleared);
-                self.queue.schedule(at_node, Ev::NicIn(id));
+                let (conn, retries) = (old.conn_remaining, old.retries_left);
+                let req = &mut self.arena[id];
+                *req = Req::new(old.file, initial, epoch, now, conn, false, retries);
+                req.injected = old.injected;
+                self.enter(now, id);
             }
         }
     }
 
-    /// Aborts a request whose pending work died with a node: the
-    /// policy's load accounting is settled through the matching abort
-    /// hook, then the request either retries as a fresh arrival after
-    /// the client's timeout or is counted as failed.
-    fn fail_request(&mut self, now: SimTime, id: ReqId) {
-        let (service, initial, file) = {
-            let r = self.arena.route(id);
-            (r.service(), r.initial(), r.file)
-        };
-        let (assigned, retries_left) = {
-            let f = self.arena.flow(id);
-            (f.assigned, f.retries_left)
-        };
-        if assigned {
-            self.policy.abort_assigned(now, service, file);
-            self.charge_messages(now);
-        } else {
-            self.policy.abort_undecided(now, initial);
-        }
-        if retries_left > 0 {
-            {
-                let f = self.arena.flow_mut(id);
-                f.retries_left -= 1;
-                f.assigned = false;
-            }
+    /// A request that lost its connection — aborted by a crash, or a
+    /// retry that still finds no live node — retries as a fresh arrival
+    /// after the client's timeout while it has retries left, and is
+    /// counted failed after that.
+    fn retry_or_give_up(&mut self, id: ReqId) {
+        let req = &mut self.arena[id];
+        if req.retries_left > 0 {
+            req.retries_left -= 1;
+            req.assigned = false;
             self.measure.retried += 1;
             self.queue.schedule_after(RETRY_DELAY, Ev::Retry(id));
         } else {
             self.measure.failed += 1;
-            invariant!(
-                self.outstanding > 0,
-                "request accounting underflow: failure with none outstanding"
-            );
-            self.outstanding -= 1;
             self.arena.release(id);
         }
     }
@@ -988,17 +897,17 @@ impl<'t> Engine<'t> {
     /// time, long replies interleave with short operations exactly like
     /// time-shared segment processing.
     fn schedule_reply_chunk(&mut self, id: ReqId, now: SimTime) {
-        let node = self.arena.route(id).service();
-        let remaining = self.arena.flow(id).reply_remaining;
-        let chunk = remaining.min(CPU_QUANTUM);
-        let left = remaining - chunk;
-        self.arena.flow_mut(id).reply_remaining = left;
-        let done = self.nodes[node].cpu.schedule(now, chunk);
-        if left.is_zero() {
-            self.queue.schedule(done, Ev::NicOut(id));
+        let req = &mut self.arena[id];
+        let chunk = req.reply_remaining.min(CPU_QUANTUM);
+        req.reply_remaining -= chunk;
+        let node = req.service();
+        let next = if req.reply_remaining.is_zero() {
+            Ev::NicOut(id)
         } else {
-            self.queue.schedule(done, Ev::ReplyChunk(id));
-        }
+            Ev::ReplyChunk(id)
+        };
+        let done = self.nodes[node].cpu.schedule(now, chunk);
+        self.queue.schedule(done, next);
     }
 
     /// Counts and charges every control message the policy just emitted:
@@ -1055,16 +964,16 @@ impl<'t> Engine<'t> {
             }
         }
         let unavailability = if elapsed_s > 0.0 {
-            (down_time.as_secs_f64() / (elapsed_s * self.config.nodes as f64)).clamp(0.0, 1.0)
+            let node_s = elapsed_s * cast::len_f64(self.config.nodes);
+            (down_time.as_secs_f64() / node_s).clamp(0.0, 1.0)
         } else {
             0.0
         };
-        let mut phase_rps = [0.0f64; 3];
-        for p in 0..3 {
-            if self.measure.phase_s[p] > 0.0 {
-                phase_rps[p] = self.measure.phase_completed[p] as f64 / self.measure.phase_s[p];
-            }
-        }
+        let m = &self.measure;
+        let phase_rps = std::array::from_fn(|p| match m.phase_s[p] {
+            s if s > 0.0 => cast::exact_f64(m.phase_completed[p]) / s,
+            _ => 0.0,
+        });
 
         let mut sorted = std::mem::take(&mut self.measure.response_s);
         sorted.sort_unstable_by(f64::total_cmp);
@@ -1073,7 +982,7 @@ impl<'t> Engine<'t> {
         // lean runs fall back to the streaming moments. p99 needs the
         // samples and reports `None` without them.
         let mean_response = if !sorted.is_empty() {
-            sorted.iter().sum::<f64>() / sorted.len() as f64
+            sorted.iter().sum::<f64>() / cast::len_f64(sorted.len())
         } else {
             self.measure.resp_stats.mean()
         };

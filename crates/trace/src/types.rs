@@ -98,6 +98,11 @@ impl FileSet {
         self.sizes_kb[file.into().index()]
     }
 
+    /// Every file's size in KB, indexed by interned file id.
+    pub fn sizes_kb(&self) -> &[f64] {
+        &self.sizes_kb
+    }
+
     /// Sum of all file sizes in KB.
     pub fn total_kb(&self) -> f64 {
         self.sizes_kb.iter().sum()

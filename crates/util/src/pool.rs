@@ -75,9 +75,10 @@ where
                     if start >= count {
                         break;
                     }
-                    for i in start..(start + chunk).min(count) {
+                    let end = (start + chunk).min(count);
+                    for (i, slot) in (start..end).zip(&slots[start..end]) {
                         let value = job(i);
-                        let mut slot = slots[i].lock().unwrap_or_else(|e| e.into_inner());
+                        let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
                         *slot = Some(value);
                     }
                 })

@@ -523,9 +523,9 @@ mod tests {
             let t = m.next_time();
             counts[cast::wide_usize(m.transform(t, i % 8))] += 1;
         }
-        for id in 0..8usize {
+        for (id, &count) in counts.iter().enumerate() {
             let want = spec.prob_at(&base, 0.0, id);
-            let got = f64::from(counts[id]) / f64::from(n);
+            let got = f64::from(count) / f64::from(n);
             assert!(
                 (got - want).abs() < 0.01,
                 "id {id}: empirical {got} vs analytic {want}"

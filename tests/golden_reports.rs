@@ -16,7 +16,7 @@
 //! and commit the updated snapshot alongside the change that justifies it.
 
 use cluster_server_eval::prelude::*;
-use cluster_server_eval::sim::FaultPlan;
+use cluster_server_eval::sim::{ArrivalMode, FaultPlan};
 use cluster_server_eval::util::csv::CsvTable;
 use std::fmt::Write as _;
 
@@ -36,12 +36,22 @@ fn render_p99(p99: Option<f64>) -> String {
 /// experiment harness would, covering float formatting as well as raw
 /// numbers.
 fn render_cell(kind: PolicyKind, cache: CachePolicy, faults: FaultPlan) -> String {
+    render_report(&run_cell(kind, |config| {
+        config.cache_policy = cache;
+        config.faults = faults;
+    }))
+}
+
+/// Simulates the golden trace on six nodes under `kind`, after `tweak`
+/// adjusts the quick closed-loop configuration.
+fn run_cell(kind: PolicyKind, tweak: impl FnOnce(&mut SimConfig)) -> SimReport {
     let trace = TraceSpec::clarknet().scaled(600, 8_000).generate(42);
     let mut config = SimConfig::quick(6, trace.working_set_kb() / 4.0);
-    config.cache_policy = cache;
-    config.faults = faults;
-    let report = simulate(&config, kind, &trace);
+    tweak(&mut config);
+    simulate(&config, kind, &trace)
+}
 
+fn render_report(report: &SimReport) -> String {
     let mut table = CsvTable::new([
         "policy",
         "completed",
@@ -93,6 +103,38 @@ fn overlapping_crashes() -> FaultPlan {
     FaultPlan::crash_recover(1, 0.8, 2.0).merged(FaultPlan::crash_recover(2, 1.4, 2.6))
 }
 
+/// A named change to the quick closed-loop configuration.
+type PathVariant = (&'static str, fn(&mut SimConfig));
+
+/// The engine paths the closed-loop cells never take: a remote DFS
+/// fetch, a persistent-connection continuation, an open-loop arrival,
+/// and the warm-up rewind (with DFS and persistence together). Each
+/// runs under [`overlapping_crashes`], so aborts, retries and give-ups
+/// cross every one of them.
+const PATH_VARIANTS: [PathVariant; 4] = [
+    ("dfs", |c| c.dfs_remote = true),
+    ("persistent", |c| c.persistent_mean = 4.0),
+    ("poisson", |c| {
+        c.arrivals = ArrivalMode::Poisson { rate_rps: 600.0 }
+    }),
+    ("warmup", |c| {
+        c.warmup = true;
+        c.dfs_remote = true;
+        c.persistent_mean = 4.0;
+    }),
+];
+
+/// A [`PATH_VARIANTS`] cell: the usual report plus its fault counters.
+fn render_path_cell(kind: PolicyKind, variant: fn(&mut SimConfig)) -> String {
+    let report = run_cell(kind, |config| {
+        config.faults = overlapping_crashes();
+        variant(config);
+    });
+    let mut faults = CsvTable::new(["failed", "retried"]);
+    faults.row([report.failed.to_string(), report.retried.to_string()]);
+    render_report(&report) + &faults.to_csv_string()
+}
+
 fn render_all() -> String {
     let mut out = String::new();
     for cache in [CachePolicy::Lru, CachePolicy::GreedyDualSize] {
@@ -104,6 +146,12 @@ fn render_all() -> String {
     for kind in PolicyKind::all() {
         let _ = writeln!(out, "# cell: {} / lru / crashes", kind.name());
         out.push_str(&render_cell(kind, CachePolicy::Lru, overlapping_crashes()));
+    }
+    for (name, variant) in PATH_VARIANTS {
+        for kind in PolicyKind::all() {
+            let _ = writeln!(out, "# cell: {} / lru / crashes / {name}", kind.name());
+            out.push_str(&render_path_cell(kind, variant));
+        }
     }
     out
 }
